@@ -12,7 +12,6 @@ package dag
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // ErrCycle is returned by Validate and TopoOrder when the graph contains a
@@ -28,20 +27,25 @@ type Graph struct {
 	pred  [][]int
 	edges int
 
-	// topo and pos cache the topological order (and each node's position
-	// in it) so repeated timing passes skip Kahn's algorithm; both are
-	// invalidated by any structural mutation. A Graph is safe for
-	// concurrent reads only after the cache has been warmed (any call to
-	// TopoOrder or Validate does so), which BuildMatrices guarantees
-	// before schedulers run.
+	// fresh marks the derived cache below (topo order, positions, full and
+	// reduced CSR) as current. Structural mutations and Reset only clear
+	// it; the next topoShared rebuilds every array into its retained
+	// capacity, so a graph rebuilt in place by a pooled decoder or
+	// generator reaches a steady state where warming the cache allocates
+	// nothing. A Graph is safe for concurrent reads only after the cache
+	// has been warmed (any call to TopoOrder or Validate does so), which
+	// BuildMatrices guarantees before schedulers run.
+	fresh bool
+
+	// topo and pos cache the topological order and each node's position
+	// in it, so repeated timing passes skip Kahn's algorithm.
 	topo []int
 	pos  []int
 
 	// predOff/predAdj and succOff/succAdj are flat CSR mirrors of pred and
 	// succ (node u's predecessors are predAdj[predOff[u]:predOff[u+1]]),
 	// giving the timing hot loops contiguous iteration instead of chasing
-	// per-node slice headers. Built lazily alongside the topo cache and
-	// invalidated with it.
+	// per-node slice headers.
 	predOff, predAdj []int32
 	succOff, succAdj []int32
 
@@ -58,6 +62,15 @@ type Graph struct {
 	redPredOff, redPredAdj []int32
 	redSuccOff, redSuccAdj []int32
 
+	// Rebuild scratch, kept across rebuilds: Kahn's indegree counters and
+	// ready min-heap, the descendant bitsets and predecessor mask of the
+	// transitive-reduction test, and its per-node out-degree counters.
+	indeg    []int32
+	ready    []int32
+	desc     []uint64
+	predMask []uint64
+	outdeg   []int32
+
 	// version counts structural mutations (AddNode/AddEdge/Reset), so
 	// caches keyed on a *Graph pointer (scheduler engines, pooled
 	// builders) can detect that the graph was rebuilt in place behind the
@@ -69,15 +82,13 @@ type Graph struct {
 // symmetry with the rest of the module.
 func New() *Graph { return &Graph{} }
 
-// invalidateTopo drops the cached topological order after a structural
-// mutation.
+// invalidateTopo marks the derived cache stale after a structural mutation
+// and bumps Version. The cache arrays keep their capacity and are
+// overwritten in place by the next topoShared, so anything still aliasing
+// them — a Timing built before the mutation — no longer describes its own
+// structure and must be rebuilt; Version is how holders detect that.
 func (g *Graph) invalidateTopo() {
-	g.topo = nil
-	g.pos = nil
-	g.predOff, g.predAdj = nil, nil
-	g.succOff, g.succAdj = nil, nil
-	g.redPredOff, g.redPredAdj = nil, nil
-	g.redSuccOff, g.redSuccAdj = nil, nil
+	g.fresh = false
 	g.version++
 }
 
@@ -88,11 +99,14 @@ func (g *Graph) invalidateTopo() {
 func (g *Graph) Version() uint64 { return g.version }
 
 // Reset empties the graph for rebuilding while retaining all allocated
-// storage: the node table, the per-node adjacency slices, and the cache
-// arrays keep their capacity, so a Graph cycled through Reset/AddNode/
-// AddEdge by a pooled generator reaches a steady state with near-zero
-// allocations. Any Timing or cached view of the old structure is
-// invalidated (see Version).
+// storage: the node table, the per-node adjacency slices, the cache arrays
+// (topo order, CSR, reduced CSR) and their rebuild scratch keep their
+// capacity, so a Graph cycled through Reset/AddNode/AddEdge/Validate by a
+// pooled decoder or generator reaches a steady state with zero
+// allocations once every array has grown to the largest instance seen.
+// Because the next cache rebuild overwrites the old arrays in place, any
+// Timing or cached view of the old structure is not merely outdated but
+// invalid: holders must compare Version and rebuild before touching it.
 func (g *Graph) Reset() {
 	g.invalidateTopo()
 	g.names = g.names[:0]
@@ -142,16 +156,33 @@ func (g *Graph) AddEdge(u, v int) error {
 	if u == v {
 		return fmt.Errorf("dag: self-loop on node %d", u)
 	}
-	for _, s := range g.succ[u] {
-		if s == v {
-			return fmt.Errorf("dag: duplicate edge (%d,%d)", u, v)
-		}
+	if g.linked(u, v) {
+		return fmt.Errorf("dag: duplicate edge (%d,%d)", u, v)
 	}
 	g.invalidateTopo()
 	g.succ[u] = append(g.succ[u], v)
 	g.pred[v] = append(g.pred[v], u)
 	g.edges++
 	return nil
+}
+
+// linked reports whether edge u -> v exists, scanning the shorter of u's
+// successor and v's predecessor lists (both in range).
+func (g *Graph) linked(u, v int) bool {
+	if len(g.pred[v]) < len(g.succ[u]) {
+		for _, p := range g.pred[v] {
+			if p == u {
+				return true
+			}
+		}
+		return false
+	}
+	for _, s := range g.succ[u] {
+		if s == v {
+			return true
+		}
+	}
+	return false
 }
 
 // MustEdge is AddEdge that panics on error; for hand-built test fixtures.
@@ -163,15 +194,10 @@ func (g *Graph) MustEdge(u, v int) {
 
 // HasEdge reports whether the directed edge u -> v exists.
 func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || u >= len(g.names) {
+	if u < 0 || u >= len(g.names) || v < 0 || v >= len(g.names) {
 		return false
 	}
-	for _, s := range g.succ[u] {
-		if s == v {
-			return true
-		}
-	}
-	return false
+	return g.linked(u, v)
 }
 
 // NumNodes returns the node count.
@@ -235,62 +261,123 @@ func (g *Graph) TopoOrder() ([]int, error) {
 }
 
 // topoShared returns the cached topological order and per-node positions,
-// computing them on first use. The returned slices are shared with the
-// graph and must not be modified.
+// rebuilding them (with the CSR mirrors) when the cache is stale. The
+// returned slices are shared with the graph and must not be modified; they
+// are overwritten in place by the next rebuild after a mutation.
 func (g *Graph) topoShared() (order, pos []int, err error) {
-	if g.topo != nil {
-		if g.predOff == nil {
-			g.buildCSR() // e.g. after Clone, which copies only the order
+	if !g.fresh {
+		if err := g.rebuildCache(); err != nil {
+			return nil, nil, err
 		}
-		return g.topo, g.pos, nil
+		g.fresh = true
 	}
+	return g.topo, g.pos, nil
+}
+
+// rebuildCache recomputes the topological order, positions, CSR and
+// reduced CSR into the retained arrays. Kahn's ready set is a binary
+// min-heap on node index, so each pop takes the lowest-index ready node —
+// the same order a re-sorted ready list yields, at O(log n) per pop.
+func (g *Graph) rebuildCache() error {
 	n := len(g.names)
-	indeg := make([]int, n)
+	g.indeg = resize(g.indeg, n)
+	g.ready = reserve(g.ready, n)
 	for i := 0; i < n; i++ {
-		indeg[i] = len(g.pred[i])
-	}
-	// A sorted ready set keeps the order deterministic; n is small enough
-	// in workflow scheduling (<= a few thousand modules) that a simple
-	// re-sorted slice beats a heap in clarity and is fast in practice.
-	var ready []int
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			ready = append(ready, i)
+		g.indeg[i] = int32(len(g.pred[i]))
+		if g.indeg[i] == 0 {
+			// Ascending pushes leave the array sorted, a valid min-heap.
+			g.ready = append(g.ready, int32(i))
 		}
 	}
-	out := make([]int, 0, n)
-	for len(ready) > 0 {
-		sort.Ints(ready)
-		u := ready[0]
-		ready = ready[1:]
-		out = append(out, u)
+	g.topo = reserve(g.topo, n)
+	for len(g.ready) > 0 {
+		u := g.popReady()
+		g.topo = append(g.topo, u)
 		for _, v := range g.succ[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				ready = append(ready, v)
+			g.indeg[v]--
+			if g.indeg[v] == 0 {
+				g.pushReady(int32(v))
 			}
 		}
 	}
-	if len(out) != n {
-		return nil, nil, ErrCycle
+	if len(g.topo) != n {
+		return ErrCycle
 	}
-	p := make([]int, n)
-	for k, u := range out {
-		p[u] = k
+	g.pos = resize(g.pos, n)
+	for k, u := range g.topo {
+		g.pos[u] = k
 	}
-	g.topo, g.pos = out, p
 	g.buildCSR()
-	return g.topo, g.pos, nil
+	return nil
+}
+
+// pushReady inserts v into the ready min-heap.
+func (g *Graph) pushReady(v int32) {
+	g.ready = append(g.ready, v)
+	h := g.ready
+	c := len(h) - 1
+	for c > 0 {
+		p := (c - 1) / 2
+		if h[p] <= h[c] {
+			break
+		}
+		h[c], h[p] = h[p], h[c]
+		c = p
+	}
+}
+
+// popReady removes and returns the lowest-index ready node.
+func (g *Graph) popReady() int {
+	h := g.ready
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	g.ready = h
+	p := 0
+	for {
+		c := 2*p + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && h[c+1] < h[c] {
+			c++
+		}
+		if h[p] <= h[c] {
+			break
+		}
+		h[p], h[c] = h[c], h[p]
+		p = c
+	}
+	return int(top)
+}
+
+// resize returns s with length n, reusing its backing array when the
+// capacity suffices. Contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// reserve returns s emptied with capacity for at least n elements, so the
+// appends that refill it never grow it piecemeal.
+func reserve[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }
 
 // buildCSR flattens the adjacency lists into the CSR arrays, preserving
 // the per-node neighbor order of succ and pred.
 func (g *Graph) buildCSR() {
 	n := len(g.names)
-	g.predOff = make([]int32, n+1)
-	g.succOff = make([]int32, n+1)
-	g.predAdj = make([]int32, 0, g.edges)
-	g.succAdj = make([]int32, 0, g.edges)
+	g.predOff = resize(g.predOff, n+1)
+	g.succOff = resize(g.succOff, n+1)
+	g.predAdj = reserve(g.predAdj, g.edges)
+	g.succAdj = reserve(g.succAdj, g.edges)
 	for i := 0; i < n; i++ {
 		g.predOff[i] = int32(len(g.predAdj))
 		g.succOff[i] = int32(len(g.succAdj))
@@ -315,7 +402,9 @@ func (g *Graph) buildReducedCSR() {
 	n := len(g.names)
 	words := (n + 63) / 64
 	// desc[u*words : (u+1)*words] is the descendant set of u (excluding u).
-	desc := make([]uint64, n*words)
+	g.desc = resize(g.desc, n*words)
+	clear(g.desc)
+	desc := g.desc
 	for k := n - 1; k >= 0; k-- {
 		u := g.topo[k]
 		du := desc[u*words : (u+1)*words]
@@ -327,11 +416,15 @@ func (g *Graph) buildReducedCSR() {
 			}
 		}
 	}
-	g.redPredOff = make([]int32, n+1)
-	g.redSuccOff = make([]int32, n+1)
-	g.redPredAdj = g.redPredAdj[:0]
-	predMask := make([]uint64, words)
-	outdeg := make([]int32, n)
+	g.redPredOff = resize(g.redPredOff, n+1)
+	g.redSuccOff = resize(g.redSuccOff, n+1)
+	g.redPredAdj = reserve(g.redPredAdj, g.edges)
+	g.predMask = resize(g.predMask, words)
+	clear(g.predMask)
+	predMask := g.predMask
+	g.outdeg = resize(g.outdeg, n)
+	clear(g.outdeg)
+	outdeg := g.outdeg
 	for v := 0; v < n; v++ {
 		g.redPredOff[v] = int32(len(g.redPredAdj))
 		for _, p := range g.pred[v] {
@@ -364,11 +457,7 @@ func (g *Graph) buildReducedCSR() {
 		total += outdeg[u]
 	}
 	g.redSuccOff[n] = total
-	if cap(g.redSuccAdj) < int(total) {
-		g.redSuccAdj = make([]int32, total)
-	} else {
-		g.redSuccAdj = g.redSuccAdj[:total]
-	}
+	g.redSuccAdj = resize(g.redSuccAdj, int(total))
 	fill := outdeg // reuse as per-node fill cursor
 	for u := range fill {
 		fill[u] = g.redSuccOff[u]
@@ -381,9 +470,10 @@ func (g *Graph) buildReducedCSR() {
 	}
 }
 
-// Validate checks that the graph is acyclic.
+// Validate checks that the graph is acyclic, warming the topo/CSR cache
+// as a side effect (without TopoOrder's defensive copy).
 func (g *Graph) Validate() error {
-	_, err := g.TopoOrder()
+	_, _, err := g.topoShared()
 	return err
 }
 
@@ -461,18 +551,17 @@ func (g *Graph) Reachable(u, v int) bool {
 	return false
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph's structure. The clone shares no
+// array with its source: its topo/CSR cache starts stale and is built on
+// first use (warm it with Validate before sharing the clone between
+// goroutines), so rebuilding either graph in place never disturbs the
+// other.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		names: append([]string(nil), g.names...),
 		succ:  make([][]int, len(g.succ)),
 		pred:  make([][]int, len(g.pred)),
 		edges: g.edges,
-		topo:  append([]int(nil), g.topo...),
-		pos:   append([]int(nil), g.pos...),
-	}
-	if len(c.topo) == 0 {
-		c.topo, c.pos = nil, nil
 	}
 	for i := range g.succ {
 		c.succ[i] = append([]int(nil), g.succ[i]...)

@@ -27,6 +27,13 @@ type EdgeWeight func(u, v int) float64
 // greedy schedulers lean on: each of their iterations changes exactly one
 // module's execution time.
 //
+// A Timing aliases its graph's topo-order and CSR cache arrays. Mutating
+// or resetting the graph rebuilds those arrays in place, so once
+// g.Version() differs from its value at NewTiming the Timing reads arrays
+// that describe another structure and must be discarded. Long-lived
+// holders (scheduler engines, serve workers, campaign scratch) key their
+// Timing on the graph pointer and its Version for this reason.
+//
 // The backward state is the Tail array rather than materialized LST/LFT:
 // Tail[u] is anchored at the sinks, not at the makespan, so a makespan
 // shift no longer invalidates the whole backward pass — the incremental

@@ -63,8 +63,8 @@ func AppendWorkflow(dst []byte, w *workflow.Workflow) ([]byte, error) {
 		}
 	}
 	for u := 0; u < m; u++ {
-		for _, v := range g.Succ(u) {
-			dst = appendF64(dst, w.DataSize(u, v))
+		for _, ds := range w.DataSizes(u) {
+			dst = appendF64(dst, ds)
 		}
 	}
 	for i := 0; i < m; i++ {

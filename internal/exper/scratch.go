@@ -39,9 +39,14 @@ type campaignScratch struct {
 
 	budgets []float64
 
+	// t is the pooled timing, keyed on the graph it was built over and
+	// that graph's version: t aliases the graph's cache arrays, which an
+	// in-place rebuild overwrites, and the generator's and the corpus
+	// decoder's graphs keep independent version counters.
 	times []float64
 	t     *dag.Timing
-	tver  uint64 // graph version cs.t was built against
+	tg    *dag.Graph
+	tver  uint64
 
 	// Corpus scratch: a per-worker binary decoder (its intern table warms
 	// up on the module/VM names of the stream) and the pooled workflow
@@ -250,12 +255,12 @@ func (cs *campaignScratch) makespan(s workflow.Schedule) (float64, error) {
 	}
 	cs.times = cs.m.TimesInto(s, cs.times)
 	g := cs.w.Graph()
-	if cs.t == nil || cs.tver != g.Version() {
+	if cs.t == nil || cs.tg != g || cs.tver != g.Version() {
 		t, err := dag.NewTiming(g, cs.times, nil)
 		if err != nil {
 			return 0, err
 		}
-		cs.t, cs.tver = t, g.Version()
+		cs.t, cs.tg, cs.tver = t, g, g.Version()
 		return t.Makespan, nil
 	}
 	if err := cs.t.Update(cs.times); err != nil {

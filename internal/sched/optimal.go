@@ -22,9 +22,11 @@ import (
 // subtree tasks; workers own their scratch (engine, timing, partial
 // schedule), share only an atomic incumbent-makespan bound, and a final
 // reduction in subtree order picks the unique optimum under the total
-// order (lowest MED, then lowest cost, then first in DFS order), so the
-// result is bit-identical to the sequential DFS regardless of worker count
-// or interleaving.
+// order (lowest MED, then lowest cost, then first in DFS order), so a
+// search that completes (Truncated false) returns a result bit-identical
+// to the sequential DFS regardless of worker count or interleaving. A
+// search cut short by MaxNodes returns the best incumbent found so far,
+// which with more than one worker depends on how the workers interleaved.
 type Optimal struct {
 	// MaxNodes bounds the number of search nodes expanded; 0 means the
 	// default of 50 million. Workers draw node quota from the shared
@@ -38,7 +40,8 @@ type Optimal struct {
 	// falls back to a single worker when the pruned search tree is too
 	// small to amortize goroutine startup; any positive value is used as
 	// given (1 forces the sequential DFS). The schedule returned is the
-	// same for every setting.
+	// same for every setting when the search completes; a truncated
+	// search is reproducible only with Workers = 1.
 	Workers int
 
 	// Truncated reports whether the last Schedule call hit MaxNodes and

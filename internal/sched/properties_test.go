@@ -185,12 +185,14 @@ func TestIntoSchedulersReusableAcrossInstances(t *testing.T) {
 			t.Fatal(err)
 		}
 		if into, ok := sc.(IntoScheduler); ok {
-			// The exhaustive search joins the IntoScheduler registry with
-			// this PR; cap its node budget so the M=25 trials stay quick.
-			// The fresh comparison instances below get the same cap, so
-			// the reused-vs-fresh differential remains exact.
+			// Cap the exhaustive search's node budget so the M=25 trials
+			// stay quick. A truncated parallel search stops at a point
+			// that depends on worker interleaving, so the search also
+			// runs sequentially. The fresh comparison instances below get
+			// the same settings, so the reused-vs-fresh differential
+			// remains exact.
 			if o, isOpt := sc.(*Optimal); isOpt {
-				o.MaxNodes = optTestNodeCap
+				o.MaxNodes, o.Workers = optTestNodeCap, 1
 			}
 			reused[name] = into
 		}
@@ -219,7 +221,7 @@ func TestIntoSchedulersReusableAcrossInstances(t *testing.T) {
 				t.Fatal(err)
 			}
 			if o, isOpt := fresh.(*Optimal); isOpt {
-				o.MaxNodes = optTestNodeCap
+				o.MaxNodes, o.Workers = optTestNodeCap, 1
 			}
 			want, err := fresh.Schedule(wf, m, b)
 			if err != nil {

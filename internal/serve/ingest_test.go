@@ -1,0 +1,59 @@
+package serve
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"medcc/internal/gen"
+)
+
+// TestInlineIngestAllocs pins the inline-request ingest path at zero
+// allocations: once the pooled decoder, workflow and matrices have grown
+// to the largest instance seen, decoding a container body (WorkflowInto)
+// and binding it (BuildMatricesInto, whose Validate rebuilds the graph's
+// topo/CSR cache in place, then BudgetRange for the fraction budget)
+// allocates nothing, even as consecutive bodies change size and shape.
+func TestInlineIngestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	s := testServer(t, Config{Workers: 1})
+	rng := rand.New(rand.NewSource(12))
+	var b gen.Builder
+	var bodies [][]byte
+	for _, size := range gen.PaperProblemSizes()[10:] {
+		w, cat, err := b.Instance(rng, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, containerBody(t, w, cat))
+	}
+
+	j := newJob()
+	ds := newDecodeScratch()
+	var src bytes.Reader
+	next := 0
+	ingest := func() {
+		j.reset()
+		src.Reset(bodies[next%len(bodies)])
+		next++
+		ds.br.Reset(&src)
+		p := Params{UseFraction: true, Fraction: 0.5}
+		if err := ds.containerInstance(j, &p); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.prepare(j, p); err != nil {
+			t.Fatal(err)
+		}
+		if j.m != j.ownM || j.w != j.ownW {
+			t.Fatal("inline request did not bind the job-owned instance")
+		}
+	}
+	for range bodies { // grow every pooled array to the largest body
+		ingest()
+	}
+	if avg := testing.AllocsPerRun(4*len(bodies), ingest); avg != 0 {
+		t.Errorf("warm inline ingest allocates %v allocs/op, want 0", avg)
+	}
+}

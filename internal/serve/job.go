@@ -211,11 +211,11 @@ func (s *Server) prepare(j *job, p Params) error {
 			}
 			j.catRef = p.CatalogRef
 		}
+		// BuildMatricesInto also rebuilds the dominance-pruned options.
 		m, err := w.BuildMatricesInto(cat, cloud.HourlyRoundUp, j.ownM)
 		if err != nil {
 			return &RequestError{Op: "matrices", Err: err}
 		}
-		m.BuildOptions()
 		j.ownM = m
 		j.w, j.m = w, m
 		if p.UseFraction {

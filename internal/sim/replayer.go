@@ -376,17 +376,18 @@ func (r *Replayer) onFinish(i int) {
 		}
 	}
 	// Output transfers release successors.
-	for _, succ := range r.w.Graph().Succ(i) {
-		r.startTransfer(r.transferTime(i, succ), int32(succ))
+	for k, succ := range r.w.Graph().Succ(i) {
+		r.startTransfer(r.transferTime(i, k), int32(succ))
 	}
 }
 
-// transferTime is the shared-storage transfer duration of edge u -> v.
-func (r *Replayer) transferTime(u, v int) float64 {
+// transferTime is the shared-storage transfer duration of u's k-th
+// outgoing edge (to Graph().Succ(u)[k]).
+func (r *Replayer) transferTime(u, k int) float64 {
 	if r.bandwidth <= 0 {
 		return 0
 	}
-	ds := r.w.DataSize(u, v)
+	ds := r.w.DataSizes(u)[k]
 	if ds == 0 {
 		return 0
 	}

@@ -48,8 +48,8 @@ func (w *Workflow) ExportDOT(s Schedule, cat cloud.Catalog, m *Matrices) (string
 	}
 	g := w.Graph()
 	for u := 0; u < g.NumNodes(); u++ {
-		for _, v := range g.Succ(u) {
-			if ds := w.DataSize(u, v); ds > 0 {
+		for k, v := range g.Succ(u) {
+			if ds := w.DataSizes(u)[k]; ds > 0 {
 				fmt.Fprintf(&b, "  n%d -> n%d [label=\"%.4g\"];\n", u, v, ds)
 			} else {
 				fmt.Fprintf(&b, "  n%d -> n%d;\n", u, v)

@@ -25,8 +25,8 @@ func (w *Workflow) MarshalJSON() ([]byte, error) {
 		j.Modules = []Module{}
 	}
 	for u := 0; u < w.g.NumNodes(); u++ {
-		for _, v := range w.g.Succ(u) {
-			j.Edges = append(j.Edges, wfEdge{From: u, To: v, DataSize: w.DataSize(u, v)})
+		for k, v := range w.g.Succ(u) {
+			j.Edges = append(j.Edges, wfEdge{From: u, To: v, DataSize: w.DataSizes(u)[k]})
 		}
 	}
 	return json.Marshal(j)

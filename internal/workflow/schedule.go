@@ -126,20 +126,26 @@ func (m *Matrices) LeastCostInto(w *Workflow, dst Schedule) Schedule {
 			s[i] = -1
 			continue
 		}
-		best := 0
-		for j := 1; j < len(m.Catalog); j++ {
-			cj, cb := m.CE[i][j], m.CE[i][best]
-			switch {
-			case cj < cb:
-				best = j
-			// medcc:lint-ignore floateq — tie-break on identical table cells; both sides read straight from CE.
-			case cj == cb && m.TE[i][j] < m.TE[i][best]:
-				best = j
-			}
-		}
-		s[i] = best
+		s[i] = m.leastCostType(i)
 	}
 	return s
+}
+
+// leastCostType is module i's min-cost type, ties broken by the minimum
+// execution time (then the lowest index).
+func (m *Matrices) leastCostType(i int) int {
+	best := 0
+	for j := 1; j < len(m.Catalog); j++ {
+		cj, cb := m.CE[i][j], m.CE[i][best]
+		switch {
+		case cj < cb:
+			best = j
+		// medcc:lint-ignore floateq — tie-break on identical table cells; both sides read straight from CE.
+		case cj == cb && m.TE[i][j] < m.TE[i][best]:
+			best = j
+		}
+	}
+	return best
 }
 
 // Fastest returns S_fastest: each schedulable module mapped to its
@@ -161,27 +167,41 @@ func (m *Matrices) FastestInto(w *Workflow, dst Schedule) Schedule {
 			s[i] = -1
 			continue
 		}
-		best := 0
-		for j := 1; j < len(m.Catalog); j++ {
-			tj, tb := m.TE[i][j], m.TE[i][best]
-			switch {
-			case tj < tb:
-				best = j
-			// medcc:lint-ignore floateq — tie-break on identical table cells; both sides read straight from TE.
-			case tj == tb && m.CE[i][j] < m.CE[i][best]:
-				best = j
-			}
-		}
-		s[i] = best
+		s[i] = m.fastestType(i)
 	}
 	return s
 }
 
+// fastestType is module i's min-time type, ties broken by the minimum
+// cost (then the lowest index).
+func (m *Matrices) fastestType(i int) int {
+	best := 0
+	for j := 1; j < len(m.Catalog); j++ {
+		tj, tb := m.TE[i][j], m.TE[i][best]
+		switch {
+		case tj < tb:
+			best = j
+		// medcc:lint-ignore floateq — tie-break on identical table cells; both sides read straight from TE.
+		case tj == tb && m.CE[i][j] < m.CE[i][best]:
+			best = j
+		}
+	}
+	return best
+}
+
 // BudgetRange returns [Cmin, Cmax]: the cost of the least-cost schedule
 // (below which no feasible schedule exists) and of the fastest schedule
-// (above which extra budget is wasted), per §V-B.
+// (above which extra budget is wasted), per §V-B. The sums run in module
+// order like Cost over the materialized schedules, so the bounds are
+// bit-identical to Cost(LeastCost(w)) and Cost(Fastest(w)) without
+// allocating either schedule.
 func (m *Matrices) BudgetRange(w *Workflow) (cmin, cmax float64) {
-	cmin = m.Cost(m.LeastCost(w))
-	cmax = m.Cost(m.Fastest(w))
+	for i := range m.TE {
+		if w.mods[i].Fixed {
+			continue
+		}
+		cmin += m.CE[i][m.leastCostType(i)]
+		cmax += m.CE[i][m.fastestType(i)]
+	}
 	return cmin, cmax
 }

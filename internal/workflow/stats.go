@@ -55,8 +55,8 @@ func (w *Workflow) ComputeStats() (Stats, error) {
 		s.TotalWorkload += w.Module(i).Workload
 	}
 	for u := 0; u < g.NumNodes(); u++ {
-		for _, v := range g.Succ(u) {
-			s.TotalData += w.DataSize(u, v)
+		for _, ds := range w.DataSizes(u) {
+			s.TotalData += ds
 		}
 	}
 	if s.TotalWorkload > dag.Eps {

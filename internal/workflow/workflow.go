@@ -35,30 +35,55 @@ type Module struct {
 type Workflow struct {
 	g    *dag.Graph
 	mods []Module
-	data map[[2]int]float64
+
+	// edges logs every accepted dependency's source and data size in
+	// insertion order: one self-append per AddDependency, so a fresh
+	// workflow pays a handful of amortized slice growths and a pooled one
+	// nothing once it has grown.
+	edges []edgeData
+
+	// dsOff/ds is the per-source view of the log: the data sizes of u's
+	// outgoing edges are ds[dsOff[u]:dsOff[u+1]], parallel to
+	// g.Succ(u) (both follow insertion order). It is rebuilt into
+	// retained capacity when dsFresh is false — after any mutation — by a
+	// stable counting sort of the log on source. Like the graph's topo
+	// cache, it is warmed by Validate (and so by BuildMatrices) before a
+	// workflow is shared between goroutines.
+	dsOff   []int32
+	ds      []float64
+	dsFresh bool
+}
+
+// edgeData is one entry of the dependency log.
+type edgeData struct {
+	u  int32
+	ds float64
 }
 
 // New returns an empty workflow.
 func New() *Workflow {
-	return &Workflow{g: dag.New(), data: make(map[[2]int]float64)}
+	return &Workflow{g: dag.New()}
 }
 
 // Reset empties the workflow for rebuilding while keeping all allocated
-// storage (the graph's node and adjacency arrays, the module slice, the
-// data-size map buckets), so a pooled generator cycling Reset/AddModule/
-// AddDependency reaches a steady state with near-zero allocations. The
-// graph's Version changes, which invalidates any scheduler engine or
-// Timing still bound to the old structure.
+// storage (the graph's node, adjacency and cache arrays, the module slice,
+// the dependency log and its per-source view), so a pooled decoder or
+// generator cycling Reset/AddModule/AddDependency/BuildMatricesInto
+// reaches a steady state with zero allocations. The graph's Version
+// changes, which invalidates any scheduler engine or Timing still bound to
+// the old structure.
 func (w *Workflow) Reset() {
 	w.g.Reset()
 	w.mods = w.mods[:0]
-	clear(w.data)
+	w.edges = w.edges[:0]
+	w.dsFresh = false
 }
 
 // AddModule appends a module and returns its index.
 func (w *Workflow) AddModule(m Module) int {
 	id := w.g.AddNode(m.Name)
 	w.mods = append(w.mods, m)
+	w.dsFresh = false
 	return id
 }
 
@@ -70,7 +95,8 @@ func (w *Workflow) AddDependency(u, v int, dataSize float64) error {
 	if err := w.g.AddEdge(u, v); err != nil {
 		return err
 	}
-	w.data[[2]int{u, v}] = dataSize
+	w.edges = append(w.edges, edgeData{u: int32(u), ds: dataSize})
+	w.dsFresh = false
 	return nil
 }
 
@@ -86,8 +112,68 @@ func (w *Workflow) NumDependencies() int { return w.g.NumEdges() }
 // Module returns module i.
 func (w *Workflow) Module(i int) Module { return w.mods[i] }
 
-// DataSize returns DS_uv for edge u -> v (zero if the edge is absent).
-func (w *Workflow) DataSize(u, v int) float64 { return w.data[[2]int{u, v}] }
+// DataSize returns DS_uv for edge u -> v (zero if the edge is absent). It
+// scans u's successor list; loops that already walk Graph().Succ(u) should
+// read DataSizes(u) in step instead.
+func (w *Workflow) DataSize(u, v int) float64 {
+	if u < 0 || u >= len(w.mods) {
+		return 0
+	}
+	for k, s := range w.g.Succ(u) {
+		if s == v {
+			return w.DataSizes(u)[k]
+		}
+	}
+	return 0
+}
+
+// DataSizes returns the data sizes of u's outgoing edges, parallel to
+// Graph().Succ(u): DataSizes(u)[k] is DS of edge u -> Succ(u)[k]. The
+// slice is shared with the workflow and must not be modified; it is valid
+// until the next mutation.
+func (w *Workflow) DataSizes(u int) []float64 {
+	if !w.dsFresh {
+		w.buildDataView()
+	}
+	return w.ds[w.dsOff[u]:w.dsOff[u+1]]
+}
+
+// buildDataView regroups the dependency log by source into dsOff/ds with
+// a stable counting sort, so each source's sizes keep insertion order —
+// the order of its successor list.
+//
+// medcc:coldpath — runs once per rebuilt instance (Validate warms it);
+// growth allocates only until the arrays reach the largest instance seen.
+func (w *Workflow) buildDataView() {
+	n := len(w.mods)
+	w.dsOff = resize(w.dsOff, n+1)
+	clear(w.dsOff)
+	for _, e := range w.edges {
+		w.dsOff[e.u+1]++
+	}
+	for u := 0; u < n; u++ {
+		w.dsOff[u+1] += w.dsOff[u]
+	}
+	// Fill using dsOff[u] as u's cursor; afterwards it holds u's end, i.e.
+	// the start of u+1, so shifting the array by one restores the offsets.
+	w.ds = resize(w.ds, len(w.edges))
+	for _, e := range w.edges {
+		w.ds[w.dsOff[e.u]] = e.ds
+		w.dsOff[e.u]++
+	}
+	copy(w.dsOff[1:], w.dsOff[:n])
+	w.dsOff[0] = 0
+	w.dsFresh = true
+}
+
+// resize returns s with length n, reusing its backing array when the
+// capacity suffices. Contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
 
 // Schedulable returns the indices of modules that must be mapped to a VM
 // type (everything not Fixed), in index order.
@@ -112,10 +198,15 @@ func (w *Workflow) SchedulableInto(dst []int) []int {
 }
 
 // Validate checks the structure: an acyclic graph, valid workloads, and at
-// least one schedulable module.
+// least one schedulable module. Like the graph's topo cache, the
+// per-source data-size view is warmed here, so a validated workflow is
+// safe for concurrent readers.
 func (w *Workflow) Validate() error {
 	if err := w.g.Validate(); err != nil {
 		return err
+	}
+	if !w.dsFresh {
+		w.buildDataView()
 	}
 	sched := 0
 	for i, m := range w.mods {
@@ -138,15 +229,11 @@ func (w *Workflow) Validate() error {
 
 // Clone returns a deep copy.
 func (w *Workflow) Clone() *Workflow {
-	c := &Workflow{
-		g:    w.g.Clone(),
-		mods: append([]Module(nil), w.mods...),
-		data: make(map[[2]int]float64, len(w.data)),
+	return &Workflow{
+		g:     w.g.Clone(),
+		mods:  append([]Module(nil), w.mods...),
+		edges: append([]edgeData(nil), w.edges...),
 	}
-	for k, v := range w.data {
-		c.data[k] = v
-	}
-	return c
 }
 
 // ZeroTransfer is the intra-datacenter edge-weight function: all transfer

@@ -322,33 +322,6 @@ func BenchmarkSimulatorReplay100(b *testing.B) {
 	}
 }
 
-func BenchmarkSimValidateBatch(b *testing.B) {
-	// Campaign-scale replay: the flagship instance at 20 budget levels,
-	// sharded across GOMAXPROCS pooled replayers.
-	w, m, _ := benchInstance(b, gen.ProblemSize{M: 100, E: 2344, N: 9})
-	cmin, cmax := m.BudgetRange(w)
-	const levels = 20
-	cfgs := make([]sim.Config, 0, levels)
-	for k := 1; k <= levels; k++ {
-		budget := cmin + float64(k)/levels*(cmax-cmin)
-		res, err := sched.Run(sched.CriticalGreedy(), w, m, budget)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfgs = append(cfgs, sim.Config{Workflow: w, Matrices: m, Schedule: res.Schedule, Bandwidth: 50, Delay: 0.001, BootTime: 0.1})
-	}
-	var out []sim.BatchResult
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		out, err = sim.ValidateBatchInto(out, cfgs)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkTestbedWRF(b *testing.B) {
 	w := wrf.Grouped()
 	m := wrf.Matrices(w)

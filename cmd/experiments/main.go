@@ -447,5 +447,5 @@ func validationRows(corpusDir string, seed int64) ([]exper.ValidationRow, error)
 		return nil, err
 	}
 	defer f.Close()
-	return exper.SimValidationFromCorpus(br, seed)
+	return exper.SimValidationFromCorpus(br, seed, validationSize, validationInstances)
 }

@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"io"
 	"math"
 
 	"medcc/internal/gen"
@@ -34,44 +35,31 @@ func Ablation(seed int64, size gen.ProblemSize, instances, levels int) ([]Ablati
 		{"gain-fixpoint", "all", "max-ratio"},
 		{"gain3", "all (once/task)", "max-ratio"},
 	}
-	meds := make([][]float64, len(configs))
-	type work struct {
-		med []float64
-		err error
-	}
-	results := make([]work, instances)
-	scratch := newScratchPool(instances)
-	parallelForWorkers(instances, func(wk, k int) {
-		cs := &scratch[wk]
-		cmin, cmax, err := cs.instance(seed, k, size)
-		if err != nil {
-			results[k].err = err
-			return
-		}
+	results := make([][]float64, instances) // per item: levels x configs MEDs
+	err := sizePlan(seed, size, instances).run(nil, func(cs *campaignScratch, k int, cmin, cmax float64) error {
 		out := make([]float64, 0, len(configs)*levels)
 		for lv := 1; lv <= levels; lv++ {
 			b := budgetLevel(cmin, cmax, lv, levels)
 			for _, cfg := range configs {
 				med, err := cs.med(cfg.name, b)
 				if err != nil {
-					results[k].err = err
-					return
+					return err
 				}
 				out = append(out, med)
 			}
 		}
-		results[k].med = out
+		results[k] = out
+		return nil
 	})
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
+	if err != nil {
+		return nil, err
 	}
+	meds := make([][]float64, len(configs))
 	for k := 0; k < instances; k++ {
 		pos := 0
 		for lv := 0; lv < levels; lv++ {
 			for ci := range configs {
-				meds[ci] = append(meds[ci], results[k].med[pos])
+				meds[ci] = append(meds[ci], results[k][pos])
 				pos++
 			}
 		}
@@ -97,49 +85,61 @@ type ValidationRow struct {
 	CostErr     float64
 }
 
+// sizePlan is the item plan of the single-size experiments (A1, A2):
+// item k is instance k of size.
+func sizePlan(seed int64, size gen.ProblemSize, instances int) plan {
+	return plan{n: instances, item: func(k int) planItem {
+		return planItem{seed: seed, idx: k, size: size}
+	}}
+}
+
 // SimValidation cross-checks analytic makespan/cost against event-driven
-// replay on `instances` random instances of the given size. It runs in two
-// parallel stages: instances are generated and scheduled concurrently,
-// then all replays go through sim.ValidateBatch, which shards the configs
-// across pooled Replayers.
+// replay on `instances` random instances of the given size: each worker
+// schedules its instance with CG at a random budget and replays the
+// schedule on its scratch's pooled sim.Replayer.
 func SimValidation(seed int64, size gen.ProblemSize, instances int) ([]ValidationRow, error) {
-	rows := make([]ValidationRow, instances)
-	errs := make([]error, instances)
-	cfgs := make([]sim.Config, instances)
-	analytic := make([][2]float64, instances) // {MED, Cost} per instance
-	parallelFor(instances, func(k int) {
-		w, m, cmin, cmax, err := buildInstance(seed, k, size)
-		if err != nil {
-			errs[k] = err
-			return
-		}
-		// Separate stream for the budget draw (see TableIII).
+	return simValidation(seed, sizePlan(seed, size, instances), nil)
+}
+
+// SimValidationFromCorpus is SimValidation running on a
+// WriteValidationCorpus stream, which must hold `instances` records of
+// the given size.
+func SimValidationFromCorpus(r io.Reader, seed int64, size gen.ProblemSize, instances int) ([]ValidationRow, error) {
+	return simValidation(seed, sizePlan(seed, size, instances), r)
+}
+
+// WriteValidationCorpus writes the A2 simulator-validation instance set
+// as a binary corpus: record k is instance k of the given size.
+func WriteValidationCorpus(w io.Writer, seed int64, size gen.ProblemSize, instances int, compress bool) (int, error) {
+	return sizePlan(seed, size, instances).writeCorpus(w, compress)
+}
+
+// simValidation is the A2 body over the plan's instances, regenerated or
+// read from src (see plan.run).
+func simValidation(seed int64, p plan, src io.Reader) ([]ValidationRow, error) {
+	rows := make([]ValidationRow, p.n)
+	err := p.run(src, func(cs *campaignScratch, k int, cmin, cmax float64) error {
+		// Separate stream for the budget draw (see TableIIIAt).
 		rng := newRNG(seed+1_000_000_007, k)
 		b := cmin + rng.Float64()*(cmax-cmin)
-		res, err := sched.Run(sched.CriticalGreedy(), w, m, b)
+		res, err := sched.Run(sched.CriticalGreedy(), cs.w, cs.m, b)
 		if err != nil {
-			errs[k] = err
-			return
+			return err
 		}
-		cfgs[k] = sim.Config{Workflow: w, Matrices: m, Schedule: res.Schedule}
-		analytic[k] = [2]float64{res.MED, res.Cost}
+		replay, err := cs.replayer.Run(sim.Config{Workflow: cs.w, Matrices: cs.m, Schedule: res.Schedule})
+		if err != nil {
+			return err
+		}
+		rows[k] = ValidationRow{
+			Size:        p.item(k).size,
+			Instance:    k + 1,
+			MakespanErr: math.Abs(replay.Makespan - res.MED),
+			CostErr:     math.Abs(replay.Cost - res.Cost),
+		}
+		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	batch, err := sim.ValidateBatch(cfgs)
 	if err != nil {
 		return nil, err
-	}
-	for k := range rows {
-		rows[k] = ValidationRow{
-			Size:        size,
-			Instance:    k + 1,
-			MakespanErr: math.Abs(batch[k].Makespan - analytic[k][0]),
-			CostErr:     math.Abs(batch[k].Cost - analytic[k][1]),
-		}
 	}
 	return rows, nil
 }

@@ -1,6 +1,8 @@
 package exper
 
 import (
+	"io"
+
 	"medcc/internal/gen"
 	"medcc/internal/sched"
 	"medcc/internal/stats"
@@ -32,33 +34,46 @@ type TableIVRow struct {
 // campaignScratch.sweep): level k resumes from level k-1's schedule and
 // candidate state instead of re-solving from the least-cost schedule.
 func TableIV(seed int64, levels int) ([]TableIVRow, error) {
+	return tableIV(tableIVPlan(seed), nil, levels)
+}
+
+// TableIVFromCorpus is TableIV running on a WriteTableIVCorpus stream.
+func TableIVFromCorpus(r io.Reader, levels int) ([]TableIVRow, error) {
+	return tableIV(tableIVPlan(0), r, levels)
+}
+
+// WriteTableIVCorpus writes the Table IV instance set as a binary corpus:
+// record k is the instance for size k of gen.PaperProblemSizes.
+func WriteTableIVCorpus(w io.Writer, seed int64, compress bool) (int, error) {
+	return tableIVPlan(seed).writeCorpus(w, compress)
+}
+
+// tableIVPlan is Table IV's item plan: item si is instance si of paper
+// problem size si.
+func tableIVPlan(seed int64) plan {
 	sizes := gen.PaperProblemSizes()
-	rows := make([]TableIVRow, len(sizes))
-	errs := make([]error, len(sizes))
-	scratch := newScratchPool(len(sizes))
-	parallelForWorkers(len(sizes), func(wk, si int) {
-		cs := &scratch[wk]
-		size := sizes[si]
-		cmin, cmax, err := cs.instance(seed, si, size)
-		if err != nil {
-			errs[si] = err
-			return
-		}
+	return plan{n: len(sizes), item: func(si int) planItem {
+		return planItem{seed: seed, idx: si, size: sizes[si]}
+	}}
+}
+
+// tableIV is the Table IV body over the plan's instances, regenerated or
+// read from src (see plan.run).
+func tableIV(p plan, src io.Reader, levels int) ([]TableIVRow, error) {
+	rows := make([]TableIVRow, p.n)
+	err := p.run(src, func(cs *campaignScratch, si int, cmin, cmax float64) error {
 		budgets := cs.budgetGrid(cmin, cmax, levels)
 		cgMEDs, err := cs.meds("critical-greedy", budgets, make([]float64, 0, levels))
 		if err != nil {
-			errs[si] = err
-			return
+			return err
 		}
 		gMEDs, err := cs.meds("gain3", budgets, make([]float64, 0, levels))
 		if err != nil {
-			errs[si] = err
-			return
+			return err
 		}
 		wMEDs, err := cs.meds("gain3-wrf", budgets, make([]float64, 0, levels))
 		if err != nil {
-			errs[si] = err
-			return
+			return err
 		}
 		perLvl := make([]float64, 0, levels)
 		for k := 0; k < levels; k++ {
@@ -67,7 +82,7 @@ func TableIV(seed int64, levels int) ([]TableIVRow, error) {
 		cgAvg, gAvg, wAvg := stats.Mean(cgMEDs), stats.Mean(gMEDs), stats.Mean(wMEDs)
 		rows[si] = TableIVRow{
 			Index:     si + 1,
-			Size:      size,
+			Size:      p.item(si).size,
 			CG:        cgAvg,
 			GAIN:      gAvg,
 			GAINWRF:   wAvg,
@@ -76,11 +91,10 @@ func TableIV(seed int64, levels int) ([]TableIVRow, error) {
 			Ratio:     cgAvg / gAvg,
 			PerLvl:    perLvl,
 		}
+		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
@@ -103,49 +117,63 @@ type CampaignCell struct {
 //
 // medcc:deterministic — cells are pinned bit-identical to the corpus path
 func Campaign(seed int64, instances, levels int) ([]CampaignCell, error) {
+	return campaign(campaignPlan(seed, instances), nil, instances, levels)
+}
+
+// CampaignFromCorpus is Campaign running on a WriteCampaignCorpus stream.
+//
+// medcc:deterministic
+func CampaignFromCorpus(r io.Reader, instances, levels int) ([]CampaignCell, error) {
+	return campaign(campaignPlan(0, instances), r, instances, levels)
+}
+
+// WriteCampaignCorpus writes the Figs. 9-11 campaign instance set as a
+// binary corpus: record k is work item k of the campaign.
+func WriteCampaignCorpus(w io.Writer, seed int64, instances int, compress bool) (int, error) {
+	return campaignPlan(seed, instances).writeCorpus(w, compress)
+}
+
+// campaignPlan is the campaign's item plan: item k is instance
+// k%instances of paper problem size k/instances, with a per-size seed.
+func campaignPlan(seed int64, instances int) plan {
 	sizes := gen.PaperProblemSizes()
-	type instResult struct {
-		imp []float64 // per level
-		err error
-	}
-	results := make([]instResult, len(sizes)*instances)
-	scratch := newScratchPool(len(results))
-	parallelForWorkers(len(results), func(wk, k int) {
-		cs := &scratch[wk]
+	return plan{n: len(sizes) * instances, item: func(k int) planItem {
 		si := k / instances
-		cmin, cmax, err := cs.instance(seed+int64(si)*104729, k%instances, sizes[si])
-		if err != nil {
-			results[k].err = err
-			return
-		}
+		return planItem{seed: seed + int64(si)*104729, idx: k % instances, size: sizes[si]}
+	}}
+}
+
+// campaign is the Figs. 9-11 body over the plan's instances, regenerated
+// or read from src (see plan.run).
+func campaign(p plan, src io.Reader, instances, levels int) ([]CampaignCell, error) {
+	imps := make([][]float64, p.n) // per item, per level
+	err := p.run(src, func(cs *campaignScratch, k int, cmin, cmax float64) error {
 		budgets := cs.budgetGrid(cmin, cmax, levels)
 		cgMEDs, err := cs.meds("critical-greedy", budgets, make([]float64, 0, levels))
 		if err != nil {
-			results[k].err = err
-			return
+			return err
 		}
 		gMEDs, err := cs.meds("gain3", budgets, make([]float64, 0, levels))
 		if err != nil {
-			results[k].err = err
-			return
+			return err
 		}
-		imps := make([]float64, levels)
+		out := make([]float64, levels)
 		for lv := 1; lv <= levels; lv++ {
-			imps[lv-1] = sched.Improvement(gMEDs[lv-1], cgMEDs[lv-1])
+			out[lv-1] = sched.Improvement(gMEDs[lv-1], cgMEDs[lv-1])
 		}
-		results[k].imp = imps
+		imps[k] = out
+		return nil
 	})
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
+	if err != nil {
+		return nil, err
 	}
-	cells := make([]CampaignCell, 0, len(sizes)*levels)
+	nsizes := len(gen.PaperProblemSizes())
+	cells := make([]CampaignCell, 0, nsizes*levels)
 	xs := make([]float64, instances) // one buffer for every (size, level) cell
-	for si := range sizes {
+	for si := 0; si < nsizes; si++ {
 		for lv := 1; lv <= levels; lv++ {
 			for inst := 0; inst < instances; inst++ {
-				xs[inst] = results[si*instances+inst].imp[lv-1]
+				xs[inst] = imps[si*instances+inst][lv-1]
 			}
 			cells = append(cells, CampaignCell{SizeIdx: si + 1, Level: lv, AvgImp: stats.Mean(xs)})
 		}

@@ -1,101 +1,102 @@
-// Corpus-backed campaign runners: the Table IV / Figs. 8-11 sweeps and
-// the A2 simulator validation re-run from a binary instance corpus
-// (internal/encoding) instead of regenerating every instance per run.
-// The Write*Corpus functions freeze the exact instance sets the
-// regenerate-per-run experiments draw — same per-item RNG streams, same
-// item order — and the *FromCorpus runners reproduce the experiment
-// bodies verbatim on the decoded instances, so corpus-backed results
-// are bit-identical to the regenerate path (pinned by the differential
-// tests in corpus_test.go).
+// Instance sources for the campaign experiments (Table IV / Figs. 8-11,
+// the A1 ablation, and the A2 simulator validation). Each experiment has
+// one body, a per-item callback on a worker's campaignScratch, and one
+// plan that says which generated instance work item k is. The plan drives
+// both instance sources:
+//
+//   - generated: item k's instance is regenerated from its plan entry
+//     (per-item RNG stream, problem size) under parallelForWorkers;
+//   - corpus: item k's instance is decoded from record k of a binary
+//     corpus (internal/encoding) streamed through forEachCorpusRecord,
+//     and the record's recorded size is checked against the plan.
+//
+// writeCorpus freezes a plan's instance set as a corpus, so a
+// corpus-backed run reproduces the regenerate path bit for bit (pinned by
+// the differential tests in corpus_test.go).
 package exper
 
 import (
 	"fmt"
 	"io"
-	"math"
 	"sync"
 
 	"medcc/internal/cloud"
 	"medcc/internal/encoding"
 	"medcc/internal/gen"
-	"medcc/internal/sched"
-	"medcc/internal/sim"
-	"medcc/internal/stats"
 	"medcc/internal/workflow"
 )
 
-// WriteTableIVCorpus writes the Table IV instance set — one instance per
-// paper problem size, drawn from the same per-size RNG stream TableIV
-// regenerates — as a binary corpus. Record k is the instance for size k
-// of gen.PaperProblemSizes.
-func WriteTableIVCorpus(w io.Writer, seed int64, compress bool) (int, error) {
-	sizes := gen.PaperProblemSizes()
-	cw, err := encoding.NewCorpusWriter(w, compress)
-	if err != nil {
-		return 0, err
-	}
-	var b gen.Builder
-	for si, size := range sizes {
-		if err := writeGenerated(cw, &b, seed, si, si, size); err != nil {
-			return si, err
-		}
-	}
-	return len(sizes), cw.Flush()
+// planItem is where one work item's instance comes from: generator
+// instance idx of size, drawn from newRNG(seed, idx).
+type planItem struct {
+	seed int64
+	idx  int
+	size gen.ProblemSize
 }
 
-// WriteCampaignCorpus writes the Figs. 9-11 campaign instance set:
-// `instances` workflows per paper problem size in Campaign's work-item
-// order (record k holds instance k%instances of size k/instances), each
-// drawn from the exact RNG stream Campaign regenerates.
-func WriteCampaignCorpus(w io.Writer, seed int64, instances int, compress bool) (int, error) {
-	sizes := gen.PaperProblemSizes()
-	cw, err := encoding.NewCorpusWriter(w, compress)
-	if err != nil {
-		return 0, err
-	}
-	var b gen.Builder
-	total := len(sizes) * instances
-	for k := 0; k < total; k++ {
-		si := k / instances
-		if err := writeGenerated(cw, &b, seed+int64(si)*104729, k%instances, k, sizes[si]); err != nil {
-			return k, err
-		}
-	}
-	return total, cw.Flush()
+// plan is an experiment's work-item list: n items, item k described by
+// item(k).
+type plan struct {
+	n    int
+	item func(k int) planItem
 }
 
-// WriteValidationCorpus writes the A2 simulator-validation instance set:
-// `instances` workflows of one size, seeded as SimValidation's
-// buildInstance draws them.
-func WriteValidationCorpus(w io.Writer, seed int64, size gen.ProblemSize, instances int, compress bool) (int, error) {
-	cw, err := encoding.NewCorpusWriter(w, compress)
-	if err != nil {
-		return 0, err
+// run loads every work item's instance into a pooled per-worker
+// campaignScratch and calls body on it with the instance's budget range
+// [Cmin, Cmax]. With a nil src the instances are regenerated from the
+// plan; otherwise src is a corpus stream holding exactly the plan's
+// instances in item order, and the plan only supplies each record's
+// expected size. Items run in parallel; the error returned is the
+// lowest-index failing item's.
+func (p plan) run(src io.Reader, body func(cs *campaignScratch, k int, cmin, cmax float64) error) error {
+	pool := newScratchPool(p.n)
+	if src == nil {
+		return parallelForWorkers(p.n, func(wk, k int) error {
+			cs := &pool[wk]
+			it := p.item(k)
+			cmin, cmax, err := cs.instance(it.seed, it.idx, it.size)
+			if err != nil {
+				return err
+			}
+			return body(cs, k, cmin, cmax)
+		})
 	}
-	var b gen.Builder
-	for k := 0; k < instances; k++ {
-		if err := writeGenerated(cw, &b, seed, k, k, size); err != nil {
-			return k, err
+	return forEachCorpusRecord(src, p.n, len(pool), func(wk, k int, rec encoding.Record, cat cloud.Catalog, info encoding.InstanceInfo) error {
+		cs := &pool[wk]
+		if err := checkCorpusSize(k, info, p.item(k).size); err != nil {
+			return err
 		}
-	}
-	return instances, cw.Flush()
-}
-
-// writeGenerated generates instance rngIdx of a problem size with the
-// campaign seeding (newRNG) and appends it as corpus record recIdx.
-func writeGenerated(cw *encoding.CorpusWriter, b *gen.Builder, seed int64, rngIdx, recIdx int, size gen.ProblemSize) error {
-	wf, cat, err := b.Instance(newRNG(seed, rngIdx), size)
-	if err != nil {
-		return fmt.Errorf("exper: corpus instance %d: %w", recIdx, err)
-	}
-	err = cw.WriteInstance(wf, cat, encoding.InstanceInfo{
-		Seed: seed, Index: int64(recIdx), Kind: encoding.KindGenerated,
-		M: uint32(size.M), E: uint32(size.E), N: uint32(size.N),
+		cmin, cmax, err := cs.instanceFrom(rec, cat)
+		if err != nil {
+			return err
+		}
+		return body(cs, k, cmin, cmax)
 	})
+}
+
+// writeCorpus generates the plan's instances in item order and writes
+// them as a binary corpus: record k is item k's instance. It returns the
+// number of records written.
+func (p plan) writeCorpus(w io.Writer, compress bool) (int, error) {
+	cw, err := encoding.NewCorpusWriter(w, compress)
 	if err != nil {
-		return fmt.Errorf("exper: corpus instance %d: %w", recIdx, err)
+		return 0, err
 	}
-	return nil
+	var b gen.Builder
+	for k := 0; k < p.n; k++ {
+		it := p.item(k)
+		wf, cat, err := b.Instance(newRNG(it.seed, it.idx), it.size)
+		if err == nil {
+			err = cw.WriteInstance(wf, cat, encoding.InstanceInfo{
+				Seed: it.seed, Index: int64(k), Kind: encoding.KindGenerated,
+				M: uint32(it.size.M), E: uint32(it.size.E), N: uint32(it.size.N),
+			})
+		}
+		if err != nil {
+			return k, fmt.Errorf("exper: corpus instance %d: %w", k, err)
+		}
+	}
+	return p.n, cw.Flush()
 }
 
 // corpusItem is one record in flight between the corpus feeder and a
@@ -116,6 +117,11 @@ type corpusItem struct {
 // with a worker-private index wk, so callers can hand every worker its
 // own campaignScratch. Memory stays bounded by the buffer pool no matter
 // how long the stream is. The stream must hold exactly n records.
+//
+// The error contract is parallelForWorkers': the error returned is the
+// lowest-index failing record's, whatever the worker count or
+// scheduling. A read error at record k ends the feed; it is returned
+// only when no earlier record failed.
 func forEachCorpusRecord(r io.Reader, n, workers int, fn func(wk, k int, rec encoding.Record, cat cloud.Catalog, info encoding.InstanceInfo) error) error {
 	cr, err := encoding.NewCorpusReader(r)
 	if err != nil {
@@ -149,21 +155,20 @@ func forEachCorpusRecord(r io.Reader, n, workers int, fn func(wk, k int, rec enc
 		free <- nil
 	}
 	work := make(chan corpusItem, 2*workers)
-	errs := make([]error, workers)
+	errs := make([]itemErr, workers)
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
 			for it := range work {
-				if errs[wk] == nil {
-					rec, err := encoding.ParseRecord(it.body)
-					if err != nil {
-						errs[wk] = fmt.Errorf("exper: corpus record %d: %w", it.k, err)
-					} else {
-						errs[wk] = fn(wk, it.k, rec, it.cat, it.info)
-					}
+				rec, err := encoding.ParseRecord(it.body)
+				if err != nil {
+					err = fmt.Errorf("exper: corpus record %d: %w", it.k, err)
+				} else {
+					err = fn(wk, it.k, rec, it.cat, it.info)
 				}
+				errs[wk].note(it.k, err)
 				free <- it.body
 			}
 		}(wk)
@@ -181,13 +186,11 @@ func forEachCorpusRecord(r io.Reader, n, workers int, fn func(wk, k int, rec enc
 	}
 	close(work)
 	wg.Wait()
+	if err := lowestErr(errs); err != nil {
+		return err
+	}
 	if feedErr != nil {
 		return feedErr
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
 	}
 	return corpusDrained(cr)
 }
@@ -237,212 +240,4 @@ func (cs *campaignScratch) instanceFrom(rec encoding.Record, cat cloud.Catalog) 
 	cs.lc = cs.m.LeastCostInto(cs.w, cs.lc)
 	cs.fast = cs.m.FastestInto(cs.w, cs.fast)
 	return cs.m.Cost(cs.lc), cs.m.Cost(cs.fast), nil
-}
-
-// TableIVFromCorpus is TableIV running on a WriteTableIVCorpus stream:
-// record si is the instance for problem size si, and the per-size body
-// (budget grid, warm-started CG/GAIN3/GAIN3-WRF sweeps, row assembly)
-// is identical to TableIV's, so the rows are bit-identical to the
-// regenerate path.
-func TableIVFromCorpus(r io.Reader, levels int) ([]TableIVRow, error) {
-	sizes := gen.PaperProblemSizes()
-	rows := make([]TableIVRow, len(sizes))
-	scratch := newScratchPool(len(sizes))
-	err := forEachCorpusRecord(r, len(sizes), len(scratch), func(wk, si int, rec encoding.Record, cat cloud.Catalog, info encoding.InstanceInfo) error {
-		cs := &scratch[wk]
-		size := sizes[si]
-		if err := checkCorpusSize(si, info, size); err != nil {
-			return err
-		}
-		cmin, cmax, err := cs.instanceFrom(rec, cat)
-		if err != nil {
-			return err
-		}
-		budgets := cs.budgetGrid(cmin, cmax, levels)
-		cgMEDs, err := cs.meds("critical-greedy", budgets, make([]float64, 0, levels))
-		if err != nil {
-			return err
-		}
-		gMEDs, err := cs.meds("gain3", budgets, make([]float64, 0, levels))
-		if err != nil {
-			return err
-		}
-		wMEDs, err := cs.meds("gain3-wrf", budgets, make([]float64, 0, levels))
-		if err != nil {
-			return err
-		}
-		perLvl := make([]float64, 0, levels)
-		for k := 0; k < levels; k++ {
-			perLvl = append(perLvl, sched.Improvement(gMEDs[k], cgMEDs[k]))
-		}
-		cgAvg, gAvg, wAvg := stats.Mean(cgMEDs), stats.Mean(gMEDs), stats.Mean(wMEDs)
-		rows[si] = TableIVRow{
-			Index:     si + 1,
-			Size:      size,
-			CG:        cgAvg,
-			GAIN:      gAvg,
-			GAINWRF:   wAvg,
-			ImpPct:    sched.Improvement(gAvg, cgAvg),
-			ImpWRFPct: sched.Improvement(wAvg, cgAvg),
-			Ratio:     cgAvg / gAvg,
-			PerLvl:    perLvl,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// CampaignFromCorpus is Campaign running on a WriteCampaignCorpus
-// stream: record k is work item k of the campaign, and its per-item body
-// matches Campaign's, so the cells (and therefore Fig9/Fig10/Fig11) are
-// bit-identical to the regenerate path.
-//
-// medcc:deterministic
-func CampaignFromCorpus(r io.Reader, instances, levels int) ([]CampaignCell, error) {
-	sizes := gen.PaperProblemSizes()
-	total := len(sizes) * instances
-	imps := make([][]float64, total)
-	scratch := newScratchPool(total)
-	err := forEachCorpusRecord(r, total, len(scratch), func(wk, k int, rec encoding.Record, cat cloud.Catalog, info encoding.InstanceInfo) error {
-		cs := &scratch[wk]
-		si := k / instances
-		if err := checkCorpusSize(k, info, sizes[si]); err != nil {
-			return err
-		}
-		cmin, cmax, err := cs.instanceFrom(rec, cat)
-		if err != nil {
-			return err
-		}
-		budgets := cs.budgetGrid(cmin, cmax, levels)
-		cgMEDs, err := cs.meds("critical-greedy", budgets, make([]float64, 0, levels))
-		if err != nil {
-			return err
-		}
-		gMEDs, err := cs.meds("gain3", budgets, make([]float64, 0, levels))
-		if err != nil {
-			return err
-		}
-		out := make([]float64, levels)
-		for lv := 1; lv <= levels; lv++ {
-			out[lv-1] = sched.Improvement(gMEDs[lv-1], cgMEDs[lv-1])
-		}
-		imps[k] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]CampaignCell, 0, len(sizes)*levels)
-	xs := make([]float64, instances)
-	for si := range sizes {
-		for lv := 1; lv <= levels; lv++ {
-			for inst := 0; inst < instances; inst++ {
-				xs[inst] = imps[si*instances+inst][lv-1]
-			}
-			cells = append(cells, CampaignCell{SizeIdx: si + 1, Level: lv, AvgImp: stats.Mean(xs)})
-		}
-	}
-	return cells, nil
-}
-
-// validationBatch is how many corpus instances SimValidationFromCorpus
-// materializes at once before handing them to sim.ValidateBatch: large
-// enough to keep the batch replayers busy, small enough that memory
-// stays bounded on arbitrarily long streams.
-const validationBatch = 256
-
-// validationSlot holds one in-flight instance of the validation batch —
-// the workflow and matrices a sim.Config points at must stay alive until
-// the batch replays.
-type validationSlot struct {
-	w *workflow.Workflow
-	m *workflow.Matrices
-}
-
-// SimValidationFromCorpus is SimValidation running on a
-// WriteValidationCorpus stream: record k is instance k, the budget is
-// drawn from the same decorrelated stream, and the schedules replay
-// through sim.ValidateBatch in bounded batches of pooled slots (batch
-// results are per-config, so chunking cannot change them). Rows are
-// bit-identical to the regenerate path.
-func SimValidationFromCorpus(r io.Reader, seed int64) ([]ValidationRow, error) {
-	cr, err := encoding.NewCorpusReader(r)
-	if err != nil {
-		return nil, err
-	}
-	var (
-		rows     []ValidationRow
-		slots    []validationSlot
-		cfgs     []sim.Config
-		analytic [][2]float64
-		sizes    []gen.ProblemSize
-		batch    []sim.BatchResult
-		k        int
-	)
-	flush := func(fill int) error {
-		if fill == 0 {
-			return nil
-		}
-		var err error
-		batch, err = sim.ValidateBatchInto(batch, cfgs[:fill])
-		if err != nil {
-			return err
-		}
-		for j := 0; j < fill; j++ {
-			rows = append(rows, ValidationRow{
-				Size:        sizes[j],
-				Instance:    k - fill + j + 1,
-				MakespanErr: math.Abs(batch[j].Makespan - analytic[j][0]),
-				CostErr:     math.Abs(batch[j].Cost - analytic[j][1]),
-			})
-		}
-		return nil
-	}
-	fill := 0
-	for {
-		if fill == len(slots) {
-			slots = append(slots, validationSlot{w: workflow.New()})
-			cfgs = append(cfgs, sim.Config{})
-			analytic = append(analytic, [2]float64{})
-			sizes = append(sizes, gen.ProblemSize{})
-		}
-		sl := &slots[fill]
-		cat, info, err := cr.Next(sl.w)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("exper: corpus record %d: %w", k, err)
-		}
-		sl.m, err = sl.w.BuildMatricesInto(cat, cloud.HourlyRoundUp, sl.m)
-		if err != nil {
-			return nil, err
-		}
-		cmin, cmax := sl.m.BudgetRange(sl.w)
-		// Separate stream for the budget draw, exactly as SimValidation.
-		rng := newRNG(seed+1_000_000_007, k)
-		b := cmin + rng.Float64()*(cmax-cmin)
-		res, err := sched.Run(sched.CriticalGreedy(), sl.w, sl.m, b)
-		if err != nil {
-			return nil, err
-		}
-		cfgs[fill] = sim.Config{Workflow: sl.w, Matrices: sl.m, Schedule: res.Schedule}
-		analytic[fill] = [2]float64{res.MED, res.Cost}
-		sizes[fill] = gen.ProblemSize{M: int(info.M), E: int(info.E), N: int(info.N)}
-		fill++
-		k++
-		if fill == validationBatch {
-			if err := flush(fill); err != nil {
-				return nil, err
-			}
-			fill = 0
-		}
-	}
-	if err := flush(fill); err != nil {
-		return nil, err
-	}
-	return rows, nil
 }

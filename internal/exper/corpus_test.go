@@ -3,8 +3,10 @@ package exper
 import (
 	"bytes"
 	"io"
+	"strings"
 	"testing"
 
+	"medcc/internal/encoding"
 	"medcc/internal/gen"
 )
 
@@ -91,9 +93,9 @@ func TestCampaignCorpusDifferential(t *testing.T) {
 	}
 }
 
-// TestValidationCorpusDifferential pins the corpus feed into the batch
-// simulator: SimValidationFromCorpus must reproduce SimValidation's rows
-// bit-for-bit.
+// TestValidationCorpusDifferential pins the corpus feed into the
+// simulator validation: SimValidationFromCorpus must reproduce
+// SimValidation's rows bit-for-bit.
 func TestValidationCorpusDifferential(t *testing.T) {
 	size := gen.ProblemSize{M: 12, E: 25, N: 4}
 	const instances = 6
@@ -101,7 +103,7 @@ func TestValidationCorpusDifferential(t *testing.T) {
 	if _, err := WriteValidationCorpus(&buf, DefaultSeed, size, instances, false); err != nil {
 		t.Fatal(err)
 	}
-	fromCorpus, err := SimValidationFromCorpus(&buf, DefaultSeed)
+	fromCorpus, err := SimValidationFromCorpus(&buf, DefaultSeed, size, instances)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +141,62 @@ func TestCorpusShapeMismatch(t *testing.T) {
 	// 20 records cannot satisfy a 2-instance campaign's 40.
 	if _, err := CampaignFromCorpus(&buf, 2, 2); err == nil {
 		t.Fatal("CampaignFromCorpus accepted a Table IV corpus")
+	}
+
+	// The validation run checks both the record count and each record's
+	// problem size.
+	size := gen.ProblemSize{M: 12, E: 25, N: 4}
+	buf.Reset()
+	if _, err := WriteValidationCorpus(&buf, DefaultSeed, size, 4, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SimValidationFromCorpus(&buf, DefaultSeed, size, 3); err == nil {
+		t.Fatal("SimValidationFromCorpus accepted a corpus with a trailing record")
+	}
+	buf.Reset()
+	if _, err := WriteValidationCorpus(&buf, DefaultSeed, size, 3, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SimValidationFromCorpus(&buf, DefaultSeed, gen.ProblemSize{M: 10, E: 17, N: 4}, 3); err == nil {
+		t.Fatal("SimValidationFromCorpus accepted records of the wrong size")
+	}
+}
+
+// TestCorpusErrorContractNamesLowestRecord pins the corpus feeder's error
+// contract: when records 3 and 7 both carry the wrong problem size, the
+// run names record 3, whichever worker reaches either record first.
+func TestCorpusErrorContractNamesLowestRecord(t *testing.T) {
+	size, wrong := gen.ProblemSize{M: 12, E: 25, N: 4}, gen.ProblemSize{M: 10, E: 17, N: 4}
+	const instances = 10
+	var buf bytes.Buffer
+	cw, err := encoding.NewCorpusWriter(&buf, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b gen.Builder
+	for k := 0; k < instances; k++ {
+		s := size
+		if k == 3 || k == 7 {
+			s = wrong
+		}
+		wf, cat, err := b.Instance(newRNG(DefaultSeed, k), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info := encoding.InstanceInfo{
+			Seed: DefaultSeed, Index: int64(k), Kind: encoding.KindGenerated,
+			M: uint32(s.M), E: uint32(s.E), N: uint32(s.N),
+		}
+		if err := cw.WriteInstance(wf, cat, info); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = SimValidationFromCorpus(&buf, DefaultSeed, size, instances)
+	if err == nil || !strings.Contains(err.Error(), "corpus record 3 ") {
+		t.Fatalf("err = %v, want one naming corpus record 3", err)
 	}
 }
 

@@ -12,133 +12,79 @@
 package exper
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
-
-	"medcc/internal/cloud"
-	"medcc/internal/gen"
-	"medcc/internal/sched"
-	"medcc/internal/workflow"
 )
 
 // DefaultSeed is the seed used by cmd/experiments and the benches; chosen
 // once so published EXPERIMENTS.md numbers are reproducible.
 const DefaultSeed int64 = 2013
 
-// parallelFor runs fn(0..n-1) on up to GOMAXPROCS goroutines and blocks
-// until all complete. Work items must be independent; determinism comes
-// from per-item seeding, not execution order.
-func parallelFor(n int, fn func(i int)) {
-	parallelForWorkers(n, func(_, i int) { fn(i) })
-}
-
-// parallelForWorkers is parallelFor with worker identity: fn(w, i) runs
-// item i on worker w, and each worker index is used by exactly one
-// goroutine at a time, so callers can give every worker its own reusable
-// scratch (a gen.Builder, a scheduler with engine state, a sim.Replayer)
-// without locking. The work channel is buffered to n items: the producer
-// enqueues the whole range up front and never blocks on goroutine
-// handoff, which removes the synchronous rendezvous per item that
-// dominated fan-out overhead for cheap work items.
-func parallelForWorkers(n int, fn func(worker, i int)) {
+// parallelForWorkers runs fn(w, i) for every item i in 0..n-1 on up to
+// GOMAXPROCS goroutines and blocks until all complete. Each worker index w
+// is used by exactly one goroutine at a time, so callers can give every
+// worker its own reusable scratch (a campaignScratch, a scheduler with
+// engine state) without locking. Work items must be independent;
+// determinism comes from per-item seeding, not execution order.
+//
+// Every item runs even after one fails, and the returned error is the
+// failing item with the lowest index — the same error whatever the
+// worker count or scheduling. The work channel is buffered to n items:
+// the producer enqueues the whole range up front and never blocks on
+// goroutine handoff, which removes the synchronous rendezvous per item
+// that dominated fan-out overhead for cheap work items.
+func parallelForWorkers(n int, fn func(worker, i int) error) error {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
+		var first itemErr
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			first.note(i, fn(0, i))
 		}
-		return
+		return first.err
 	}
 	next := make(chan int, n)
 	for i := 0; i < n; i++ {
 		next <- i
 	}
 	close(next)
+	errs := make([]itemErr, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := range next {
-				fn(w, i)
+				errs[w].note(i, fn(w, i))
 			}
 		}(w)
 	}
 	wg.Wait()
+	return lowestErr(errs)
 }
 
-// runPair schedules the workflow with CG and GAIN3 at the given budget and
-// returns both MEDs.
-func runPair(w *workflow.Workflow, m *workflow.Matrices, budget float64) (cg, gain float64, err error) {
-	cgRes, err := sched.Run(sched.CriticalGreedy(), w, m, budget)
-	if err != nil {
-		return 0, 0, fmt.Errorf("critical-greedy: %w", err)
-	}
-	g3, err := sched.Get("gain3")
-	if err != nil {
-		return 0, 0, err
-	}
-	gRes, err := sched.Run(g3, w, m, budget)
-	if err != nil {
-		return 0, 0, fmt.Errorf("gain3: %w", err)
-	}
-	return cgRes.MED, gRes.MED, nil
+// itemErr is the lowest-index error one fan-out worker has seen.
+type itemErr struct {
+	i   int
+	err error
 }
 
-// runNamed schedules with a registry algorithm and returns the MED.
-func runNamed(name string, w *workflow.Workflow, m *workflow.Matrices, budget float64) (float64, error) {
-	alg, err := sched.Get(name)
-	if err != nil {
-		return 0, err
+// note records err for item i if it is the worker's lowest-index failure.
+func (e *itemErr) note(i int, err error) {
+	if err != nil && (e.err == nil || i < e.i) {
+		e.i, e.err = i, err
 	}
-	res, err := sched.Run(alg, w, m, budget)
-	if err != nil {
-		return 0, fmt.Errorf("%s: %w", name, err)
-	}
-	return res.MED, nil
 }
 
-// buildInstance generates instance k of a problem size with the campaign's
-// deterministic seeding and returns its matrices and budget range.
-func buildInstance(seed int64, k int, size gen.ProblemSize) (*workflow.Workflow, *workflow.Matrices, float64, float64, error) {
-	rng := newRNG(seed, k)
-	w, cat, err := gen.Instance(rng, size)
-	if err != nil {
-		return nil, nil, 0, 0, err
+// lowestErr returns the lowest-index error across all workers, or nil.
+func lowestErr(errs []itemErr) error {
+	var first itemErr
+	for _, e := range errs {
+		first.note(e.i, e.err)
 	}
-	return withMatrices(w, cat)
-}
-
-// buildSmallInstance generates instance k for the small-scale optimality
-// studies (Table III, Fig. 7), which use exactly three VM types: the
-// paper's own Table I catalog (VP = {3,15,30}, CV = {1,4,8}) with
-// workloads in the range of the §V-B example.
-func buildSmallInstance(seed int64, k int, size gen.ProblemSize) (*workflow.Workflow, *workflow.Matrices, float64, float64, error) {
-	rng := newRNG(seed, k)
-	w, err := gen.Random(rng, gen.Params{
-		Modules:      size.M,
-		Edges:        size.E,
-		WorkloadMin:  10,
-		WorkloadMax:  100,
-		DataSizeMax:  10,
-		AddEntryExit: true,
-	})
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	return withMatrices(w, cloud.PaperExampleCatalog())
-}
-
-func withMatrices(w *workflow.Workflow, cat cloud.Catalog) (*workflow.Workflow, *workflow.Matrices, float64, float64, error) {
-	m, err := w.BuildMatrices(cat, cloud.HourlyRoundUp)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	cmin, cmax := m.BudgetRange(w)
-	return w, m, cmin, cmax, nil
+	return first.err
 }
 
 // budgetLevel returns the paper's k-th of n budget levels over

@@ -1,19 +1,28 @@
 package exper
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"medcc/internal/gen"
 )
 
 func TestParallelForCoversAllItems(t *testing.T) {
 	var hits [100]int32
-	parallelFor(len(hits), func(i int) { atomic.AddInt32(&hits[i], 1) })
+	err := parallelForWorkers(len(hits), func(_, i int) error {
+		atomic.AddInt32(&hits[i], 1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, h := range hits {
 		if h != 1 {
 			t.Fatalf("item %d ran %d times", i, h)
@@ -25,10 +34,14 @@ func TestParallelForWorkersCoversAllItemsOncePerWorker(t *testing.T) {
 	const n = 200
 	var hits [n]int32
 	var perWorker [n]int32 // worker indices are < min(GOMAXPROCS, n) <= n
-	parallelForWorkers(n, func(w, i int) {
+	err := parallelForWorkers(n, func(w, i int) error {
 		atomic.AddInt32(&hits[i], 1)
 		atomic.AddInt32(&perWorker[w], 1)
+		return nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, h := range hits {
 		if h != 1 {
 			t.Fatalf("item %d ran %d times", i, h)
@@ -44,11 +57,52 @@ func TestParallelForWorkersCoversAllItemsOncePerWorker(t *testing.T) {
 }
 
 func TestParallelForZeroAndOne(t *testing.T) {
-	parallelFor(0, func(i int) { t.Fatal("called for n=0") })
+	err := parallelForWorkers(0, func(_, i int) error {
+		t.Fatal("called for n=0")
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ran := false
-	parallelFor(1, func(i int) { ran = true })
-	if !ran {
-		t.Fatal("n=1 not executed")
+	err = parallelForWorkers(1, func(_, i int) error {
+		ran = true
+		return errors.New("only item")
+	})
+	if !ran || err == nil || err.Error() != "only item" {
+		t.Fatalf("n=1: ran=%v err=%v", ran, err)
+	}
+}
+
+// TestParallelForWorkersErrorContract pins the fan-out error contract:
+// every item runs even when some fail, and the error returned is the
+// lowest-index failing item's at any worker count. The lowest failing
+// item is made the slowest, so a first-to-finish rule would name a later
+// one.
+func TestParallelForWorkersErrorContract(t *testing.T) {
+	const n = 64
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		var hits [n]int32
+		err := parallelForWorkers(n, func(_, i int) error {
+			atomic.AddInt32(&hits[i], 1)
+			if i%10 != 7 {
+				return nil
+			}
+			if i == 7 {
+				time.Sleep(2 * time.Millisecond)
+			}
+			return fmt.Errorf("item %d failed", i)
+		})
+		if err == nil || err.Error() != "item 7 failed" {
+			t.Fatalf("GOMAXPROCS=%d: err = %v, want item 7's", procs, err)
+		}
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("GOMAXPROCS=%d: item %d ran %d times", procs, i, h)
+			}
+		}
 	}
 }
 
@@ -87,7 +141,7 @@ func unbufferedParallelFor(n int, fn func(i int)) {
 
 // BenchmarkParallelForFanOut measures pure fan-out overhead: dispatching
 // cheap work items across goroutines. "buffered" is the production
-// parallelFor; "unbuffered" is the old synchronous-handoff loop.
+// parallelForWorkers; "unbuffered" is the old synchronous-handoff loop.
 func BenchmarkParallelForFanOut(b *testing.B) {
 	const items = 256
 	var sink atomic.Int64
@@ -95,7 +149,10 @@ func BenchmarkParallelForFanOut(b *testing.B) {
 	b.Run("buffered", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			parallelFor(items, work)
+			_ = parallelForWorkers(items, func(_, i int) error {
+				work(i)
+				return nil
+			})
 		}
 	})
 	b.Run("unbuffered", func(b *testing.B) {

@@ -242,8 +242,7 @@ type AdaptiveRow struct {
 func Adaptive(seed int64, size gen.ProblemSize, instances, seeds int) ([]AdaptiveRow, error) {
 	noises := []float64{0, 0.2, 0.4, 0.6}
 	rows := make([]AdaptiveRow, len(noises))
-	errs := make([]error, len(noises))
-	parallelFor(len(noises), func(ni int) {
+	err := parallelForWorkers(len(noises), func(_, ni int) error {
 		noise := noises[ni]
 		row := AdaptiveRow{OverRuns: noise}
 		count := 0
@@ -251,13 +250,11 @@ func Adaptive(seed int64, size gen.ProblemSize, instances, seeds int) ([]Adaptiv
 			rng := newRNG(seed, inst)
 			wf, cat, err := gen.Instance(rng, size)
 			if err != nil {
-				errs[ni] = err
-				return
+				return err
 			}
 			m, err := wf.BuildMatrices(cat, cloud.HourlyRoundUp)
 			if err != nil {
-				errs[ni] = err
-				return
+				return err
 			}
 			cmin, cmax := m.BudgetRange(wf)
 			budget := (cmin + cmax) / 2
@@ -271,14 +268,12 @@ func Adaptive(seed int64, size gen.ProblemSize, instances, seeds int) ([]Adaptiv
 				}
 				st, err := adaptive.Run(base)
 				if err != nil {
-					errs[ni] = err
-					return
+					return err
 				}
 				base.Replan = true
 				ad, err := adaptive.Run(base)
 				if err != nil {
-					errs[ni] = err
-					return
+					return err
 				}
 				row.StaticOverspend += st.Overspend
 				row.AdaptOverspend += ad.Overspend
@@ -294,11 +289,10 @@ func Adaptive(seed int64, size gen.ProblemSize, instances, seeds int) ([]Adaptiv
 		row.AdaptMakespan /= float64(count)
 		row.Replans /= float64(count)
 		rows[ni] = row
+		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

@@ -44,16 +44,14 @@ func TableIII(seed int64, instancesPerSize int) ([]TableIIIRow, error) {
 // optimality on any instance within its node limit.
 func TableIIIAt(seed int64, instancesPerSize int, sizes []gen.ProblemSize) ([]TableIIIRow, error) {
 	rows := make([]TableIIIRow, len(sizes)*instancesPerSize)
-	errs := make([]error, len(rows))
 	pool := newScratchPool(len(rows))
-	parallelForWorkers(len(rows), func(wk, k int) {
+	err := parallelForWorkers(len(rows), func(wk, k int) error {
 		cs := &pool[wk]
 		size := sizes[k/instancesPerSize]
 		inst := k % instancesPerSize
 		cmin, cmax, err := cs.smallInstance(seed, k, size)
 		if err != nil {
-			errs[k] = err
-			return
+			return err
 		}
 		// A separate stream for the budget draw: reusing newRNG(seed, k)
 		// would replay the instance generator's first draw and correlate
@@ -62,20 +60,17 @@ func TableIIIAt(seed int64, instancesPerSize int, sizes []gen.ProblemSize) ([]Ta
 		budget := cmin + rng.Float64()*(cmax-cmin)
 		cg, err := cs.med("critical-greedy", budget)
 		if err != nil {
-			errs[k] = err
-			return
+			return err
 		}
 		opt, err := cs.optimalMED(budget)
 		if err != nil {
-			errs[k] = err
-			return
+			return err
 		}
 		rows[k] = TableIIIRow{Size: size, Instance: inst + 1, CG: cg, Optimal: opt}
+		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
@@ -113,46 +108,37 @@ func Fig7At(seed int64, instances int, sizes []gen.ProblemSize) ([]Fig7Row, erro
 	rows := make([]Fig7Row, len(sizes))
 	pool := newScratchPool(instances)
 	hits := make([][3]bool, instances)
-	errs := make([]error, instances)
 	for si, size := range sizes {
-		si, size := si, size
-		parallelForWorkers(instances, func(wk, k int) {
-			errs[k] = nil
+		err := parallelForWorkers(instances, func(wk, k int) error {
 			cs := &pool[wk]
 			cmin, cmax, err := cs.smallInstance(seed+int64(si)*7919, k, size)
 			if err != nil {
-				errs[k] = err
-				return
+				return err
 			}
 			budget := (cmin + cmax) / 2
 			cg, err := cs.med("critical-greedy", budget)
 			if err != nil {
-				errs[k] = err
-				return
+				return err
 			}
 			gain, err := cs.med("gain3", budget)
 			if err != nil {
-				errs[k] = err
-				return
+				return err
 			}
 			wrf, err := cs.med("gain3-wrf", budget)
 			if err != nil {
-				errs[k] = err
-				return
+				return err
 			}
 			opt, err := cs.optimalMED(budget)
 			if err != nil {
-				errs[k] = err
-				return
+				return err
 			}
 			hits[k][0] = math.Abs(cg-opt) <= 1e-9
 			hits[k][1] = math.Abs(gain-opt) <= 1e-9
 			hits[k][2] = math.Abs(wrf-opt) <= 1e-9
+			return nil
 		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+		if err != nil {
+			return nil, err
 		}
 		row := Fig7Row{Size: size, Instances: instances}
 		for k := 0; k < instances; k++ {

@@ -6,8 +6,10 @@ import (
 	"sort"
 	"time"
 
+	"medcc/internal/cloud"
 	"medcc/internal/gen"
 	"medcc/internal/sched"
+	"medcc/internal/workflow"
 )
 
 // RuntimeRow reports scheduling wall time per algorithm at one problem
@@ -51,6 +53,21 @@ func RuntimeScaling(seed int64, algs []string, reps int) ([]RuntimeRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// buildInstance generates instance k of a problem size with the campaign's
+// deterministic seeding and returns its matrices and budget range.
+func buildInstance(seed int64, k int, size gen.ProblemSize) (*workflow.Workflow, *workflow.Matrices, float64, float64, error) {
+	w, cat, err := gen.Instance(newRNG(seed, k), size)
+	if err != nil {
+		return nil, nil, 0, 0, err
+	}
+	m, err := w.BuildMatrices(cat, cloud.HourlyRoundUp)
+	if err != nil {
+		return nil, nil, 0, 0, err
+	}
+	cmin, cmax := m.BudgetRange(w)
+	return w, m, cmin, cmax, nil
 }
 
 // RenderRuntime prints the A8 timing table in milliseconds.

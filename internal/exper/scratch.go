@@ -9,6 +9,7 @@ import (
 	"medcc/internal/encoding"
 	"medcc/internal/gen"
 	"medcc/internal/sched"
+	"medcc/internal/sim"
 	"medcc/internal/workflow"
 )
 
@@ -56,6 +57,9 @@ type campaignScratch struct {
 	dec encoding.Decoder
 	cwf *workflow.Workflow
 
+	// replayer is the pooled discrete-event engine of the A2 validation.
+	replayer sim.Replayer
+
 	// Optimality-study scratch: the paper's fixed Table I catalog and a
 	// pooled exact solver. The solver keeps Workers at 1 because the
 	// campaign loop already owns one scratch (and one core) per worker;
@@ -99,11 +103,10 @@ func (cs *campaignScratch) instance(seed int64, k int, size gen.ProblemSize) (cm
 }
 
 // smallInstance is instance for the small-scale optimality studies
-// (Table III, Fig. 7): the same generator parameters as buildSmallInstance
-// — workloads in the §V-B example range and the paper's own Table I
-// catalog — drawn from the same per-item RNG stream, so the instances are
-// bit-identical to the one-shot path, but regenerated into the pooled
-// workflow and matrices.
+// (Table III, Fig. 7), which use exactly three VM types: workloads in the
+// range of the §V-B example and the paper's own Table I catalog
+// (VP = {3,15,30}, CV = {1,4,8}), drawn from the per-item RNG stream and
+// regenerated into the pooled workflow and matrices.
 func (cs *campaignScratch) smallInstance(seed int64, k int, size gen.ProblemSize) (cmin, cmax float64, err error) {
 	rng := newRNG(seed, k)
 	w, err := cs.b.Random(rng, gen.Params{

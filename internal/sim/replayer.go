@@ -26,7 +26,7 @@ import (
 // is valid until the next Run call on the same Replayer. Callers that
 // need the trace beyond that must copy it (or use the package-level Run,
 // which dedicates a Replayer to the call). A Replayer is not safe for
-// concurrent use; give each goroutine its own (see ValidateBatch).
+// concurrent use; give each goroutine its own.
 //
 // medcc:scratch
 type Replayer struct {

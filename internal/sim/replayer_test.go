@@ -388,40 +388,21 @@ func TestReplayerReusedAcross50HeterogeneousConfigs(t *testing.T) {
 	}
 }
 
-// TestValidateBatchMatchesRun checks the batch layer returns the same
-// scalars as individual runs, in input order.
-func TestValidateBatchMatchesRun(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var cfgs []Config
-	for _, size := range []gen.ProblemSize{{M: 10, E: 17, N: 4}, {M: 30, E: 269, N: 6}} {
-		cfgs = append(cfgs, differentialConfigs(t, rng, size)...)
-	}
-	got, err := ValidateBatch(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestReplayersShareConfigConcurrently is the -race test for read-only
+// replay inputs: several goroutines, each with its own Replayer, replay
+// configs sharing one workflow, matrices, and schedule at the same time.
+// Replay must treat the shared inputs as read-only, so the race detector
+// stays quiet and every goroutine gets the reference results.
+func TestReplayersShareConfigConcurrently(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	cfgs := differentialConfigs(t, rng, gen.ProblemSize{M: 40, E: 434, N: 6})
+	want := make([]*Result, len(cfgs))
 	for i, cfg := range cfgs {
-		want, err := Run(cfg)
+		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got[i].Makespan != want.Makespan || got[i].Cost != want.Cost || got[i].Events != want.Events {
-			t.Fatalf("config %d: batch %+v, run {%v %v %v}", i, got[i], want.Makespan, want.Cost, want.Events)
-		}
-	}
-}
-
-// TestValidateBatchConcurrent is the satellite -race test: several
-// goroutines run ValidateBatch simultaneously over configs sharing one
-// workflow, matrices, and schedule. Replay must treat the shared inputs
-// as read-only, so the race detector stays quiet and every caller gets
-// identical results.
-func TestValidateBatchConcurrent(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	cfgs := differentialConfigs(t, rng, gen.ProblemSize{M: 40, E: 434, N: 6})
-	want, err := ValidateBatch(cfgs)
-	if err != nil {
-		t.Fatal(err)
+		want[i] = res
 	}
 	const callers = 8
 	var wg sync.WaitGroup
@@ -430,14 +411,16 @@ func TestValidateBatchConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			got, err := ValidateBatch(cfgs)
-			if err != nil {
-				errs[c] = err
-				return
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					errs[c] = fmt.Errorf("caller %d config %d: %+v != %+v", c, i, got[i], want[i])
+			var r Replayer
+			for i, cfg := range cfgs {
+				got, err := r.Run(cfg)
+				if err != nil {
+					errs[c] = err
+					return
+				}
+				if got.Makespan != want[i].Makespan || got.Cost != want[i].Cost || got.Events != want[i].Events {
+					errs[c] = fmt.Errorf("caller %d config %d: {%v %v %v} != {%v %v %v}", c, i,
+						got.Makespan, got.Cost, got.Events, want[i].Makespan, want[i].Cost, want[i].Events)
 					return
 				}
 			}
@@ -448,17 +431,6 @@ func TestValidateBatchConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestValidateBatchReportsErrorIndex checks error propagation names the
-// offending config.
-func TestValidateBatchReportsErrorIndex(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	cfgs := differentialConfigs(t, rng, gen.ProblemSize{M: 10, E: 17, N: 4})[:2]
-	cfgs[1].BootTime = -1
-	if _, err := ValidateBatch(cfgs); err == nil {
-		t.Fatal("invalid config accepted")
 	}
 }
 

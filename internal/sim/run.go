@@ -83,7 +83,7 @@ func (dst *Result) CopyFrom(src *Result) {
 // Run simulates the configured execution and returns its trace. It is a
 // thin compatibility wrapper dedicating a fresh Replayer to the call, so
 // the returned Result is owned by the caller; replay loops that care
-// about allocation should hold a Replayer (or use ValidateBatch) instead.
+// about allocation should hold a Replayer instead.
 func Run(cfg Config) (*Result, error) {
 	var r Replayer
 	return r.Run(cfg)

@@ -373,6 +373,66 @@ func TestCampaignDeterministic(t *testing.T) {
 	}
 }
 
+// TestWarmSweepDivergesFromColdSolves pins how far the warm-started
+// sweeps behind Table IV and Figs. 9-11 are from the paper's definition
+// of an algorithm at a budget: one cold solve from the least-cost
+// schedule. It counts the (instance, level) cells where the warm sweep's
+// schedule differs from a cold ScheduleInto at the same budget, over
+// both grids at DefaultSeed with 20 levels (10 instances per size for
+// Figs. 9-11). Level 1 of every sweep is itself a cold solve, so at most
+// 19 of each instance's 20 levels can differ. A change to either path
+// moves these counts.
+func TestWarmSweepDivergesFromColdSolves(t *testing.T) {
+	const levels = 20
+	algs := []string{"critical-greedy", "gain3-wrf"}
+	for _, grid := range []struct {
+		name string
+		p    plan
+		want []int // diverging cells per algorithm, out of p.n*levels
+	}{
+		{"Table IV", tableIVPlan(DefaultSeed), []int{372, 353}},
+		{"Figs. 9-11", campaignPlan(DefaultSeed, 10), []int{3745, 3534}},
+	} {
+		diverged := make([][]int, grid.p.n) // per item, per algorithm
+		err := grid.p.run(nil, func(cs *campaignScratch, k int, cmin, cmax float64) error {
+			budgets := cs.budgetGrid(cmin, cmax, levels)
+			diverged[k] = make([]int, len(algs))
+			for a, name := range algs {
+				warm, err := cs.sweep(name, budgets)
+				if err != nil {
+					return err
+				}
+				for lv, b := range budgets {
+					cold, err := cs.sched(name, b)
+					if err != nil {
+						return err
+					}
+					if !warm[lv].Equal(cold) {
+						if lv == 0 {
+							return fmt.Errorf("%s item %d: a sweep's first level must be a cold solve", name, k)
+						}
+						diverged[k][a]++
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a, name := range algs {
+			got := 0
+			for k := range diverged {
+				got += diverged[k][a]
+			}
+			t.Logf("%s, %s: warm differs from cold in %d of %d cells", grid.name, name, got, grid.p.n*levels)
+			if got != grid.want[a] {
+				t.Errorf("%s, %s: %d diverging cells, pinned %d", grid.name, name, got, grid.want[a])
+			}
+		}
+	}
+}
+
 func TestTableVIIAndFig15(t *testing.T) {
 	rows, err := TableVII()
 	if err != nil {

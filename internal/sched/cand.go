@@ -155,7 +155,7 @@ func (c *candTab) evalModule(i int, s workflow.Schedule, cextra float64) {
 		told, cold := tei[si], cei[si]
 		bj := -1
 		var bw, bdc float64
-		for _, j := range e.opts(i) {
+		for _, j := range e.m.Options(i) {
 			if j == si {
 				continue
 			}
@@ -179,7 +179,7 @@ func (c *candTab) evalModule(i int, s workflow.Schedule, cextra float64) {
 		tei, cei := m.TE[i], m.CE[i]
 		bj := -1
 		var bw, bsave float64
-		for _, j := range e.opts(i) {
+		for _, j := range e.m.Options(i) {
 			if j == si {
 				continue
 			}
@@ -201,7 +201,7 @@ func (c *candTab) evalModule(i int, s workflow.Schedule, cextra float64) {
 			c.bj[i], c.bdt[i], c.bdc[i] = int32(bj), bw, bsave
 		}
 	default: // candMaxTime, candMaxRatio
-		typ, te, ce := e.optTable(i)
+		typ, te, ce := e.m.OptionTable(i)
 		told, cold := m.TE[i][si], m.CE[i][si]
 		bj := -1
 		var bdt, bdc float64

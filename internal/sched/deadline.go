@@ -25,6 +25,9 @@ var ErrDeadline = errors.New("sched: deadline below minimum achievable makespan"
 // saves the most money while keeping the whole-DAG makespan within the
 // deadline (ties: the smaller makespan increase).
 func DeadlineLoss(w *workflow.Workflow, m *workflow.Matrices, deadline float64) (*Result, error) {
+	if !m.HasOptionTable() {
+		return nil, ErrNoOptions
+	}
 	s := m.Fastest(w)
 	ev, err := w.Evaluate(m, s, nil)
 	if err != nil {
@@ -44,7 +47,7 @@ func DeadlineLoss(w *workflow.Workflow, m *workflow.Matrices, deadline float64) 
 		bi, bj := -1, -1
 		var bestSave, bestDM float64
 		for _, i := range e.mods {
-			for _, j := range e.opts(i) {
+			for _, j := range e.m.Options(i) {
 				if j == s[i] {
 					continue
 				}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -452,6 +453,54 @@ func diffInstance(t *testing.T, k int, size gen.ProblemSize) (*workflow.Workflow
 	}
 	cmin, cmax := m.BudgetRange(w)
 	return w, m, cmin, cmax
+}
+
+// TestHandBuiltMatricesNeedOptions pins the option-table contract: every
+// registered scheduler and DeadlineLoss reject matrices filled in by hand
+// without BuildOptions with ErrNoOptions, and once BuildOptions has run
+// the same matrices schedule exactly like BuildMatrices' own.
+func TestHandBuiltMatricesNeedOptions(t *testing.T) {
+	size := gen.ProblemSize{M: 10, E: 17, N: 4}
+	w, built, cmin, cmax := diffInstance(t, 1, size)
+	m := &workflow.Matrices{TE: built.TE, CE: built.CE, Catalog: built.Catalog, Billing: built.Billing}
+	budget := (cmin + cmax) / 2
+	deadline := math.Inf(1)
+	for _, name := range Names() {
+		alg, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := alg.Schedule(w, m, budget); !errors.Is(err, ErrNoOptions) {
+			t.Errorf("%s: error %v, want ErrNoOptions", name, err)
+		}
+	}
+	if _, err := DeadlineLoss(w, m, deadline); !errors.Is(err, ErrNoOptions) {
+		t.Errorf("deadline-loss: error %v, want ErrNoOptions", err)
+	}
+
+	m.BuildOptions()
+	for _, name := range Names() {
+		algA, _ := Get(name)
+		algB, _ := Get(name)
+		want, err := algA.Schedule(w, built, budget)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := algB.Schedule(w, m, budget)
+		if err != nil {
+			t.Fatalf("%s after BuildOptions: %v", name, err)
+		}
+		requireSameSchedule(t, name, size, budget, got, want)
+	}
+	want, err := DeadlineLoss(w, built, deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DeadlineLoss(w, m, deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameSchedule(t, "deadline-loss", size, budget, got.Schedule, want.Schedule)
 }
 
 func requireSameSchedule(t *testing.T, name string, size gen.ProblemSize, budget float64, got, want workflow.Schedule) {

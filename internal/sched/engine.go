@@ -21,9 +21,11 @@ type IntoScheduler interface {
 // Sweeper is implemented by schedulers that support warm-started budget
 // sweeps: solving the same instance at several ascending budgets, each
 // level resuming from the previous level's schedule and surviving
-// candidate state instead of re-solving from scratch. The sweep campaign
-// runners (Table II, Fig. 6, Figs. 9-11) drive schedulers through this
-// interface.
+// candidate state instead of re-solving from scratch. A warm level is a
+// different procedure from a cold solve at the same budget and mostly
+// returns a different schedule (Greedy.SweepInto gives the counts); the
+// sweep campaign runners (Table II, Fig. 6, Table IV, Figs. 9-11) drive
+// schedulers through this interface.
 type Sweeper interface {
 	IntoScheduler
 	// SweepInto schedules the instance at each budgets[k] (which must be
@@ -34,8 +36,9 @@ type Sweeper interface {
 }
 
 // SweepSchedules runs sch at every budget of an ascending sweep, using the
-// warm-started SweepInto when sch implements Sweeper and falling back to
-// independent cold solves per level otherwise.
+// warm-started SweepInto when sch implements Sweeper and independent cold
+// solves per level otherwise (GAIN, whose once-per-task rule is defined
+// against a single solve, takes the cold path).
 func SweepSchedules(sch IntoScheduler, dst []workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budgets []float64) ([]workflow.Schedule, error) {
 	if sw, ok := sch.(Sweeper); ok {
 		return sw.SweepInto(dst, w, m, budgets)
@@ -107,13 +110,12 @@ type engine struct {
 	// let stale timings and module lists leak across instances.
 	wver, mver uint64
 
-	t        *dag.Timing
-	times    []float64
-	mods     []int
-	cand     []int
-	allTypes []int
-	moved    []bool
-	lc       workflow.Schedule
+	t     *dag.Timing
+	times []float64
+	mods  []int
+	cand  []int
+	moved []bool
+	lc    workflow.Schedule
 
 	// ct is the per-module best-upgrade cache and lazy-deletion heap the
 	// greedy reschedulers drain instead of rescanning every (module, type)
@@ -121,22 +123,14 @@ type engine struct {
 	// dag.Timing.UpdateNodeTracked.
 	ct  candTab
 	trk []int32
-
-	// Fallback structure-of-arrays option table, built locally when the
-	// bound matrices were assembled by hand without BuildOptions (localSoA
-	// true); otherwise optTable serves the matrices' shared table.
-	localSoA     bool
-	soaOff       []int32
-	soaTyp       []int32
-	soaTE, soaCE []float64
 }
 
 // bind points the engine at a (workflow, matrices) pair, reusing all
 // scratch when the pair is unchanged since the last call. When the pair
 // changed but the module and catalog counts did not — pooled builders
 // rebuilding instances in place — the module list, timing buffer,
-// candidate scratch, visited flags, and type list are all refilled in
-// place rather than reallocated.
+// candidate scratch, and visited flags are all refilled in place rather
+// than reallocated.
 //
 // medcc:coldpath — first binds (and size growth) allocate the scratch;
 // steady-state calls take the early return or refill existing capacity.
@@ -165,77 +159,6 @@ func (e *engine) bind(w *workflow.Workflow, m *workflow.Matrices) {
 	} else {
 		e.cand = e.cand[:0]
 	}
-	n := len(m.Catalog)
-	if cap(e.allTypes) < n {
-		e.allTypes = make([]int, n)
-	} else {
-		e.allTypes = e.allTypes[:n]
-	}
-	for j := range e.allTypes {
-		e.allTypes[j] = j
-	}
-	e.bindSoA()
-}
-
-// bindSoA installs the option-table view: the matrices' shared table when
-// BuildOptions ran, else a locally built equivalent over e.opts (same
-// layout: per module, rows sorted by TE ascending with ties by type index
-// ascending).
-func (e *engine) bindSoA() {
-	e.localSoA = !e.m.HasOptionTable()
-	if !e.localSoA {
-		return
-	}
-	e.buildLocalSoA()
-}
-
-// buildLocalSoA assembles the fallback table for hand-built matrices.
-//
-// medcc:coldpath — runs once per (re)bind, only for matrices without
-// BuildOptions; the capacity-reusing appends still avoid steady-state
-// allocation for pooled rebinding.
-func (e *engine) buildLocalSoA() {
-	nm := e.w.NumModules()
-	if cap(e.soaOff) < nm+1 {
-		e.soaOff = make([]int32, nm+1)
-	} else {
-		e.soaOff = e.soaOff[:nm+1]
-	}
-	e.soaTyp = e.soaTyp[:0]
-	e.soaTE = e.soaTE[:0]
-	e.soaCE = e.soaCE[:0]
-	for i := 0; i < nm; i++ {
-		e.soaOff[i] = int32(len(e.soaTyp))
-		base := int(e.soaOff[i])
-		for _, j := range e.opts(i) {
-			te, ce := e.m.TE[i][j], e.m.CE[i][j]
-			k := len(e.soaTyp)
-			e.soaTyp = append(e.soaTyp, 0)
-			e.soaTE = append(e.soaTE, 0)
-			e.soaCE = append(e.soaCE, 0)
-			for k > base && e.soaTE[k-1] > te {
-				e.soaTyp[k] = e.soaTyp[k-1]
-				e.soaTE[k] = e.soaTE[k-1]
-				e.soaCE[k] = e.soaCE[k-1]
-				k--
-			}
-			e.soaTyp[k] = int32(j)
-			e.soaTE[k] = te
-			e.soaCE[k] = ce
-		}
-	}
-	e.soaOff[nm] = int32(len(e.soaTyp))
-}
-
-// optTable returns module i's options as the flat (type, TE, CE) view in
-// ascending-TE order, from the matrices' shared table or the local
-// fallback.
-func (e *engine) optTable(i int) (typ []int32, te, ce []float64) {
-	if !e.localSoA {
-		return e.m.OptionTable(i)
-	}
-	lo, hi := e.soaOff[i], e.soaOff[i+1]
-	return e.soaTyp[lo:hi], e.soaTE[lo:hi], e.soaCE[lo:hi]
 }
 
 // resetTiming refreshes the incremental timing to schedule s, constructing
@@ -272,15 +195,6 @@ func (e *engine) critical() []int {
 	return e.cand
 }
 
-// opts returns the dominance-pruned VM-type options for module i, falling
-// back to all types when the matrices were built without BuildOptions.
-func (e *engine) opts(i int) []int {
-	if o := e.m.Options(i); o != nil {
-		return o
-	}
-	return e.allTypes
-}
-
 // resetMoved clears and returns the per-module visited scratch.
 func (e *engine) resetMoved() []bool {
 	for i := range e.moved {
@@ -303,6 +217,9 @@ func (e *engine) feasible(budget float64) error {
 // checkFeasibleInto is checkFeasible with a reusable destination for the
 // least-cost schedule.
 func checkFeasibleInto(w *workflow.Workflow, m *workflow.Matrices, budget float64, dst workflow.Schedule) (workflow.Schedule, float64, error) {
+	if !m.HasOptionTable() {
+		return nil, 0, ErrNoOptions
+	}
 	lc := m.LeastCostInto(w, dst)
 	cmin := m.Cost(lc)
 	if budget < cmin {

@@ -95,7 +95,7 @@ func (g *GAIN) staticOrder(dst workflow.Schedule, w *workflow.Workflow, m *workf
 	}
 	var ups []upgrade
 	for _, i := range e.mods {
-		for _, j := range e.opts(i) {
+		for _, j := range e.m.Options(i) {
 			if j == s[i] {
 				continue
 			}
@@ -167,7 +167,7 @@ func (g *GAIN) oncePerTask(dst workflow.Schedule, w *workflow.Workflow, m *workf
 			if moved[i] {
 				continue
 			}
-			for _, j := range e.opts(i) {
+			for _, j := range e.m.Options(i) {
 				if j == s[i] {
 					continue
 				}
@@ -230,31 +230,6 @@ func (g *GAIN) runHeap(s workflow.Schedule, ctmp *float64, budget float64) {
 			e.ct.refreshGrown(s, budget-*ctmp, actUnmoved)
 		}
 	}
-}
-
-// SweepInto implements Sweeper with independent per-level solves: the
-// once-per-task rule is defined against a single solve from the least-cost
-// schedule, so resuming level k from level k-1's state would re-admit every
-// task for one more move per level — a round-based algorithm, not GAIN.
-// (Empirically that continuation erases most of Table IV's CG-over-GAIN3
-// improvement.) The sweep therefore only reuses the engine and the
-// per-level destination buffers; every level is bit-identical to a cold
-// ScheduleInto.
-//
-// medcc:deterministic
-func (g *GAIN) SweepInto(dst []workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budgets []float64) ([]workflow.Schedule, error) {
-	if err := checkAscending(budgets); err != nil {
-		return nil, err
-	}
-	dst = growSweepDst(dst, len(budgets))
-	for k, b := range budgets {
-		s, err := g.ScheduleInto(dst[k], w, m, b)
-		if err != nil {
-			return nil, err
-		}
-		dst[k] = s
-	}
-	return dst, nil
 }
 
 func init() {

@@ -94,7 +94,7 @@ func (l *LOSS) ScheduleInto(dst workflow.Schedule, w *workflow.Workflow, m *work
 		bi, bj := -1, -1
 		var bestW, bestDC float64
 		for _, i := range e.mods {
-			for _, j := range e.opts(i) {
+			for _, j := range e.m.Options(i) {
 				if j == s[i] {
 					continue
 				}
@@ -144,7 +144,7 @@ func (l *LOSS) staticPass(dst workflow.Schedule, w *workflow.Workflow, m *workfl
 	}
 	var downs []downgrade
 	for _, i := range e.mods {
-		for _, j := range e.opts(i) {
+		for _, j := range e.m.Options(i) {
 			if j == s[i] {
 				continue
 			}

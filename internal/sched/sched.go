@@ -21,6 +21,12 @@ import (
 // least-cost schedule, so no feasible schedule exists (Alg. 1, step 4).
 var ErrInfeasible = errors.New("sched: budget below minimum feasible cost")
 
+// ErrNoOptions is returned for matrices whose option table was never
+// built: the schedulers scan only the dominance-pruned options, so
+// matrices filled in by hand need Matrices.BuildOptions before use
+// (BuildMatrices calls it).
+var ErrNoOptions = errors.New("sched: matrices have no option table; call Matrices.BuildOptions")
+
 // Scheduler produces a budget-feasible schedule for a workflow.
 type Scheduler interface {
 	// Name identifies the algorithm in reports and the registry.
@@ -76,7 +82,9 @@ func Improvement(medBase, medAlg float64) float64 {
 }
 
 // checkFeasible returns the least-cost schedule and its cost, or
-// ErrInfeasible if even that exceeds the budget.
+// ErrInfeasible if even that exceeds the budget. It is also where every
+// budget-constrained scheduler rejects matrices without an option table
+// (ErrNoOptions).
 func checkFeasible(w *workflow.Workflow, m *workflow.Matrices, budget float64) (workflow.Schedule, float64, error) {
 	return checkFeasibleInto(w, m, budget, nil)
 }

@@ -88,9 +88,9 @@ func refGreedySweep(cand CandidateSet, rank Criterion, w *workflow.Workflow, m *
 
 // refGain3Sweep is the sweep reference for GAIN3: independent per-level
 // solves. The once-per-task rule is defined against a single solve from
-// the least-cost schedule, so GAIN's sweep deliberately does NOT warm-start
-// (a per-level continuation would re-admit every task each level and turn
-// GAIN3 into a round-based algorithm; see GAIN.SweepInto).
+// the least-cost schedule, so GAIN is not a Sweeper: a per-level
+// continuation would re-admit every task each level and turn GAIN3 into a
+// round-based algorithm.
 func refGain3Sweep(w *workflow.Workflow, m *workflow.Matrices, budgets []float64) ([]workflow.Schedule, error) {
 	out := make([]workflow.Schedule, 0, len(budgets))
 	for _, b := range budgets {
@@ -186,7 +186,8 @@ func requireSameSweep(t *testing.T, name string, size gen.ProblemSize, budgets [
 
 // TestSweepIntoMatchesWarmReference pins the warm-started sweeps of every
 // Sweeper against the full-rescan warm references across paper problem
-// sizes.
+// sizes, and GAIN3's cold per-level sweep (SweepSchedules' fallback)
+// against its independent-solve reference.
 func TestSweepIntoMatchesWarmReference(t *testing.T) {
 	sizes := gen.PaperProblemSizes()
 	if testing.Short() {
@@ -224,7 +225,7 @@ func TestSweepIntoMatchesWarmReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotG3, err := (&GAIN{Variant: 3}).SweepInto(nil, w, m, budgets)
+		gotG3, err := SweepSchedules(&GAIN{Variant: 3}, nil, w, m, budgets)
 		if err != nil {
 			t.Fatal(err)
 		}

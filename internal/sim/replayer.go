@@ -16,11 +16,10 @@ import (
 // matrices) pair, then replay schedule after schedule at zero
 // steady-state heap allocations.
 //
-// Mechanically, the closure-per-event queue of Simulation is replaced by
-// a flat binary heap of small typed event records (kind + argument), the
-// per-run maps and trace slices by preallocated arrays sized to the
-// workflow, and the per-VM executed-module lists by spans carved from one
-// flat arena. The transfer waiting line is an in-place FIFO ring.
+// Mechanically, events are small typed records (kind + argument) on the
+// shared Queue, per-run state lives in preallocated arrays sized to the
+// workflow, and the per-VM executed-module lists are spans carved from
+// one flat arena. The transfer waiting line is an in-place FIFO ring.
 //
 // The *Result returned by Run aliases the Replayer's internal buffers: it
 // is valid until the next Run call on the same Replayer. Callers that
@@ -42,12 +41,8 @@ type Replayer struct {
 	defMods    [][]int
 	defModsBuf []int
 
-	// Event heap ordered by (time, seq): seq preserves FIFO order among
-	// simultaneous events, exactly like Simulation's tie-breaker.
-	heap      []event2
-	seq       int64
-	processed int64
-	now       float64
+	// q is the event queue; its heap is pooled across runs.
+	q Queue
 
 	// Per-run flat state, sized to the workflow / VM plan on each Run.
 	times     []float64
@@ -70,30 +65,17 @@ type Replayer struct {
 	boot      float64
 	slots     int
 	done      int
-	runErr    error
 
 	res Result
 }
 
-// event2 is one pending typed event. 24 bytes, stored by value in the
-// heap: pushing and popping moves records, never pointers, so the queue
-// costs zero allocations once its backing array has grown to the
-// high-water mark.
-type event2 struct {
-	time float64
-	seq  int64
-	kind evKind
-	arg  int32
-}
-
-type evKind uint8
-
+// Replay event kinds; Event.Arg carries the index named in each comment.
 const (
-	evReady    evKind = iota // arg: module whose inputs are all present
-	evFinish                 // arg: module completing execution
-	evBootDone               // arg: VM finishing its boot
-	evXferFree               // arg: destination module of an unslotted transfer
-	evXferSlot               // arg: destination module of a slot-occupying transfer
+	evReady    uint8 = iota // arg: module whose inputs are all present
+	evFinish                // arg: module completing execution
+	evBootDone              // arg: VM finishing its boot
+	evXferFree              // arg: destination module of an unslotted transfer
+	evXferSlot              // arg: destination module of a slot-occupying transfer
 )
 
 // xferItem is one transfer waiting for a storage slot.
@@ -227,55 +209,44 @@ func (r *Replayer) Run(cfg Config) (*Result, error) {
 	for i := 0; i < n; i++ {
 		r.pendingIn[i] = int32(g.InDegree(i))
 	}
-	r.heap = r.heap[:0]
-	r.seq = 0
-	r.processed = 0
-	r.now = 0
+	r.q.Reset()
 	r.xferBusy = 0
 	r.xferQ = r.xferQ[:0]
 	r.xferHead = 0
 	r.bandwidth, r.delay, r.boot = cfg.Bandwidth, cfg.Delay, cfg.BootTime
 	r.slots = cfg.TransferSlots
 	r.done = 0
-	r.runErr = nil
 
 	// Kick off the sources, in module index order like Run always has.
 	for i := 0; i < n; i++ {
 		if g.InDegree(i) == 0 {
-			r.schedule(0, evReady, int32(i))
+			r.q.Schedule(0, evReady, int32(i))
 		}
 	}
 
-	// Event loop. maxEvents mirrors Simulation.Run's runaway guard.
-	const maxEvents = 10_000_000
-	for len(r.heap) > 0 {
-		if r.runErr != nil {
-			return nil, r.runErr
+	for {
+		e, ok, err := r.q.Next()
+		if err != nil {
+			return nil, err
 		}
-		if r.processed >= maxEvents {
-			return nil, fmt.Errorf("sim: event budget %d exhausted at t=%v", int64(maxEvents), r.now)
+		if !ok {
+			break
 		}
-		e := r.pop()
-		if e.time < r.now {
-			return nil, fmt.Errorf("sim: time went backwards: %v -> %v", r.now, e.time)
-		}
-		r.now = e.time
-		r.processed++
-		switch e.kind {
+		switch e.Kind {
 		case evReady:
-			r.onReady(int(e.arg))
+			r.onReady(int(e.Arg))
 		case evFinish:
-			r.onFinish(int(e.arg))
+			r.onFinish(int(e.Arg))
 		case evBootDone:
-			v := int(e.arg)
-			res.VMs[v].ReadyAt = r.now
+			v := int(e.Arg)
+			res.VMs[v].ReadyAt = r.q.Now()
 			r.vmFree[v] = true
 			r.tryStart(v)
 		case evXferFree:
-			r.arrive(int(e.arg))
+			r.arrive(int(e.Arg))
 		case evXferSlot:
 			r.xferBusy--
-			r.arrive(int(e.arg))
+			r.arrive(int(e.Arg))
 			if r.xferHead < len(r.xferQ) && r.xferBusy < r.slots {
 				next := r.xferQ[r.xferHead]
 				r.xferHead++
@@ -287,34 +258,16 @@ func (r *Replayer) Run(cfg Config) (*Result, error) {
 			}
 		}
 	}
-	if r.runErr != nil {
-		return nil, r.runErr
-	}
 	if r.done != n {
 		return nil, fmt.Errorf("sim: deadlock — %d of %d modules completed", r.done, n)
 	}
-	res.Events = r.processed
+	res.Events = r.q.Processed()
 	return res, nil
-}
-
-// schedule pushes a typed event after the given delay. Invalid delays
-// (negative, NaN, infinite) abort the run via runErr; they can only arise
-// from invalid Config numbers that escaped the up-front validation.
-func (r *Replayer) schedule(delay float64, kind evKind, arg int32) {
-	if delay < 0 || math.IsNaN(delay) || math.IsInf(delay, 0) {
-		if r.runErr == nil {
-			// medcc:lint-ignore allocfree — formatting the abort error ends the replay; never reached on valid configs.
-			r.runErr = fmt.Errorf("sim: invalid delay %v", delay)
-		}
-		return
-	}
-	r.seq++
-	r.push(event2{time: r.now + delay, seq: r.seq, kind: kind, arg: arg})
 }
 
 // onReady fires when all inputs of module i have arrived.
 func (r *Replayer) onReady(i int) {
-	r.res.Modules[i].Ready = r.now
+	r.res.Modules[i].Ready = r.q.Now()
 	if r.w.Module(i).Fixed {
 		// Fixed entry/exit modules run outside any VM.
 		r.startModule(i)
@@ -323,8 +276,8 @@ func (r *Replayer) onReady(i int) {
 	v := r.vmOf[i]
 	if r.res.VMs[v].BootAt < 0 {
 		// Just-in-time provisioning: first demand boots the VM.
-		r.res.VMs[v].BootAt = r.now
-		r.schedule(r.boot, evBootDone, int32(v))
+		r.res.VMs[v].BootAt = r.q.Now()
+		r.q.Schedule(r.boot, evBootDone, int32(v))
 		return
 	}
 	r.tryStart(v)
@@ -332,8 +285,8 @@ func (r *Replayer) onReady(i int) {
 
 // startModule begins execution of module i now.
 func (r *Replayer) startModule(i int) {
-	r.res.Modules[i].Start = r.now
-	r.schedule(r.times[i], evFinish, int32(i))
+	r.res.Modules[i].Start = r.q.Now()
+	r.q.Schedule(r.times[i], evFinish, int32(i))
 }
 
 // tryStart dispatches the next planned module on VM v if it is booted,
@@ -357,9 +310,10 @@ func (r *Replayer) tryStart(v int) {
 // onFinish handles module i completing execution.
 func (r *Replayer) onFinish(i int) {
 	res := &r.res
-	res.Modules[i].Finish = r.now
-	if r.now > res.Makespan {
-		res.Makespan = r.now
+	now := r.q.Now()
+	res.Modules[i].Finish = now
+	if now > res.Makespan {
+		res.Makespan = now
 	}
 	r.done++
 	if !r.w.Module(i).Fixed {
@@ -367,8 +321,8 @@ func (r *Replayer) onFinish(i int) {
 		r.vmFree[v] = true
 		if int(r.vmNext[v]) >= len(r.vmMods[v]) {
 			// Last planned module done: terminate and bill.
-			res.VMs[v].StoppedAt = r.now
-			occ := r.now - res.VMs[v].BootAt
+			res.VMs[v].StoppedAt = now
+			occ := now - res.VMs[v].BootAt
 			res.VMs[v].Cost = r.m.Billing.BilledTime(occ) * r.m.Catalog[res.VMs[v].Type].Rate
 			res.Cost += res.VMs[v].Cost
 		} else {
@@ -400,7 +354,7 @@ func (r *Replayer) transferTime(u, k int) float64 {
 // fabric is saturated.
 func (r *Replayer) startTransfer(duration float64, succ int32) {
 	if duration <= 0 || r.slots <= 0 {
-		r.schedule(duration, evXferFree, succ)
+		r.q.Schedule(duration, evXferFree, succ)
 		return
 	}
 	if r.xferBusy >= r.slots {
@@ -408,7 +362,7 @@ func (r *Replayer) startTransfer(duration float64, succ int32) {
 		return
 	}
 	r.xferBusy++
-	r.schedule(duration, evXferSlot, succ)
+	r.q.Schedule(duration, evXferSlot, succ)
 }
 
 // arrive delivers one input to module succ, releasing it when it was the
@@ -418,58 +372,6 @@ func (r *Replayer) arrive(succ int) {
 	if r.pendingIn[succ] == 0 {
 		r.onReady(succ)
 	}
-}
-
-// --- event heap (binary min-heap by (time, seq), records by value) ---
-
-func (r *Replayer) push(e event2) {
-	r.heap = append(r.heap, e)
-	// Sift up.
-	h := r.heap
-	c := len(h) - 1
-	for c > 0 {
-		p := (c - 1) / 2
-		if !eventLess(h[c], h[p]) {
-			break
-		}
-		h[c], h[p] = h[p], h[c]
-		c = p
-	}
-}
-
-func (r *Replayer) pop() event2 {
-	h := r.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	r.heap = h[:last]
-	h = r.heap
-	// Sift down.
-	p := 0
-	for {
-		c := 2*p + 1
-		if c >= last {
-			break
-		}
-		if c+1 < last && eventLess(h[c+1], h[c]) {
-			c++
-		}
-		if !eventLess(h[c], h[p]) {
-			break
-		}
-		h[p], h[c] = h[c], h[p]
-		p = c
-	}
-	return top
-}
-
-// medcc:floateq-exact — heap ordering must match Simulation's (time, seq)
-// tie-break bit for bit; epsilon would reorder simultaneous events.
-func eventLess(a, b event2) bool {
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	return a.seq < b.seq
 }
 
 // --- sized-scratch helpers ---

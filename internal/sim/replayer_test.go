@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -12,6 +14,86 @@ import (
 	"medcc/internal/sched"
 	"medcc/internal/workflow"
 )
+
+// The closure-per-event queue below (event, eventPQ, Simulation) is the
+// engine the simulator ran on before the Replayer, frozen verbatim as the
+// engine of referenceRun.
+
+// event is one scheduled callback.
+type event struct {
+	time float64
+	seq  int64 // tie-breaker: FIFO among simultaneous events
+	fn   func()
+}
+
+type eventPQ []*event
+
+func (q eventPQ) Len() int { return len(q) }
+
+// medcc:floateq-exact — (time, seq) ordering must be bit-exact; epsilon
+// would reorder simultaneous events and change traces.
+func (q eventPQ) Less(i, j int) bool {
+	if q[i].time != q[j].time {
+		return q[i].time < q[j].time
+	}
+	return q[i].seq < q[j].seq
+}
+func (q eventPQ) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *eventPQ) Push(x any)   { *q = append(*q, x.(*event)) }
+func (q *eventPQ) Pop() any {
+	old := *q
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = nil
+	*q = old[:n-1]
+	return e
+}
+
+// Simulation is a virtual clock with an event heap. The zero value is
+// ready to use at time 0.
+type Simulation struct {
+	now       float64
+	pq        eventPQ
+	seq       int64
+	processed int64
+}
+
+// Now returns the current virtual time.
+func (s *Simulation) Now() float64 { return s.now }
+
+// Processed returns the number of events executed so far.
+func (s *Simulation) Processed() int64 { return s.processed }
+
+// Schedule enqueues fn after the given non-negative delay.
+func (s *Simulation) Schedule(delay float64, fn func()) error {
+	if delay < 0 || math.IsNaN(delay) || math.IsInf(delay, 0) {
+		return fmt.Errorf("sim: invalid delay %v", delay)
+	}
+	s.seq++
+	heap.Push(&s.pq, &event{time: s.now + delay, seq: s.seq, fn: fn})
+	return nil
+}
+
+// Run processes events until the queue drains, returning the final time.
+// maxEvents guards against runaway event loops; 0 means 10 million.
+func (s *Simulation) Run(maxEvents int64) (float64, error) {
+	if maxEvents == 0 {
+		maxEvents = 10_000_000
+	}
+	for s.pq.Len() > 0 {
+		if s.processed >= maxEvents {
+			return s.now, fmt.Errorf("sim: event budget %d exhausted at t=%v", maxEvents, s.now)
+		}
+		e := heap.Pop(&s.pq).(*event)
+		if e.time < s.now {
+			return s.now, fmt.Errorf("sim: time went backwards: %v -> %v", s.now, e.time)
+		}
+		s.now = e.time
+		s.processed++
+		e.fn()
+	}
+	return s.now, nil
+}
 
 // referenceRun is the pre-Replayer implementation of Run, frozen verbatim
 // (closure events on the generic Simulation queue, per-run allocation of
@@ -430,6 +512,32 @@ func TestReplayersShareConfigConcurrently(t *testing.T) {
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestReplayerRunAllocFree pins the steady-state contract: once a
+// Replayer has grown its pools on a config, replaying it allocates
+// nothing — with boot latency, slotted transfers and a reuse plan, so
+// every event kind and the transfer FIFO are on the measured path.
+func TestReplayerRunAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	rng := rand.New(rand.NewSource(5))
+	cfgs := differentialConfigs(t, rng, gen.ProblemSize{M: 40, E: 434, N: 6})
+	var r Replayer
+	for _, cfg := range []Config{cfgs[0], cfgs[9]} {
+		if _, err := r.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		avg := testing.AllocsPerRun(50, func() {
+			if _, err := r.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("Replayer.Run allocates %v per run (slots=%d reuse=%v)", avg, cfg.TransferSlots, cfg.Reuse != nil)
 		}
 	}
 }

@@ -1,3 +1,12 @@
+// Package sim is a discrete-event cloud workflow simulator — the
+// stdlib-only stand-in for CloudSim that the paper extended for its
+// evaluation (§VI-A). It replays a schedule event by event: just-in-time
+// VM provisioning with boot latency, precedence-gated module execution,
+// shared-storage data transfers, VM reuse, and a billing meter. Its
+// makespan and billed cost are computed independently of the analytic
+// model in package workflow, so agreement between the two validates both
+// (DESIGN.md experiment A2). Its event core, Queue, also drives the
+// Nimbus-like testbed of package testbed.
 package sim
 
 import (

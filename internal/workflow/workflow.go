@@ -306,7 +306,8 @@ func (m *Matrices) Epoch() uint64 { return m.epoch }
 // bills fewer rounded hours and ends up cheaper as well.
 //
 // BuildMatrices calls this automatically; call it manually after building
-// Matrices by hand. Not safe for concurrent use with readers.
+// Matrices by hand (the schedulers reject matrices without it). Not safe
+// for concurrent use with readers.
 func (m *Matrices) BuildOptions() {
 	if cap(m.opts) < len(m.TE) {
 		next := make([][]int, len(m.TE))
@@ -377,16 +378,17 @@ func (m *Matrices) buildOptionTable() {
 	m.soaOff[nm] = int32(len(m.soaTyp))
 }
 
+// HasOptionTable reports whether BuildOptions has run on these matrices,
+// i.e. whether Options and OptionTable are available. The schedulers of
+// package sched reject matrices without it.
+func (m *Matrices) HasOptionTable() bool { return m.soaOff != nil }
+
 // OptionTable returns module i's dominance-pruned options as a
 // structure-of-arrays view sorted by execution time ascending (ties by
 // type index ascending): typ[k] is the VM-type index of row k, te[k] and
 // ce[k] its execution time and cost. All three slices are nil when
 // BuildOptions has not run. The slices are shared and must not be
 // modified.
-// HasOptionTable reports whether the flat option table is available, i.e.
-// whether BuildOptions has run on these matrices.
-func (m *Matrices) HasOptionTable() bool { return m.soaOff != nil }
-
 func (m *Matrices) OptionTable(i int) (typ []int32, te, ce []float64) {
 	if m.soaOff == nil {
 		return nil, nil, nil
@@ -396,8 +398,8 @@ func (m *Matrices) OptionTable(i int) (typ []int32, te, ce []float64) {
 }
 
 // Options returns the dominance-pruned VM-type indices for module i in
-// ascending order, or nil when BuildOptions has not run (callers then scan
-// all types). The slice is shared and must not be modified.
+// ascending order, or nil when BuildOptions has not run. The slice is
+// shared and must not be modified.
 func (m *Matrices) Options(i int) []int {
 	if m.opts == nil {
 		return nil

@@ -43,11 +43,12 @@ experiments:
 experiments-quick:
 	$(GO) run ./cmd/experiments -quick
 
-# Short fuzz sessions over the input parsers, the binary container,
-# and the serving API.
+# Short fuzz sessions over the input parsers, the incremental timing,
+# the binary container, and the serving API.
 fuzz:
 	$(GO) test -fuzz=FuzzWorkflowJSON -fuzztime=30s ./internal/workflow/
 	$(GO) test -fuzz=FuzzGraphJSON -fuzztime=30s ./internal/dag/
+	$(GO) test -fuzz=FuzzIncrementalTiming -fuzztime=30s ./internal/dag/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/dax/
 	$(GO) test -fuzz=FuzzDecodeCorpus -fuzztime=30s ./internal/encoding/
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=30s ./internal/encoding/

@@ -203,6 +203,11 @@ func benchInstance(b *testing.B, size gen.ProblemSize) (*workflow.Workflow, *wor
 func benchScheduler(b *testing.B, name string, size gen.ProblemSize) {
 	b.Helper()
 	w, m, budget := benchInstance(b, size)
+	benchSolve(b, name, w, m, budget)
+}
+
+func benchSolve(b *testing.B, name string, w *workflow.Workflow, m *workflow.Matrices, budget float64) {
+	b.Helper()
 	alg, err := sched.Get(name)
 	if err != nil {
 		b.Fatal(err)
@@ -246,6 +251,19 @@ func BenchmarkCriticalGreedy500(b *testing.B) {
 
 func BenchmarkCriticalGreedy2000(b *testing.B) {
 	benchScheduler(b, "critical-greedy", gen.ProblemSize{M: 2000, E: 120000, N: 9})
+}
+
+// BenchmarkCriticalGreedyTied1000 runs CG at the mid budget of a fork-join
+// of 1000 identical branches. Every branch is critical at once, so most
+// accepts leave the makespan unchanged, which random instances never do.
+func BenchmarkCriticalGreedyTied1000(b *testing.B) {
+	w := gen.ForkJoin(rand.New(rand.NewSource(1)), 1000, 500, 500)
+	m, err := w.BuildMatrices(cloud.DiminishingCatalog(9, 3, 1, gen.SimulationGamma), cloud.HourlyRoundUp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cmin, cmax := m.BudgetRange(w)
+	benchSolve(b, "critical-greedy", w, m, (cmin+cmax)/2)
 }
 
 func BenchmarkGAIN3_100(b *testing.B) {

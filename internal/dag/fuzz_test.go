@@ -46,9 +46,10 @@ func FuzzGraphJSON(f *testing.F) {
 }
 
 // FuzzIncrementalTiming drives UpdateNode with fuzz-chosen mutations over a
-// fuzz-derived DAG and checks every state against a fresh NewTiming. The
-// mutation stream doubles as weights: byte k mutates node data[k] % n to
-// weight data[k+1] / 16.
+// fuzz-derived DAG and checks every state against a fresh NewTiming, along
+// with the WhatIfMakespan probe of each mutation and UpdateNode's
+// makespan-moved result. The mutation stream doubles as weights: byte k
+// mutates node data[k] % n to weight data[k+1] / 16.
 func FuzzIncrementalTiming(f *testing.F) {
 	f.Add([]byte{4, 1, 2, 0, 7, 3, 255, 0, 0, 128, 64, 9, 33})
 	f.Add([]byte{8, 200, 200, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -79,13 +80,22 @@ func FuzzIncrementalTiming(f *testing.F) {
 			t.Fatal(err) // construction cannot cycle: edges go low -> high
 		}
 		for k := 0; k+1 < len(data); k += 2 {
-			inc.UpdateNode(int(data[k])%n, float64(data[k+1])/16)
+			i, w := int(data[k])%n, float64(data[k+1])/16
+			before := inc.Makespan
+			probe := inc.WhatIfMakespan(i, w)
+			moved := inc.UpdateNode(i, w)
 			fresh, err := NewTiming(g, append([]float64(nil), weights...), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if inc.Makespan != fresh.Makespan {
 				t.Fatalf("mutation %d: makespan %v != fresh %v", k, inc.Makespan, fresh.Makespan)
+			}
+			if probe != fresh.Makespan {
+				t.Fatalf("mutation %d: WhatIfMakespan %v != fresh %v", k, probe, fresh.Makespan)
+			}
+			if moved != (fresh.Makespan != before) {
+				t.Fatalf("mutation %d: moved=%v but makespan %v -> %v", k, moved, before, fresh.Makespan)
 			}
 			for i := 0; i < n; i++ {
 				if inc.EST[i] != fresh.EST[i] || inc.EFT[i] != fresh.EFT[i] ||

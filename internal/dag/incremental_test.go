@@ -55,97 +55,75 @@ func requireTimingsEqual(t *testing.T, got, want *Timing, ctx string) {
 
 // TestUpdateNodeMatchesFreshTiming is the property test behind the
 // incremental engine: over random DAGs and random single-weight mutations,
-// UpdateNode must land on exactly the state a fresh NewTiming computes.
+// UpdateNode must land on exactly the state a fresh NewTiming computes and
+// report exactly whether the makespan moved. The second pass draws small
+// integer weights, so paths tie often and many decreases leave the
+// makespan unchanged. After each of those no node may turn critical: the
+// rule Critical-Greedy relies on to skip rebuilding its candidate pool.
 func TestUpdateNodeMatchesFreshTiming(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 60; trial++ {
-		n := 2 + rng.Intn(30)
-		g := randomProbDAG(rng, n, 0.25)
-		weights := randomWeights(rng, n)
-		inc, err := NewTiming(g, weights, nil)
-		if err != nil {
-			t.Fatal(err)
+	stable := 0
+	for _, small := range []bool{false, true} {
+		draw := func() float64 { return rng.Float64() * 10 }
+		trials := 60
+		if small {
+			draw = func() float64 { return float64(rng.Intn(4)) }
+			trials = 1000
 		}
-		for mut := 0; mut < 40; mut++ {
-			i := rng.Intn(n)
-			var w float64
-			switch rng.Intn(4) {
-			case 0:
-				w = 0 // collapse the node
-			case 1:
-				w = weights[i] // no-op update
-			default:
-				w = rng.Float64() * 10
+		for trial := 0; trial < trials; trial++ {
+			n := 2 + rng.Intn(30)
+			g := randomProbDAG(rng, n, 0.25)
+			weights := make([]float64, n)
+			for i := range weights {
+				weights[i] = draw()
 			}
-			inc.UpdateNode(i, w)
-			fresh, err := NewTiming(g, append([]float64(nil), weights...), nil)
+			inc, err := NewTiming(g, weights, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireTimingsEqual(t, inc, fresh, "UpdateNode")
-		}
-	}
-}
-
-// TestUpdateNodeTrackedReportsChanges pins the changed-set contract that
-// incremental candidate maintenance in the scheduler engine relies on:
-// every node whose EFT or Tail moved appears in the changed set, mkChanged
-// reports exactly whether the makespan moved, and — the consequence the
-// engine actually uses — when the makespan is unchanged, a node whose
-// criticality flipped is always in the changed set.
-func TestUpdateNodeTrackedReportsChanges(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var buf []int32
-	for trial := 0; trial < 60; trial++ {
-		n := 2 + rng.Intn(30)
-		g := randomProbDAG(rng, n, 0.25)
-		weights := randomWeights(rng, n)
-		inc, err := NewTiming(g, weights, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prevEFT := append([]float64(nil), inc.EFT...)
-		prevTail := append([]float64(nil), inc.Tail...)
-		prevCrit := make([]bool, n)
-		for mut := 0; mut < 40; mut++ {
-			copy(prevEFT, inc.EFT)
-			copy(prevTail, inc.Tail)
-			prevMk := inc.Makespan
-			for i := 0; i < n; i++ {
-				prevCrit[i] = inc.IsCritical(i)
-			}
-			i := rng.Intn(n)
-			w := rng.Float64() * 10
-			if rng.Intn(5) == 0 {
-				w = weights[i] // no-op update
-			}
-			var mkChanged bool
-			buf, mkChanged = inc.UpdateNodeTracked(i, w, buf)
-			if mkChanged != (inc.Makespan != prevMk) {
-				t.Fatalf("mut %d: mkChanged=%v but makespan %v -> %v",
-					mut, mkChanged, prevMk, inc.Makespan)
-			}
-			inSet := make(map[int32]bool, len(buf))
-			for _, id := range buf {
-				inSet[id] = true
-			}
-			for u := 0; u < n; u++ {
-				if (inc.EFT[u] != prevEFT[u] || inc.Tail[u] != prevTail[u]) && !inSet[int32(u)] {
-					t.Fatalf("mut %d: node %d moved (EFT %v->%v, Tail %v->%v) but missing from changed set %v",
-						mut, u, prevEFT[u], inc.EFT[u], prevTail[u], inc.Tail[u], buf)
+			crit := make([]bool, n)
+			for mut := 0; mut < 40; mut++ {
+				i := rng.Intn(n)
+				var w float64
+				switch rng.Intn(4) {
+				case 0:
+					w = 0 // collapse the node
+				case 1:
+					w = weights[i] // no-op update
+				default:
+					w = draw()
 				}
-				if !mkChanged && inc.IsCritical(u) != prevCrit[u] && !inSet[int32(u)] {
-					t.Fatalf("mut %d: node %d flipped criticality with stable makespan but missing from changed set",
-						mut, u)
+				before, decrease := inc.Makespan, w < weights[i]
+				for u := range crit {
+					crit[u] = inc.IsCritical(u)
+				}
+				moved := inc.UpdateNode(i, w)
+				fresh, err := NewTiming(g, append([]float64(nil), weights...), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireTimingsEqual(t, inc, fresh, "UpdateNode")
+				if moved != (fresh.Makespan != before) {
+					t.Fatalf("UpdateNode(%d, %v) reported moved=%v, makespan %v -> %v",
+						i, w, moved, before, fresh.Makespan)
+				}
+				if !decrease || moved {
+					continue
+				}
+				stable++
+				for u, was := range crit {
+					if !was && inc.IsCritical(u) {
+						t.Fatalf("UpdateNode(%d, %v) kept makespan %v but node %d turned critical",
+							i, w, before, u)
+					}
 				}
 			}
-			fresh, err := NewTiming(g, append([]float64(nil), weights...), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireTimingsEqual(t, inc, fresh, "UpdateNodeTracked")
 		}
 	}
+	if stable < 1000 {
+		t.Fatalf("only %d makespan-preserving decreases: the tie-heavy pass no longer exercises them", stable)
+	}
+	t.Logf("%d makespan-preserving decreases", stable)
 }
 
 // TestUpdateMatchesFreshTiming checks the bulk in-place refresh against a
@@ -178,40 +156,51 @@ func TestUpdateMatchesFreshTiming(t *testing.T) {
 
 // TestWhatIfMakespanMatchesTrialTiming checks the non-mutating probe: the
 // hypothetical makespan must equal a fresh timing of the mutated weights,
-// and the probe must leave the Timing untouched.
+// and the probe must leave the Timing untouched. The ew case covers the
+// edge-weighted probe, which runs full passes instead of the incremental
+// one.
 func TestWhatIfMakespanMatchesTrialTiming(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 40; trial++ {
-		n := 2 + rng.Intn(25)
-		g := randomProbDAG(rng, n, 0.3)
-		weights := randomWeights(rng, n)
-		inc, err := NewTiming(g, weights, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before, err := NewTiming(g, append([]float64(nil), weights...), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for probe := 0; probe < 30; probe++ {
-			i := rng.Intn(n)
-			w := rng.Float64() * 10
-			trialW := append([]float64(nil), weights...)
-			trialW[i] = w
-			fresh, err := NewTiming(g, trialW, nil)
+	for _, tc := range []struct {
+		name string
+		ew   EdgeWeight
+	}{
+		{"zero", nil},
+		{"ew", func(u, v int) float64 { return float64((u+v)%3) * 0.5 }},
+	} {
+		for trial := 0; trial < 40; trial++ {
+			n := 2 + rng.Intn(25)
+			g := randomProbDAG(rng, n, 0.3)
+			weights := randomWeights(rng, n)
+			inc, err := NewTiming(g, weights, tc.ew)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := inc.WhatIfMakespan(i, w); got != fresh.Makespan {
-				t.Fatalf("WhatIfMakespan(%d, %v) = %v, want %v", i, w, got, fresh.Makespan)
+			before, err := NewTiming(g, append([]float64(nil), weights...), tc.ew)
+			if err != nil {
+				t.Fatal(err)
 			}
-			requireTimingsEqual(t, inc, before, "WhatIfMakespan side effect")
+			for probe := 0; probe < 30; probe++ {
+				i := rng.Intn(n)
+				w := rng.Float64() * 10
+				trialW := append([]float64(nil), weights...)
+				trialW[i] = w
+				fresh, err := NewTiming(g, trialW, tc.ew)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := inc.WhatIfMakespan(i, w); got != fresh.Makespan {
+					t.Fatalf("%s: WhatIfMakespan(%d, %v) = %v, want %v", tc.name, i, w, got, fresh.Makespan)
+				}
+				requireTimingsEqual(t, inc, before, tc.name+": WhatIfMakespan side effect")
+			}
 		}
 	}
 }
 
-// TestUpdateNodeWithEdgeWeights exercises the incremental passes under
-// non-zero transfer times, the multi-cloud configuration.
+// TestUpdateNodeWithEdgeWeights checks UpdateNode on a Timing built with
+// non-zero transfer times, where it re-runs the full passes: the state
+// and the makespan-moved result must match a fresh timing.
 func TestUpdateNodeWithEdgeWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	ew := func(u, v int) float64 { return float64((u+v)%3) * 0.5 }
@@ -226,12 +215,17 @@ func TestUpdateNodeWithEdgeWeights(t *testing.T) {
 		for mut := 0; mut < 20; mut++ {
 			i := rng.Intn(n)
 			w := rng.Float64() * 10
-			inc.UpdateNode(i, w)
+			before := inc.Makespan
+			moved := inc.UpdateNode(i, w)
 			fresh, err := NewTiming(g, append([]float64(nil), weights...), ew)
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireTimingsEqual(t, inc, fresh, "UpdateNode with edge weights")
+			if moved != (fresh.Makespan != before) {
+				t.Fatalf("UpdateNode(%d, %v) reported moved=%v, makespan %v -> %v",
+					i, w, moved, before, fresh.Makespan)
+			}
 		}
 	}
 }

@@ -75,11 +75,6 @@ type Timing struct {
 	// is monotone along every edge, so the makespan rescan after an
 	// incremental update only needs to look at these.
 	sinks []int32
-
-	// trk, when non-nil, collects the ids of nodes whose EFT or Tail
-	// changed during the current incremental pass (the changed-set API of
-	// UpdateNodeTracked). It aliases the caller's buffer.
-	trk []int32
 }
 
 // NewTiming runs the forward and backward passes over g with the given node
@@ -159,91 +154,52 @@ func (t *Timing) Update(nodeW []float64) error {
 	return nil
 }
 
-// UpdateNode sets the weight of node i to w and incrementally recomputes
-// the times, allocation-free. Nodes before i's topological position keep
-// their EST/EFT (they cannot reach i); within the suffix, only nodes whose
-// start time can actually move are re-relaxed: a moved EFT marks a
-// successor only when it was, or now is, at least the successor's start
-// time, so a change that stays below the dominating predecessor is
-// absorbed on the spot. The backward pass mirrors this over the prefix for
-// the Tail lengths — and because Tail is anchored at the sinks rather than
-// the makespan, a makespan shift triggers no dense re-pass at all. Skipped
-// nodes would recompute to bit-identical values, so the result is exactly
-// that of a fresh pass.
+// UpdateNode sets the weight of node i to w, recomputes the times in place
+// without allocating, and reports whether the makespan moved (bit-exact).
+// Nodes before i's topological position keep their EST/EFT (they cannot
+// reach i); within the suffix, only nodes whose start time can actually
+// move are re-relaxed: a moved EFT marks a successor only when it was, or
+// now is, at least the successor's start time, so a change that stays
+// below the dominating predecessor is absorbed on the spot. The backward
+// pass mirrors this over the prefix for the Tail lengths — and because
+// Tail is anchored at the sinks rather than the makespan, a makespan shift
+// triggers no dense re-pass at all. Skipped nodes would recompute to
+// bit-identical values, so the result is exactly that of a fresh pass.
+//
+// The incremental passes assume zero edge weights, the paper's
+// single-datacenter model; a Timing built with edge weights re-runs both
+// full passes instead.
 //
 // w must be non-negative and finite, as enforced by NewTiming/Update for
 // whole slices; UpdateNode is the per-iteration hot path and does not
 // re-validate.
 //
 // medcc:allocfree
-// medcc:floateq-exact — the no-op check and all moved/absorbed checks must
-// be bit-exact: epsilon slop would skip re-relaxations whose exact results
-// differ, breaking the "identical to a fresh pass" contract.
-func (t *Timing) UpdateNode(i int, w float64) {
-	t.trk = nil
-	t.updateNode(i, w)
-}
-
-// UpdateNodeTracked is UpdateNode plus change reporting for incremental
-// candidate maintenance: ids of nodes whose EFT or Tail changed are
-// appended to buf (a node may appear twice when both moved), and the
-// returned flag reports whether the makespan moved. When the makespan is
-// unchanged, a node's slack can only have moved if the node is in the
-// changed set — that is the contract engine-level candidate caches key
-// their re-evaluation on. When the makespan moved, every node's slack
-// shifts and callers must rescan criticality themselves.
-//
-// medcc:allocfree — appends stay within buf's capacity once the caller's
-// buffer has grown to the high-water mark.
-func (t *Timing) UpdateNodeTracked(i int, w float64, buf []int32) (changed []int32, mkChanged bool) {
-	if buf == nil {
-		// A nil trk field means "not tracking" to the relax loops, so the
-		// first call with a fresh buffer must seed a real (if empty) slice;
-		// steady-state callers pass the returned buffer back in.
-		buf = make([]int32, 0, 8) // medcc:lint-ignore allocfree — one-time seed for a nil buffer; steady state reuses the returned buffer
-
-	}
-	t.trk = buf[:0]
-	mkChanged = t.updateNode(i, w)
-	changed = t.trk
-	t.trk = nil
-	return changed, mkChanged
-}
-
-// updateNode is the shared body of UpdateNode/UpdateNodeTracked.
-//
-// medcc:allocfree
-// medcc:floateq-exact — the no-op and makespan-anchor checks must be
-// bit-exact; see UpdateNode.
-func (t *Timing) updateNode(i int, w float64) (mkChanged bool) {
+// medcc:floateq-exact — the no-op check, the moved/absorbed checks, and
+// the makespan-moved result must be bit-exact: epsilon slop would skip
+// re-relaxations whose exact results differ, breaking the "identical to a
+// fresh pass" contract.
+func (t *Timing) UpdateNode(i int, w float64) (mkChanged bool) {
 	if t.nodeW[i] == w {
 		return false
 	}
+	old := t.Makespan
 	wOld := t.nodeW[i]
 	t.nodeW[i] = w
+	if t.edgeW != nil {
+		t.run()
+		return t.Makespan != old
+	}
 	p := t.pos[i]
 	t.epoch++
 	t.fdirty[i] = t.epoch
-	if t.edgeW == nil {
-		t.relaxFwdZero(p)
-	} else {
-		t.relaxFwd(p)
-	}
-	old := t.Makespan
+	t.relaxEFT(p)
+	// Zero edge weights keep EFT monotone along edges, so the max is
+	// attained at a sink.
 	mk := 0.0
-	if t.edgeW == nil {
-		// Zero edge weights keep EFT monotone along edges, so the max is
-		// attained at a sink.
-		for _, u := range t.sinks {
-			if f := t.EFT[u]; f > mk {
-				mk = f
-			}
-		}
-	} else {
-		for _, f := range t.EFT {
-			if f > mk {
-				mk = f
-			}
+	for _, u := range t.sinks {
+		if f := t.EFT[u]; f > mk {
+			mk = f
 		}
 	}
 	t.Makespan = mk
@@ -259,33 +215,21 @@ func (t *Timing) updateNode(i int, w float64) (mkChanged bool) {
 // seedTail marks the predecessors of i whose Tail can move after i's
 // weight changed from wOld to wNew.
 //
-// medcc:floateq-exact — see relaxFwdZero.
+// medcc:floateq-exact — see relaxEFT.
 func (t *Timing) seedTail(i int, wOld, wNew float64) {
 	ep := t.epoch
 	tail, bdirty := t.Tail, t.bdirty
-	ti := tail[i]
-	if t.edgeW == nil {
-		cOld := wOld + ti
-		cNew := wNew + ti
-		for _, q := range t.predAdj[t.predOff[i]:t.predOff[i+1]] {
-			if cOld < tail[q] && cNew < tail[q] {
-				continue // absorbed: i neither was nor becomes q's argmax
-			}
-			bdirty[q] = ep
-		}
-		return
-	}
+	cOld := wOld + tail[i]
+	cNew := wNew + tail[i]
 	for _, q := range t.predAdj[t.predOff[i]:t.predOff[i+1]] {
-		e := t.edgeW(int(q), i)
-		if e+wOld+ti < tail[q] && e+wNew+ti < tail[q] {
-			continue
+		if cOld < tail[q] && cNew < tail[q] {
+			continue // absorbed: i neither was nor becomes q's argmax
 		}
 		bdirty[q] = ep
 	}
 }
 
-// relaxFwdZero is the forward re-relaxation of order[p:] for the common
-// zero-edge-weight case; relaxFwd is its general twin. Only nodes marked
+// relaxEFT is the forward re-relaxation of order[p:]. Only nodes marked
 // dirty in the current epoch are recomputed, and a node's successors are
 // marked only when its EFT moved in a way the successor could see: the old
 // or new finish time reaches the successor's start time. Changes absorbed
@@ -293,14 +237,13 @@ func (t *Timing) seedTail(i int, wOld, wNew float64) {
 //
 // medcc:floateq-exact — "moved" means bit-exact inequality; skipped nodes
 // must recompute to identical values.
-func (t *Timing) relaxFwdZero(p int) {
+func (t *Timing) relaxEFT(p int) {
 	// Everything is hoisted into locals: the loop stores through slices, so
 	// without locals the compiler reloads each field every iteration.
 	ep := t.epoch
 	fdirty, est, eft, nodeW := t.fdirty, t.EST, t.EFT, t.nodeW
 	po, pa := t.predOff, t.predAdj
 	so, sa := t.succOff, t.succAdj
-	trk := t.trk
 	for _, u := range t.order[p:] {
 		if fdirty[u] != ep {
 			continue
@@ -315,9 +258,6 @@ func (t *Timing) relaxFwdZero(p int) {
 		if f := start + nodeW[u]; f != eft[u] {
 			fOld := eft[u]
 			eft[u] = f
-			if trk != nil {
-				trk = append(trk, int32(u))
-			}
 			for _, v := range sa[so[u]:so[u+1]] {
 				if fOld < est[v] && f < est[v] {
 					continue // absorbed below v's dominating predecessor
@@ -325,44 +265,6 @@ func (t *Timing) relaxFwdZero(p int) {
 				fdirty[v] = ep
 			}
 		}
-	}
-	if trk != nil {
-		t.trk = trk
-	}
-}
-
-// medcc:floateq-exact — see relaxFwdZero.
-func (t *Timing) relaxFwd(p int) {
-	ep := t.epoch
-	trk := t.trk
-	for _, u := range t.order[p:] {
-		if t.fdirty[u] != ep {
-			continue
-		}
-		start := 0.0
-		for _, q := range t.predAdj[t.predOff[u]:t.predOff[u+1]] {
-			if a := t.EFT[q] + t.edgeW(int(q), u); a > start {
-				start = a
-			}
-		}
-		t.EST[u] = start
-		if f := start + t.nodeW[u]; f != t.EFT[u] {
-			fOld := t.EFT[u]
-			t.EFT[u] = f
-			if trk != nil {
-				trk = append(trk, int32(u))
-			}
-			for _, v := range t.succAdj[t.succOff[u]:t.succOff[u+1]] {
-				e := t.edgeW(u, int(v))
-				if fOld+e < t.EST[v] && f+e < t.EST[v] {
-					continue
-				}
-				t.fdirty[v] = ep
-			}
-		}
-	}
-	if trk != nil {
-		t.trk = trk
 	}
 }
 
@@ -372,75 +274,35 @@ func (t *Timing) relaxFwd(p int) {
 // the recomputed Tail differs and the contribution could dominate.
 // Skipped nodes would recompute to bit-identical values.
 //
-// medcc:floateq-exact — see relaxFwdZero.
+// medcc:floateq-exact — see relaxEFT.
 func (t *Timing) relaxTail(hi int) {
 	ep := t.epoch
-	if t.edgeW == nil {
-		bdirty, tail, nodeW := t.bdirty, t.Tail, t.nodeW
-		po, pa := t.predOff, t.predAdj
-		so, sa := t.succOff, t.succAdj
-		order := t.order
-		trk := t.trk
-		for k := hi; k >= 0; k-- {
-			u := order[k]
-			if bdirty[u] != ep {
-				continue
-			}
-			mx := 0.0
-			for _, s := range sa[so[u]:so[u+1]] {
-				if c := nodeW[s] + tail[s]; c > mx {
-					mx = c
-				}
-			}
-			if mx != tail[u] {
-				cOld := nodeW[u] + tail[u]
-				tail[u] = mx
-				cNew := nodeW[u] + mx
-				if trk != nil {
-					trk = append(trk, int32(u))
-				}
-				for _, q := range pa[po[u]:po[u+1]] {
-					if cOld < tail[q] && cNew < tail[q] {
-						continue
-					}
-					bdirty[q] = ep
-				}
-			}
-		}
-		if trk != nil {
-			t.trk = trk
-		}
-		return
-	}
-	trk := t.trk
+	bdirty, tail, nodeW := t.bdirty, t.Tail, t.nodeW
+	po, pa := t.predOff, t.predAdj
+	so, sa := t.succOff, t.succAdj
+	order := t.order
 	for k := hi; k >= 0; k-- {
-		u := t.order[k]
-		if t.bdirty[u] != ep {
+		u := order[k]
+		if bdirty[u] != ep {
 			continue
 		}
 		mx := 0.0
-		for _, s := range t.succAdj[t.succOff[u]:t.succOff[u+1]] {
-			if c := t.edgeW(u, int(s)) + t.nodeW[s] + t.Tail[s]; c > mx {
+		for _, s := range sa[so[u]:so[u+1]] {
+			if c := nodeW[s] + tail[s]; c > mx {
 				mx = c
 			}
 		}
-		if mx != t.Tail[u] {
-			tOld := t.Tail[u]
-			t.Tail[u] = mx
-			if trk != nil {
-				trk = append(trk, int32(u))
-			}
-			for _, q := range t.predAdj[t.predOff[u]:t.predOff[u+1]] {
-				e := t.edgeW(int(q), u)
-				if e+t.nodeW[u]+tOld < t.Tail[q] && e+t.nodeW[u]+mx < t.Tail[q] {
+		if mx != tail[u] {
+			cOld := nodeW[u] + tail[u]
+			tail[u] = mx
+			cNew := nodeW[u] + mx
+			for _, q := range pa[po[u]:po[u+1]] {
+				if cOld < tail[q] && cNew < tail[q] {
 					continue
 				}
-				t.bdirty[q] = ep
+				bdirty[q] = ep
 			}
 		}
-	}
-	if trk != nil {
-		t.trk = trk
 	}
 }
 
@@ -514,117 +376,82 @@ func (t *Timing) tailDense() {
 }
 
 // WhatIfMakespan returns the makespan the DAG would have if node i had
-// weight w, without mutating the Timing and without allocating. It is the
-// trial-move primitive of the makespan-aware schedulers (GAIN2, LOSS2,
-// DeadlineLoss): one call costs a forward re-relaxation of the affected
-// part of the topo-order suffix from i instead of a full fresh Timing.
+// weight w, leaving the Timing as it was and without allocating. It is
+// the trial-move primitive of the makespan-aware schedulers (GAIN2,
+// LOSS2, DeadlineLoss): one call costs a forward re-relaxation of the
+// affected part of the topo-order suffix from i instead of a full fresh
+// Timing. A Timing built with edge weights probes with a full pass
+// instead and then restores its state with a second one.
 //
 // medcc:allocfree
-// medcc:floateq-exact — dirty propagation mirrors relaxFwdZero and must use
+// medcc:floateq-exact — dirty propagation mirrors relaxEFT and must use
 // bit-exact comparison for the same reason.
 func (t *Timing) WhatIfMakespan(i int, w float64) float64 {
 	if t.nodeW[i] == w {
 		return t.Makespan
 	}
+	if t.edgeW != nil {
+		// Every update of an edge-weighted Timing is a full pass, so
+		// re-running one on the old weights restores every value bit for
+		// bit.
+		wOld := t.nodeW[i]
+		t.nodeW[i] = w
+		t.run()
+		mk := t.Makespan
+		t.nodeW[i] = wOld
+		t.run()
+		return mk
+	}
 	p := t.pos[i]
 	t.epoch++
 	t.fdirty[i] = t.epoch
-	if t.edgeW == nil {
-		ep := t.epoch
-		fdirty, est, eft, nodeW := t.fdirty, t.EST, t.EFT, t.nodeW
-		po, pa := t.predOff, t.predAdj
-		so, sa := t.succOff, t.succAdj
-		scratch := t.scratch
-		for _, u := range t.order[p:] {
-			if fdirty[u] != ep {
-				continue
-			}
-			start := 0.0
-			for _, q := range pa[po[u]:po[u+1]] {
-				f := eft[q]
-				if fdirty[q] == ep {
-					f = scratch[q]
-				}
-				if f > start {
-					start = f
-				}
-			}
-			nw := nodeW[u]
-			if u == i {
-				nw = w
-			}
-			v := start + nw
-			scratch[u] = v
-			if v != eft[u] {
-				for _, s := range sa[so[u]:so[u+1]] {
-					if eft[u] < est[s] && v < est[s] {
-						continue // absorbed below s's dominating predecessor
-					}
-					fdirty[s] = ep
-				}
-			}
-		}
-		// Zero edge weights keep the hypothetical EFT monotone along
-		// edges, so the max is attained at a sink.
-		mk := 0.0
-		for _, u := range t.sinks {
-			f := eft[u]
-			if fdirty[u] == ep {
-				f = scratch[u]
-			}
-			if f > mk {
-				mk = f
-			}
-		}
-		return mk
-	}
-	mk := 0.0
-	for _, u := range t.order[:p] {
-		if t.EFT[u] > mk {
-			mk = t.EFT[u]
-		}
-	}
+	ep := t.epoch
+	fdirty, est, eft, nodeW := t.fdirty, t.EST, t.EFT, t.nodeW
+	po, pa := t.predOff, t.predAdj
+	so, sa := t.succOff, t.succAdj
+	scratch := t.scratch
 	for _, u := range t.order[p:] {
-		if t.fdirty[u] != t.epoch {
-			// Unaffected by the hypothetical change: its EFT stands.
-			if t.EFT[u] > mk {
-				mk = t.EFT[u]
-			}
+		if fdirty[u] != ep {
 			continue
 		}
 		start := 0.0
-		for _, q := range t.predAdj[t.predOff[u]:t.predOff[u+1]] {
-			f := t.EFT[q]
-			if t.fdirty[q] == t.epoch {
-				f = t.scratch[q]
+		for _, q := range pa[po[u]:po[u+1]] {
+			f := eft[q]
+			if fdirty[q] == ep {
+				f = scratch[q]
 			}
-			if a := f + t.ew(int(q), u); a > start {
-				start = a
+			if f > start {
+				start = f
 			}
 		}
-		nw := t.nodeW[u]
+		nw := nodeW[u]
 		if u == i {
 			nw = w
 		}
 		v := start + nw
-		t.scratch[u] = v
-		if v != t.EFT[u] {
-			for _, s := range t.succAdj[t.succOff[u]:t.succOff[u+1]] {
-				t.fdirty[s] = t.epoch
+		scratch[u] = v
+		if v != eft[u] {
+			for _, s := range sa[so[u]:so[u+1]] {
+				if eft[u] < est[s] && v < est[s] {
+					continue // absorbed below s's dominating predecessor
+				}
+				fdirty[s] = ep
 			}
 		}
-		if v > mk {
-			mk = v
+	}
+	// Zero edge weights keep the hypothetical EFT monotone along edges, so
+	// the max is attained at a sink.
+	mk := 0.0
+	for _, u := range t.sinks {
+		f := eft[u]
+		if fdirty[u] == ep {
+			f = scratch[u]
+		}
+		if f > mk {
+			mk = f
 		}
 	}
 	return mk
-}
-
-func (t *Timing) ew(u, v int) float64 {
-	if t.edgeW == nil {
-		return 0
-	}
-	return t.edgeW(u, v)
 }
 
 // LFT returns the latest finish time of node i against the current
@@ -678,7 +505,11 @@ func (t *Timing) CriticalPath() []int {
 	for t.EST[u] > Eps {
 		next := -1
 		for _, p := range g.Pred(u) {
-			if math.Abs(t.EFT[p]+t.ew(p, u)-t.EST[u]) <= Eps && t.IsCritical(p) {
+			e := 0.0
+			if t.edgeW != nil {
+				e = t.edgeW(p, u)
+			}
+			if math.Abs(t.EFT[p]+e-t.EST[u]) <= Eps && t.IsCritical(p) {
 				if next == -1 || p < next {
 					next = p
 				}

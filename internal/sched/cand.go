@@ -251,17 +251,6 @@ func (c *candTab) push(i int) {
 	c.siftUp(len(c.heap) - 1)
 }
 
-// pushEnsure refreshes module i's cache as needed and pushes it when it
-// has a candidate.
-//
-// medcc:allocfree
-func (c *candTab) pushEnsure(i int, s workflow.Schedule, cextra float64) {
-	c.ensure(i, s, cextra)
-	if c.bj[i] >= 0 {
-		c.push(i)
-	}
-}
-
 // rebuild discards the heap and refills it from every active module,
 // reusing caches that are still valid for the current leftover budget.
 // This is the full-reset path: the initial build, a budget-level change in

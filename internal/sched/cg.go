@@ -64,10 +64,8 @@ func (g *Greedy) Schedule(w *workflow.Workflow, m *workflow.Matrices, budget flo
 // best-upgrade cache with a lazy-deletion heap on top (see candTab): each
 // iteration pops the globally best affordable upgrade, applies it, and
 // repairs only the caches the accept invalidated. For CriticalOnly the
-// timing layer reports exactly which nodes an accept perturbed
-// (UpdateNodeTracked), so criticality flips are patched from the changed
-// set and the candidate pool is only rebuilt when the makespan itself
-// moved.
+// candidate pool is only rebuilt when the accept moved the makespan (see
+// run for why a stable makespan needs no rebuild).
 //
 // medcc:allocfree
 // medcc:deterministic — replayed bit-identical by the differential tests
@@ -125,10 +123,7 @@ func (g *Greedy) run(s workflow.Schedule, ctmp *float64, budget float64) {
 		s[i] = j
 		*ctmp += dc
 		next := budget - *ctmp
-		mkChanged := false
-		if needTiming {
-			e.trk, mkChanged = e.t.UpdateNodeTracked(i, e.m.TE[i][j], e.trk)
-		}
+		mkChanged := needTiming && e.updateNode(i, j)
 		// The accepted module's own cache is stale under its new type in
 		// every mode.
 		e.ct.evalModule(i, s, next)
@@ -138,28 +133,19 @@ func (g *Greedy) run(s workflow.Schedule, ctmp *float64, budget float64) {
 			// options.
 			e.ct.refreshGrown(s, next, act)
 		}
-		switch {
-		case mkChanged:
+		if mkChanged {
 			// The makespan anchor moved, so the critical set may have
 			// changed arbitrarily: rebuild the pool (cache reuse makes
 			// this an O(mods) scan, not an option rescan).
 			e.ct.rebuild(s, next, act)
-		case needTiming:
-			// Stable makespan: criticality flips are confined to the
-			// changed set (the UpdateNodeTracked contract), so only nodes
-			// the accept actually perturbed can enter the pool.
-			for _, id := range e.trk {
-				ii := int(id)
-				if e.ct.mpos[ii] >= 0 && e.t.IsCritical(ii) {
-					e.ct.pushEnsure(ii, s, next)
-				}
-			}
-		default:
-			// AllModules: the module stays in the pool for further
-			// upgrades.
-			if e.ct.bj[i] >= 0 {
-				e.ct.push(i)
-			}
+		} else if e.ct.bj[i] >= 0 && e.ct.active(i, act) {
+			// evalModule orphaned the accepted module's entries; every
+			// other pool member still has a live one. For CriticalOnly
+			// that rests on the makespan being bit-unchanged: an accept
+			// strictly lowers one weight, so EFT and Tail can only fall,
+			// no slack shrinks and no module turns critical (modules that
+			// stop being critical drop out on pop).
+			e.ct.push(i)
 		}
 	}
 }

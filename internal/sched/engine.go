@@ -113,16 +113,13 @@ type engine struct {
 	t     *dag.Timing
 	times []float64
 	mods  []int
-	cand  []int
 	moved []bool
 	lc    workflow.Schedule
 
 	// ct is the per-module best-upgrade cache and lazy-deletion heap the
 	// greedy reschedulers drain instead of rescanning every (module, type)
-	// pair per iteration; trk is the reusable changed-set buffer for
-	// dag.Timing.UpdateNodeTracked.
-	ct  candTab
-	trk []int32
+	// pair per iteration.
+	ct candTab
 }
 
 // bind points the engine at a (workflow, matrices) pair, reusing all
@@ -154,11 +151,6 @@ func (e *engine) bind(w *workflow.Workflow, m *workflow.Matrices) {
 	} else {
 		e.moved = e.moved[:nm]
 	}
-	if cap(e.cand) < len(e.mods) {
-		e.cand = make([]int, 0, len(e.mods))
-	} else {
-		e.cand = e.cand[:0]
-	}
 }
 
 // resetTiming refreshes the incremental timing to schedule s, constructing
@@ -178,21 +170,10 @@ func (e *engine) resetTiming(s workflow.Schedule) error {
 }
 
 // updateNode applies the reassignment of module i to type j to the bound
-// timing, re-relaxing only the affected suffix of the topological order.
-func (e *engine) updateNode(i, j int) {
-	e.t.UpdateNode(i, e.m.TE[i][j])
-}
-
-// critical fills the candidate scratch with the schedulable modules on the
-// current critical path.
-func (e *engine) critical() []int {
-	e.cand = e.cand[:0]
-	for _, i := range e.mods {
-		if e.t.IsCritical(i) {
-			e.cand = append(e.cand, i)
-		}
-	}
-	return e.cand
+// timing, re-relaxing only the affected suffix of the topological order,
+// and reports whether the makespan moved.
+func (e *engine) updateNode(i, j int) bool {
+	return e.t.UpdateNode(i, e.m.TE[i][j])
 }
 
 // resetMoved clears and returns the per-module visited scratch.

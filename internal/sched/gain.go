@@ -201,7 +201,7 @@ func (g *GAIN) oncePerTask(dst workflow.Schedule, w *workflow.Workflow, m *workf
 }
 
 // runHeap drains the candidate heap under the once-per-task discipline at
-// the given budget, leaving the state warm for a larger budget level.
+// the given budget.
 //
 // medcc:allocfree
 func (g *GAIN) runHeap(s workflow.Schedule, ctmp *float64, budget float64) {
@@ -223,9 +223,6 @@ func (g *GAIN) runHeap(s workflow.Schedule, ctmp *float64, budget float64) {
 		s[i] = j
 		e.moved[i] = true
 		*ctmp += dc
-		// The module is retired for this pass, but its cache must reflect
-		// the new assignment for warm sweep levels that re-admit it.
-		e.ct.evalModule(i, s, budget-*ctmp)
 		if dc < 0 {
 			e.ct.refreshGrown(s, budget-*ctmp, actUnmoved)
 		}

@@ -1,10 +1,12 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"medcc/internal/cloud"
 	"medcc/internal/dag"
 	"medcc/internal/gen"
 	"medcc/internal/workflow"
@@ -300,12 +302,107 @@ func TestSweepSchedulesColdFallback(t *testing.T) {
 	requireSameSweep(t, "critical-greedy via SweepSchedules", size, budgets, gotCG, wantCG)
 }
 
+// tiedInstance is an identical-branch workflow: a fork-join or a set of
+// parallel chains whose branches carry the same workloads, so several
+// critical paths tie exactly and an accept on one of them leaves the
+// makespan where it was. Random instances essentially never tie.
+type tiedInstance struct {
+	name       string
+	size       gen.ProblemSize
+	w          *workflow.Workflow
+	m          *workflow.Matrices
+	cmin, cmax float64
+}
+
+// tiedInstances builds the tied inputs deterministically: fork-joins and
+// parallel chains, each with and without one cross edge between two
+// branches, over the paper example's catalog and the simulation catalog.
+func tiedInstances(t *testing.T) []tiedInstance {
+	t.Helper()
+	rng := rand.New(rand.NewSource(15))
+	var out []tiedInstance
+	for _, paperCat := range []bool{true, false} {
+		for _, chains := range []bool{false, true} {
+			for _, cross := range []bool{false, true} {
+				for rep := 0; rep < 3; rep++ {
+					cat := cloud.PaperExampleCatalog()
+					lo, hi := 10, 120
+					if !paperCat {
+						cat = cloud.DiminishingCatalog(3+rng.Intn(7), 3, 1, gen.SimulationGamma)
+						lo, hi = 100, 1000
+					}
+					wl := func() float64 { return float64(lo + rng.Intn(hi-lo)) }
+					var w *workflow.Workflow
+					name := "fork-join"
+					if chains {
+						// k chains of length n; position p has the same
+						// workload on every chain, and the cross edge runs
+						// from chain 0 at p to chain 1 at p+1.
+						name = "chains"
+						k, n := 2+rng.Intn(5), 2+rng.Intn(4)
+						w = workflow.New()
+						wls := make([]float64, n)
+						for p := range wls {
+							wls[p] = wl()
+						}
+						for c := 0; c < k; c++ {
+							for p, x := range wls {
+								id := w.AddModule(workflow.Module{Name: fmt.Sprintf("c%d_%d", c, p), Workload: x})
+								if p > 0 {
+									requireDep(t, w, id-1, id)
+								}
+							}
+						}
+						if cross {
+							p := rng.Intn(n - 1)
+							requireDep(t, w, p, n+p+1)
+						}
+					} else {
+						x := wl()
+						width := 2 + rng.Intn(24)
+						w = gen.ForkJoin(rng, width, x, x)
+						if cross {
+							a := 1 + rng.Intn(width-1)
+							requireDep(t, w, a, a+1)
+						}
+					}
+					if cross {
+						name += "+cross"
+					}
+					if paperCat {
+						name += "/paper"
+					} else {
+						name += "/sim"
+					}
+					m, err := w.BuildMatrices(cat, cloud.HourlyRoundUp)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cmin, cmax := m.BudgetRange(w)
+					size := gen.ProblemSize{M: w.NumModules(), E: w.NumDependencies(), N: len(cat)}
+					out = append(out, tiedInstance{name, size, w, m, cmin, cmax})
+				}
+			}
+		}
+	}
+	return out
+}
+
+func requireDep(t *testing.T, w *workflow.Workflow, u, v int) {
+	t.Helper()
+	if err := w.AddDependency(u, v, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestHeapGreedyMatchesNaiveRandom is the randomized property test for the
 // candidate heap: over random instances and randomized budgets, each of
 // the four (CandidateSet, Criterion) combinations must produce exactly the
-// schedule of the naive rescan-everything reference. The combinations run
-// as parallel subtests so the -race build exercises concurrent scheduler
-// instances over shared (read-only) workflows and matrices.
+// schedule of the naive rescan-everything reference. The tied inputs add
+// the accepts random instances never produce, ones that leave the
+// makespan unchanged. The combinations run as parallel subtests so the
+// -race build exercises concurrent scheduler instances over shared
+// (read-only) workflows and matrices.
 func TestHeapGreedyMatchesNaiveRandom(t *testing.T) {
 	sizes := gen.PaperProblemSizes()
 	combos := []struct {
@@ -341,6 +438,20 @@ func TestHeapGreedyMatchesNaiveRandom(t *testing.T) {
 					t.Fatal(err)
 				}
 				requireSameSchedule(t, combo.name, size, budget, got, want)
+			}
+			for _, ti := range tiedInstances(t) {
+				for k := 0; k < 3; k++ {
+					budget := ti.cmin + rng.Float64()*(ti.cmax-ti.cmin)
+					want, err := refGreedy(combo.cand, combo.rank, ti.w, ti.m, budget)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := g.ScheduleInto(nil, ti.w, ti.m, budget)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameSchedule(t, combo.name+" "+ti.name, ti.size, budget, got, want)
+				}
 			}
 		})
 	}

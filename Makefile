@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test bench bench-check experiments experiments-quick fuzz cover clean
+.PHONY: all build vet lint test experiments experiments-quick fuzz serve-smoke cover clean
 
 all: build vet lint test
 
@@ -12,29 +12,13 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific invariants (allocfree, epochguard, scratchescape,
-# floateq, mapiter); see DESIGN.md §8 and `go run ./cmd/medcc-lint -list`.
+# Project-specific invariants (the ten medcc-lint analyzers); see
+# DESIGN.md §8 and `go run ./cmd/medcc-lint -list`.
 lint:
 	$(GO) run ./cmd/medcc-lint
 
 test:
 	$(GO) test ./...
-
-# Full benchmark sweep, 5 repetitions per name, distilled into
-# BENCH_8.json (see scripts/bench.sh for knobs).
-bench:
-	scripts/bench.sh
-
-# Run a fresh sweep into an uncommitted candidate snapshot and fail when
-# any benchmark present in both regressed against the committed
-# BENCH_8.json baseline: more than 25% in ns/op (MAX_REGRESSION_PCT) or
-# any allocs/op increase (MAX_ALLOC_DELTA, default 0, plus a 0.1%
-# relative MAX_ALLOC_PCT headroom that only matters for concurrent
-# benchmarks). Re-record the baseline with `make bench` when a change is
-# intentional.
-bench-check:
-	scripts/bench.sh .bench.candidate.json
-	scripts/bench_compare.sh BENCH_8.json .bench.candidate.json
 
 # Regenerate every table and figure of the paper (see EXPERIMENTS.md).
 experiments:
@@ -63,4 +47,3 @@ cover:
 
 clean:
 	$(GO) clean ./...
-	rm -f .bench.candidate.json

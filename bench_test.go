@@ -5,7 +5,8 @@ package medcc
 // each experiment is assembled from. The per-experiment benches run the
 // same harness code as cmd/experiments with CI-sized instance counts, so
 // `go test -bench=. -benchmem` both times the pipeline and re-validates
-// that every experiment still completes.
+// that every experiment still completes (CI runs each benchmark once,
+// `-benchtime 1x`, for that check alone).
 
 import (
 	"bytes"
@@ -15,8 +16,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -29,7 +28,6 @@ import (
 	"medcc/internal/sched"
 	"medcc/internal/serve"
 	"medcc/internal/sim"
-	"medcc/internal/stats"
 	"medcc/internal/testbed"
 	"medcc/internal/workflow"
 	"medcc/internal/wrf"
@@ -185,128 +183,124 @@ func BenchmarkAdaptive(b *testing.B) {
 
 // --- micro-benchmarks of the underlying pieces ---
 
-func benchInstance(b *testing.B, size gen.ProblemSize) (*workflow.Workflow, *workflow.Matrices, float64) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(1))
-	w, cat, err := gen.Instance(rng, size)
-	if err != nil {
-		b.Fatal(err)
+// instance builds one solver input: a workflow, its matrices and a
+// budget.
+type instance func(testing.TB) (*workflow.Workflow, *workflow.Matrices, float64)
+
+// The solver benchmarks' inputs. The pins in alloc_test.go solve the same
+// instances, so an allocation that shows in a benchmark's allocs/op fails
+// a tier-1 test.
+var (
+	instance20    = randomInstance(gen.ProblemSize{M: 20, E: 80, N: 5})
+	instance100   = randomInstance(gen.ProblemSize{M: 100, E: 2344, N: 9})
+	instance500   = randomInstance(gen.ProblemSize{M: 500, E: 58600, N: 9})
+	instance2000  = randomInstance(gen.ProblemSize{M: 2000, E: 120000, N: 9})
+	instanceOpt8  = randomInstance(gen.ProblemSize{M: 8, E: 18, N: 3})
+	instanceOpt10 = randomInstance(gen.ProblemSize{M: 10, E: 22, N: 3})
+)
+
+// randomInstance is the seed-1 generated instance of the given size at
+// its mid budget.
+func randomInstance(size gen.ProblemSize) instance {
+	return func(tb testing.TB) (*workflow.Workflow, *workflow.Matrices, float64) {
+		tb.Helper()
+		w, cat, err := gen.Instance(rand.New(rand.NewSource(1)), size)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return midBudget(tb, w, cat)
 	}
+}
+
+// instanceTied1000 is a fork-join of 1000 identical branches at its mid
+// budget. Every branch is critical at once, so most CG accepts leave the
+// makespan unchanged, which random instances never do.
+func instanceTied1000(tb testing.TB) (*workflow.Workflow, *workflow.Matrices, float64) {
+	tb.Helper()
+	w := gen.ForkJoin(rand.New(rand.NewSource(1)), 1000, 500, 500)
+	return midBudget(tb, w, cloud.DiminishingCatalog(9, 3, 1, gen.SimulationGamma))
+}
+
+// midBudget binds w to cat under hourly billing and returns the mid
+// budget (Cmin+Cmax)/2.
+func midBudget(tb testing.TB, w *workflow.Workflow, cat cloud.Catalog) (*workflow.Workflow, *workflow.Matrices, float64) {
+	tb.Helper()
 	m, err := w.BuildMatrices(cat, cloud.HourlyRoundUp)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cmin, cmax := m.BudgetRange(w)
 	return w, m, (cmin + cmax) / 2
 }
 
-func benchScheduler(b *testing.B, name string, size gen.ProblemSize) {
+// benchSolve times ScheduleInto on one instance. A first call grows the
+// scheduler's scratch, and every timed call refills the same destination
+// schedule, so allocs/op reads the steady state.
+func benchSolve(b *testing.B, sch sched.IntoScheduler, inst instance) {
 	b.Helper()
-	w, m, budget := benchInstance(b, size)
-	benchSolve(b, name, w, m, budget)
-}
-
-func benchSolve(b *testing.B, name string, w *workflow.Workflow, m *workflow.Matrices, budget float64) {
-	b.Helper()
-	alg, err := sched.Get(name)
+	w, m, budget := inst(b)
+	b.ReportAllocs()
+	dst, err := sch.ScheduleInto(nil, w, m, budget)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	if into, ok := alg.(sched.IntoScheduler); ok {
-		// Warm once so the steady-state loop measures the reused-scratch
-		// path, then hand the same destination schedule back every
-		// iteration: allocs/op should read 0.
-		dst, err := into.ScheduleInto(nil, w, m, budget)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := into.ScheduleInto(dst, w, m, budget); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := alg.Schedule(w, m, budget); err != nil {
+		if _, err := sch.ScheduleInto(dst, w, m, budget); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkCriticalGreedy20(b *testing.B) {
-	benchScheduler(b, "critical-greedy", gen.ProblemSize{M: 20, E: 80, N: 5})
+	benchSolve(b, sched.CriticalGreedy(), instance20)
 }
 
 func BenchmarkCriticalGreedy100(b *testing.B) {
-	benchScheduler(b, "critical-greedy", gen.ProblemSize{M: 100, E: 2344, N: 9})
+	benchSolve(b, sched.CriticalGreedy(), instance100)
 }
 
 func BenchmarkCriticalGreedy500(b *testing.B) {
-	benchScheduler(b, "critical-greedy", gen.ProblemSize{M: 500, E: 58600, N: 9})
+	benchSolve(b, sched.CriticalGreedy(), instance500)
 }
 
 func BenchmarkCriticalGreedy2000(b *testing.B) {
-	benchScheduler(b, "critical-greedy", gen.ProblemSize{M: 2000, E: 120000, N: 9})
+	benchSolve(b, sched.CriticalGreedy(), instance2000)
 }
 
-// BenchmarkCriticalGreedyTied1000 runs CG at the mid budget of a fork-join
-// of 1000 identical branches. Every branch is critical at once, so most
-// accepts leave the makespan unchanged, which random instances never do.
 func BenchmarkCriticalGreedyTied1000(b *testing.B) {
-	w := gen.ForkJoin(rand.New(rand.NewSource(1)), 1000, 500, 500)
-	m, err := w.BuildMatrices(cloud.DiminishingCatalog(9, 3, 1, gen.SimulationGamma), cloud.HourlyRoundUp)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cmin, cmax := m.BudgetRange(w)
-	benchSolve(b, "critical-greedy", w, m, (cmin+cmax)/2)
+	benchSolve(b, sched.CriticalGreedy(), instanceTied1000)
 }
 
 func BenchmarkGAIN3_100(b *testing.B) {
-	benchScheduler(b, "gain3", gen.ProblemSize{M: 100, E: 2344, N: 9})
+	benchSolve(b, &sched.GAIN{Variant: 3}, instance100)
 }
 
 func BenchmarkGAIN3_500(b *testing.B) {
-	benchScheduler(b, "gain3", gen.ProblemSize{M: 500, E: 58600, N: 9})
+	benchSolve(b, &sched.GAIN{Variant: 3}, instance500)
 }
 
 func BenchmarkGain3WRF100(b *testing.B) {
-	benchScheduler(b, "gain3-wrf", gen.ProblemSize{M: 100, E: 2344, N: 9})
+	benchSolve(b, &sched.Gain3WRF{}, instance100)
 }
 
 func BenchmarkOptimal8(b *testing.B) {
-	benchScheduler(b, "optimal", gen.ProblemSize{M: 8, E: 18, N: 3})
+	benchSolve(b, &sched.Optimal{}, instanceOpt8)
 }
 
 func BenchmarkOptimal10(b *testing.B) {
-	benchScheduler(b, "optimal", gen.ProblemSize{M: 10, E: 22, N: 3})
+	benchSolve(b, &sched.Optimal{}, instanceOpt10)
 }
 
 // BenchmarkOptimalParallel8 pins the branch-and-bound fan-out at eight
 // workers regardless of GOMAXPROCS, exercising the frontier-split path the
 // auto setting only takes on large machines.
 func BenchmarkOptimalParallel8(b *testing.B) {
-	w, m, budget := benchInstance(b, gen.ProblemSize{M: 8, E: 18, N: 3})
-	alg := &sched.Optimal{Workers: 8}
-	b.ReportAllocs()
-	dst, err := alg.ScheduleInto(nil, w, m, budget)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := alg.ScheduleInto(dst, w, m, budget); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSolve(b, &sched.Optimal{Workers: 8}, instanceOpt8)
 }
 
 func BenchmarkTimingPass100(b *testing.B) {
-	w, m, _ := benchInstance(b, gen.ProblemSize{M: 100, E: 2344, N: 9})
+	w, m, _ := instance100(b)
 	s := m.LeastCost(w)
 	times := m.Times(s)
 	b.ReportAllocs()
@@ -319,7 +313,7 @@ func BenchmarkTimingPass100(b *testing.B) {
 }
 
 func BenchmarkSimulatorReplay100(b *testing.B) {
-	w, m, budget := benchInstance(b, gen.ProblemSize{M: 100, E: 2344, N: 9})
+	w, m, budget := instance100(b)
 	res, err := sched.Run(sched.CriticalGreedy(), w, m, budget)
 	if err != nil {
 		b.Fatal(err)
@@ -412,8 +406,8 @@ func benchCorpus(b *testing.B) (bin []byte, jsons [][]byte) {
 
 // BenchmarkCorpusIngest reads benchCorpusRecords instances per iteration
 // from an in-memory binary corpus through the pooled zero-copy decoder.
-// Steady state must stay at 0 allocs/op (gated by scripts/bench_compare.sh,
-// MAX_ALLOC_DELTA=0).
+// Steady state is 0 allocs/op, pinned by TestDecodeSteadyStateAllocs in
+// internal/encoding.
 func BenchmarkCorpusIngest(b *testing.B) {
 	data, _ := benchCorpus(b)
 	var cr encoding.CorpusReader
@@ -463,14 +457,15 @@ func BenchmarkCorpusIngestJSON(b *testing.B) {
 	}
 }
 
-// --- serving: cmd/medcc-serve's worker pool over HTTP ---
+// --- serving: internal/serve in process (BENCHMARK.json measures HTTP) ---
 
 // BenchmarkServeSchedule is the in-process serving hot path: a warm
 // named-pair request through admission, the worker round trip, and the
-// pooled response fill. Steady state must stay at 0 allocs/op (gated by
-// scripts/bench_compare.sh, MAX_ALLOC_DELTA=0). The staircase cache is
-// disabled so the number keeps measuring the direct scheduling path
-// (the cached fast path has its own BenchmarkServeCachedSchedule).
+// pooled response fill. The staircase cache is disabled so the number
+// keeps measuring the direct scheduling path (the cached fast path has
+// its own BenchmarkServeCachedSchedule). Steady state is 0 allocs/op,
+// pinned by TestScheduleAllocs in internal/serve on the same
+// cache-disabled configuration.
 func BenchmarkServeSchedule(b *testing.B) {
 	s, err := serve.New(serve.Config{Workers: 1, Cache: serve.CacheConfig{Disable: true}})
 	if err != nil {
@@ -493,64 +488,9 @@ func BenchmarkServeSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkServeThroughput drives the full HTTP serving path — decode,
-// admission, batched scheduling, JSON response — with GOMAXPROCS
-// closed-loop clients, and reports the p50/p99 request latency as
-// custom metrics alongside ns/op (captured into the BENCH_8.json
-// snapshot by scripts/bench.sh). The staircase cache is disabled to
-// keep the number comparable to earlier snapshots: every request pays
-// for a real solve.
-func BenchmarkServeThroughput(b *testing.B) {
-	s, err := serve.New(serve.Config{QueueDepth: 1024, Cache: serve.CacheConfig{Disable: true}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	url := ts.URL + "/schedule?workflow=example&catalog=paper&budget_fraction=0.5"
-	client := ts.Client()
-	do := func() time.Duration {
-		t0 := time.Now()
-		resp, err := client.Post(url, "application/json", nil)
-		if err != nil {
-			b.Error(err)
-			return 0
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			b.Errorf("status %d", resp.StatusCode)
-		}
-		return time.Since(t0)
-	}
-	for i := 0; i < 8; i++ {
-		do() // warm pools and connections
-	}
-	var mu sync.Mutex
-	lats := make([]float64, 0, b.N)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		local := make([]float64, 0, 1024)
-		for pb.Next() {
-			local = append(local, float64(do().Nanoseconds()))
-		}
-		mu.Lock()
-		lats = append(lats, local...)
-		mu.Unlock()
-	})
-	b.StopTimer()
-	if len(lats) > 0 {
-		sort.Float64s(lats)
-		b.ReportMetric(stats.Percentile(lats, 50), "p50-ns")
-		b.ReportMetric(stats.Percentile(lats, 99), "p99-ns")
-	}
-}
-
 // benchServeLibrary writes one gen.Random workflow of the given size to
 // a temp JSON file and returns a Library naming it "bench" (paired with
-// the built-in "paper" catalog). Sized so scheduling, not transport,
-// dominates the uncached request.
+// the built-in "paper" catalog).
 func benchServeLibrary(b *testing.B, modules int) serve.Library {
 	b.Helper()
 	rng := rand.New(rand.NewSource(77))
@@ -602,8 +542,8 @@ func benchWarmCache(b *testing.B, s *serve.Server, p serve.Params, res *serve.Re
 
 // BenchmarkServeCachedSchedule is the in-process cache hit: binary
 // search over the frozen staircase plus the pooled row copy, no engine.
-// Steady state must stay at 0 allocs/op (gated by
-// scripts/bench_compare.sh, MAX_ALLOC_DELTA=0).
+// Steady state is 0 allocs/op, pinned by TestCachedScheduleAllocs in
+// internal/serve.
 func BenchmarkServeCachedSchedule(b *testing.B) {
 	s, err := serve.New(serve.Config{Workers: 1, Library: benchServeLibrary(b, 500)})
 	if err != nil {
@@ -620,79 +560,6 @@ func BenchmarkServeCachedSchedule(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// benchServeHTTP is the shared closed-loop HTTP harness behind the
-// cached/uncached throughput pair: GOMAXPROCS clients hammer one warm
-// named-pair request against an m=500 library workflow and the p50/p99
-// request latencies are reported as custom metrics.
-func benchServeHTTP(b *testing.B, cfg serve.Config) {
-	cfg.Library = benchServeLibrary(b, 500)
-	cfg.QueueDepth = 1024
-	s, err := serve.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	p := serve.Params{WorkflowRef: "bench", CatalogRef: "paper", UseFraction: true, Fraction: 0.5}
-	if !cfg.Cache.Disable {
-		var res serve.Result
-		benchWarmCache(b, s, p, &res)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	url := ts.URL + "/schedule?workflow=bench&catalog=paper&budget_fraction=0.5"
-	client := ts.Client()
-	do := func() time.Duration {
-		t0 := time.Now()
-		resp, err := client.Post(url, "application/json", nil)
-		if err != nil {
-			b.Error(err)
-			return 0
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			b.Errorf("status %d", resp.StatusCode)
-		}
-		return time.Since(t0)
-	}
-	for i := 0; i < 8; i++ {
-		do() // warm pools and connections
-	}
-	var mu sync.Mutex
-	lats := make([]float64, 0, b.N)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		local := make([]float64, 0, 1024)
-		for pb.Next() {
-			local = append(local, float64(do().Nanoseconds()))
-		}
-		mu.Lock()
-		lats = append(lats, local...)
-		mu.Unlock()
-	})
-	b.StopTimer()
-	if len(lats) > 0 {
-		sort.Float64s(lats)
-		b.ReportMetric(stats.Percentile(lats, 50), "p50-ns")
-		b.ReportMetric(stats.Percentile(lats, 99), "p99-ns")
-	}
-}
-
-// BenchmarkServeCachedThroughput serves every request from the budget
-// staircase: after the warm-up install, no request touches an engine.
-// The tentpole target is p50 at least 5x below
-// BenchmarkServeUncachedThroughput's on the same workload.
-func BenchmarkServeCachedThroughput(b *testing.B) {
-	benchServeHTTP(b, serve.Config{})
-}
-
-// BenchmarkServeUncachedThroughput is the same workload with the cache
-// disabled — every request pays the full m=500 solve. The cached/
-// uncached p50 ratio is the headline speedup of the staircase cache.
-func BenchmarkServeUncachedThroughput(b *testing.B) {
-	benchServeHTTP(b, serve.Config{Cache: serve.CacheConfig{Disable: true}})
 }
 
 // BenchmarkLintSelf times the full static-analysis pass over this

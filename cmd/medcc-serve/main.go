@@ -72,7 +72,7 @@ func run(args []string, ready chan<- string) error {
 		queue       = fs.Int("queue", 0, "admission queue depth (default 4x workers; full queue replies 429)")
 		batch       = fs.Int("batch", 0, "max jobs one worker drains per batch (default 16)")
 		cache       = fs.Bool("cache", true, "serve named pairs from the snapshot-scoped staircase cache")
-		cacheLevels = fs.Int("cache-levels", 0, "max budget levels per staircase after refinement (default 33)")
+		cacheLevels = fs.Int("cache-levels", 0, "max budget levels per staircase after refinement (0 = 33; a smaller cap is raised to the 9-level starting grid)")
 		cacheMem    = fs.Int64("cache-mem", 0, "resident staircase byte cap per snapshot, LRU-evicted (0 = unlimited)")
 	)
 	catalogs := namedPaths{}

@@ -344,9 +344,9 @@ func (c *candTab) before(a, b candEnt) bool {
 }
 
 // prefer reports whether entry a's key strictly beats entry b's under the
-// table's mode, mirroring the selection rules of the flat scans: Greedy's
-// better() for the two Criterion modes, Gain3WRF's strict weight compare,
-// and LOSS's min-weight / max-saving bands.
+// table's mode, mirroring the selection rules of the flat scans:
+// upgradeBetter for Greedy's two Criterion modes, Gain3WRF's strict weight
+// compare, and LOSS's min-weight / max-saving bands.
 func (c *candTab) prefer(a, b candEnt) bool {
 	switch c.mode {
 	case candWRF:
@@ -361,8 +361,9 @@ func (c *candTab) prefer(a, b candEnt) bool {
 
 // upgradeBetter reports whether the candidate (dt, dc) beats the incumbent
 // (bestDT, bestDC): the GainWeight ratio order when maxRatio is set, the
-// paper's max-time-decrease / min-cost-increase order otherwise. This is
-// the shared core of Greedy.better and the candidate-heap comparisons.
+// paper's max-time-decrease / min-cost-increase order otherwise. Greedy
+// uses it both to pick each module's best affordable row and to order its
+// candidate heap.
 //
 // medcc:floateq-exact — ratios may be +Inf (free upgrades); exact
 // inequality merely detects distinct ranks before the epsilon tie-breaks.

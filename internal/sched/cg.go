@@ -203,13 +203,6 @@ const costEps = 1e-9
 // floateq analyzer mandates this helper over direct == on cost values.
 func sameCost(a, b float64) bool { return math.Abs(a-b) <= costEps }
 
-// better reports whether the candidate (dt, dc) beats the incumbent
-// (bestDT, bestDC) under the configured criterion (see upgradeBetter for
-// the shared core).
-func (g *Greedy) better(dt, dc, bestDT, bestDC float64) bool {
-	return upgradeBetter(g.Rank == MaxRatio, dt, dc, bestDT, bestDC)
-}
-
 // ratio computes the GainWeight dt/dc, treating free or cost-saving
 // upgrades as infinitely attractive.
 func ratio(dt, dc float64) float64 {

@@ -37,29 +37,26 @@ func BudgetAt(lo, hi, frac float64) float64 { return lo + frac*(hi-lo) }
 // representable (sums and halvings of dyadics are exact in float64).
 const minRefineGap = 1.0 / 4096
 
+// initLevels is the uniform starting grid size. A power-of-two-plus-one
+// count puts every fraction on a dyadic (k/2^n), which midpoint
+// refinement preserves — so common request fractions (0.5, 0.25,
+// 0.125, …) hit the grid bit-exactly.
+const initLevels = 9
+
 // GridOptions sizes a SweepGrid build.
 type GridOptions struct {
-	// InitLevels is the uniform starting grid size (default 9). A
-	// power-of-two-plus-one count puts every fraction on a dyadic
-	// (k/2^n), which midpoint refinement preserves — so common request
-	// fractions (0.5, 0.25, 0.125, …) hit the grid bit-exactly.
-	InitLevels int
-	// MaxLevels caps the grid after refinement (default 33).
+	// MaxLevels caps the grid after refinement (default 33). A positive
+	// cap below the 9-level starting grid is raised to 9: the starting
+	// grid is always solved in full.
 	MaxLevels int
 }
 
 func (o GridOptions) withDefaults() GridOptions {
-	if o.InitLevels <= 0 {
-		o.InitLevels = 9
+	if o.MaxLevels <= 0 {
+		o.MaxLevels = 33
 	}
-	if o.InitLevels < 2 {
-		o.InitLevels = 2
-	}
-	if o.MaxLevels < o.InitLevels {
-		o.MaxLevels = o.InitLevels
-		if o.MaxLevels < 33 {
-			o.MaxLevels = 33
-		}
+	if o.MaxLevels < initLevels {
+		o.MaxLevels = initLevels
 	}
 	return o
 }
@@ -134,9 +131,9 @@ func SweepGrid(sch IntoScheduler, w *workflow.Workflow, m *workflow.Matrices, lo
 	opt = opt.withDefaults()
 	tr, _ := sch.(TruncationReporter)
 
-	fracs := make([]float64, opt.InitLevels)
+	fracs := make([]float64, initLevels)
 	for k := range fracs {
-		fracs[k] = float64(k) / float64(opt.InitLevels-1)
+		fracs[k] = float64(k) / float64(initLevels-1)
 	}
 	scheds := make([]workflow.Schedule, 0, opt.MaxLevels)
 	trunc := make([]bool, 0, opt.MaxLevels)

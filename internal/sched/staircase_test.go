@@ -59,7 +59,7 @@ func TestSweepGridBitIdentical(t *testing.T) {
 func TestSweepGridInvariants(t *testing.T) {
 	size := gen.ProblemSize{M: 30, E: 268, N: 6}
 	w, m, cmin, cmax := diffInstance(t, size.M, size)
-	st, err := SweepGrid(CriticalGreedy(), w, m, cmin, cmax, GridOptions{InitLevels: 9, MaxLevels: 33})
+	st, err := SweepGrid(CriticalGreedy(), w, m, cmin, cmax, GridOptions{MaxLevels: 33})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,16 +95,17 @@ func TestSweepGridInvariants(t *testing.T) {
 
 // TestSweepGridRefinement checks that adaptive refinement (a) adds
 // levels beyond the initial grid when the curve has steps between
-// coarse points, (b) respects MaxLevels, and (c) keeps every fraction a
-// dyadic so midpoint budgets land bit-exactly via BudgetAt.
+// coarse points, (b) respects MaxLevels and its defaulting, and (c) keeps
+// every fraction a dyadic so midpoint budgets land bit-exactly via
+// BudgetAt.
 func TestSweepGridRefinement(t *testing.T) {
 	size := gen.ProblemSize{M: 40, E: 453, N: 7}
 	w, m, cmin, cmax := diffInstance(t, size.M, size)
-	coarse, err := SweepGrid(CriticalGreedy(), w, m, cmin, cmax, GridOptions{InitLevels: 3, MaxLevels: 3})
+	coarse, err := SweepGrid(CriticalGreedy(), w, m, cmin, cmax, GridOptions{MaxLevels: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, err := SweepGrid(CriticalGreedy(), w, m, cmin, cmax, GridOptions{InitLevels: 3, MaxLevels: 17})
+	fine, err := SweepGrid(CriticalGreedy(), w, m, cmin, cmax, GridOptions{MaxLevels: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,6 +115,17 @@ func TestSweepGridRefinement(t *testing.T) {
 	}
 	if fine.Levels() > 17 {
 		t.Fatalf("MaxLevels=17 exceeded: %d levels", fine.Levels())
+	}
+	// Only MaxLevels <= 0 selects the default cap of 33. A positive cap
+	// below the 9-level starting grid is raised to 9, not to the default.
+	for _, tc := range []struct{ max, want int }{{0, 33}, {5, 9}, {9, 9}, {17, 17}} {
+		st, err := SweepGrid(CriticalGreedy(), w, m, cmin, cmax, GridOptions{MaxLevels: tc.max})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Levels() != tc.want {
+			t.Errorf("MaxLevels=%d: %d levels, want %d", tc.max, st.Levels(), tc.want)
+		}
 	}
 	for k, f := range fine.Fracs {
 		scaled := f * 4096
@@ -197,7 +209,7 @@ func TestSweepGridDegenerate(t *testing.T) {
 func TestSweepGridTruncation(t *testing.T) {
 	size := gen.ProblemSize{M: 8, E: 11, N: 3}
 	w, m, cmin, cmax := diffInstance(t, size.M, size)
-	st, err := SweepGrid(&Optimal{MaxNodes: 1}, w, m, cmin, cmax, GridOptions{InitLevels: 3, MaxLevels: 3})
+	st, err := SweepGrid(&Optimal{MaxNodes: 1}, w, m, cmin, cmax, GridOptions{MaxLevels: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,11 +40,9 @@ type CacheConfig struct {
 	// Disable turns the cache off: snapshots carry no cache and every
 	// request takes the direct scheduling path.
 	Disable bool
-	// InitLevels is the uniform starting budget grid per staircase
-	// (default 9; a power-of-two-plus-one keeps the grid dyadic).
-	InitLevels int
-	// MaxLevels caps a staircase's grid after adaptive refinement
-	// (default 33).
+	// MaxLevels caps a staircase's grid after adaptive refinement, as
+	// sched.GridOptions.MaxLevels: 0 means 33, and a cap below the
+	// 9-level starting grid is raised to 9.
 	MaxLevels int
 	// MaxBytes caps resident staircase bytes per snapshot; 0 means
 	// unlimited. Over the cap, least-recently-used staircases are
@@ -123,9 +121,8 @@ type scheduleCache struct {
 	slots map[cacheKey]*cacheSlot
 	keys  []cacheKey
 
-	initLevels int
-	maxLevels  int
-	maxBytes   int64
+	maxLevels int
+	maxBytes  int64
 
 	clock atomic.Int64 // logical time for LRU stamps
 	bytes atomic.Int64 // resident staircase bytes
@@ -144,16 +141,9 @@ type scheduleCache struct {
 // can serve. Slots are tiny (three words of atomics); even a large
 // library × the full algorithm registry stays in the kilobytes.
 func newScheduleCache(snap *Snapshot, algs map[string]bool, cc CacheConfig) *scheduleCache {
-	if cc.InitLevels <= 0 {
-		cc.InitLevels = 9
-	}
-	if cc.MaxLevels <= 0 {
-		cc.MaxLevels = 33
-	}
 	c := &scheduleCache{
-		initLevels: cc.InitLevels,
-		maxLevels:  cc.MaxLevels,
-		maxBytes:   cc.MaxBytes,
+		maxLevels: cc.MaxLevels,
+		maxBytes:  cc.MaxBytes,
 	}
 	algNames := sortedKeys(algs)
 	n := len(algNames) * len(snap.wfNames) * len(snap.catNames)
@@ -336,10 +326,7 @@ func (w *worker) buildStaircase(br buildReq) {
 		br.slot.building.Store(false)
 		return
 	}
-	st, err := sched.SweepGrid(alg, br.w, m, cmin, cmax, sched.GridOptions{
-		InitLevels: br.cache.initLevels,
-		MaxLevels:  br.cache.maxLevels,
-	})
+	st, err := sched.SweepGrid(alg, br.w, m, cmin, cmax, sched.GridOptions{MaxLevels: br.cache.maxLevels})
 	if err != nil {
 		br.slot.building.Store(false)
 		return

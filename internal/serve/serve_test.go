@@ -362,11 +362,17 @@ func TestNewFailsOnBadLibrary(t *testing.T) {
 // TestScheduleAllocs is the zero-alloc acceptance gate: a warm
 // in-process request over a named pair — admission, cross-worker round
 // trip, schedule, makespan, response fill — performs no allocations.
+// The staircase cache is disabled, as in BenchmarkServeSchedule, so
+// every request reaches a worker; the hit path has its own pin
+// (TestCachedScheduleAllocs).
 func TestScheduleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on channel operations")
 	}
-	s := testServer(t, Config{Workers: 1})
+	s := testServer(t, Config{Workers: 1, Cache: CacheConfig{Disable: true}})
+	if s.Snapshot().cache != nil {
+		t.Fatal("Cache.Disable left a cache on the snapshot; requests could skip the worker")
+	}
 	p := Params{WorkflowRef: "example", CatalogRef: "paper", UseFraction: true, Fraction: 0.5}
 	var res Result
 	for i := 0; i < 3; i++ { // warm pools, engines, timing

@@ -39,7 +39,7 @@ func main() {
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "budget\talgorithm\tMED (h)\tcost\tVMs after reuse\tcold-start MED")
 	for _, frac := range []float64{0.15, 0.5, 1.0} {
-		budget := cmin + frac*(cmax-cmin)
+		budget := cmin + float64(frac*(cmax-cmin))
 		for _, alg := range []string{"critical-greedy", "gain3", "loss1"} {
 			res, err := medcc.Solve(w, types, medcc.HourlyBilling, budget, alg)
 			if err != nil {

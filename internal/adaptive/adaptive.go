@@ -32,7 +32,7 @@ type Perturb func(rng *rand.Rand, module int, estimate float64) float64
 // — e.g. Uniform(0, 0.5) models runs up to 50% slower than estimated.
 func Uniform(under, over float64) Perturb {
 	return func(rng *rand.Rand, _ int, est float64) float64 {
-		f := 1 - under + rng.Float64()*(under+over)
+		f := 1 - under + float64(rng.Float64()*(under+over))
 		if f < 0 {
 			f = 0
 		}

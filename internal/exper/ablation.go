@@ -121,7 +121,7 @@ func simValidation(seed int64, p plan, src io.Reader) ([]ValidationRow, error) {
 	err := p.run(src, func(cs *campaignScratch, k int, cmin, cmax float64) error {
 		// Separate stream for the budget draw (see TableIIIAt).
 		rng := newRNG(seed+1_000_000_007, k)
-		b := cmin + rng.Float64()*(cmax-cmin)
+		b := cmin + float64(rng.Float64()*(cmax-cmin))
 		res, err := sched.Run(sched.CriticalGreedy(), cs.w, cs.m, b)
 		if err != nil {
 			return err

@@ -100,7 +100,8 @@ func (b *Builder) Random(rng *rand.Rand, p Params) (*workflow.Workflow, error) {
 	for i := range ids {
 		wl := p.WorkloadMin
 		if p.WorkloadMax > p.WorkloadMin {
-			wl += rng.Float64() * (p.WorkloadMax - p.WorkloadMin)
+			// Rounding the product keeps the draw unfused on FMA platforms.
+			wl += float64(rng.Float64() * (p.WorkloadMax - p.WorkloadMin))
 		}
 		ids[i] = w.AddModule(workflow.Module{Name: b.name(i), Workload: wl})
 	}

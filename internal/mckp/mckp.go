@@ -158,7 +158,7 @@ func SolveDP(p *Problem, scale float64) ([]int, float64, error) {
 	if !(scale > 0) || math.IsInf(scale, 0) {
 		return nil, 0, fmt.Errorf("mckp: invalid scale %v", scale)
 	}
-	capInt := int(math.Floor(p.Capacity*scale + eps))
+	capInt := int(math.Floor(float64(p.Capacity*scale) + eps))
 	m := len(p.Classes)
 	type cell struct {
 		profit float64

@@ -84,7 +84,7 @@ func PipelineOptimal(w *workflow.Workflow, m *workflow.Matrices, budget float64)
 	for k, i := range mods {
 		s[i] = choice[k]
 	}
-	total := float64(len(mods))*K - profit
+	total := float64(float64(len(mods))*K) - profit
 	// Guard against float drift between the two formulations.
 	check := 0.0
 	for k, i := range mods {

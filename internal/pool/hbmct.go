@@ -253,7 +253,7 @@ func HBMCT(p *Pool, w *workflow.Workflow) (*Result, error) {
 	}
 	for inst := range p.Instances {
 		if used[inst] {
-			res.Cost += p.Billing.BilledTime(last[inst]-first[inst]) * p.Instances[inst].Type.Rate
+			res.Cost += float64(p.Billing.BilledTime(last[inst]-first[inst]) * p.Instances[inst].Type.Rate)
 		}
 	}
 	return res, nil

@@ -191,7 +191,7 @@ func HEFT(p *Pool, w *workflow.Workflow) (*Result, error) {
 			continue
 		}
 		span := busy[inst][len(busy[inst])-1].finish - busy[inst][0].start
-		res.Cost += p.Billing.BilledTime(span) * p.Instances[inst].Type.Rate
+		res.Cost += float64(p.Billing.BilledTime(span) * p.Instances[inst].Type.Rate)
 	}
 	return res, nil
 }

@@ -55,7 +55,7 @@ func (BudgetDist) Schedule(w *workflow.Workflow, m *workflow.Matrices, budget fl
 		return allowance - bestDC
 	}
 	for _, i := range mods {
-		share := surplus*(w.Module(i).Workload/totalWL) + carry
+		share := float64(surplus*(w.Module(i).Workload/totalWL)) + carry
 		carry = spend(i, share)
 	}
 	// Pass 2: one more sweep with whatever accumulated, so rounding

@@ -311,7 +311,7 @@ func (x *execution) onFinish(i int) {
 			vm := &dep.VMs[v]
 			vm.Stopped = now
 			occ := now - vm.Placed
-			vm.Cost = x.m.Billing.BilledTime(occ) * x.m.Catalog[vm.Type].Rate
+			vm.Cost = float64(x.m.Billing.BilledTime(occ) * x.m.Catalog[vm.Type].Rate)
 			dep.Cost += vm.Cost
 			x.hostLoad[vm.Host]--
 			if len(x.waitQueue) > 0 {

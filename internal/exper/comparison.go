@@ -30,9 +30,8 @@ type TableIVRow struct {
 // uses 20 levels over the 20 sizes of gen.PaperProblemSizes. Each fan-out
 // worker owns a campaignScratch, so the instance storage, schedulers, and
 // timing are reused across the sizes a worker processes. Each algorithm
-// runs the budget grid as one warm-started sweep (see
-// campaignScratch.sweep): level k resumes from level k-1's schedule and
-// candidate state instead of re-solving from the least-cost schedule.
+// runs the budget grid as one sweep (see campaignScratch.sweep), whose
+// level k is the algorithm's ScheduleInto at that budget.
 func TableIV(seed int64, levels int) ([]TableIVRow, error) {
 	return tableIV(tableIVPlan(seed), nil, levels)
 }
@@ -113,7 +112,7 @@ type CampaignCell struct {
 // `levels` budget levels; every (size, level) cell averages the
 // improvement across the instances. The paper uses 10 instances and 20
 // levels (4,000 schedule pairs). As in TableIV, each algorithm covers its
-// budget grid with one warm-started sweep per instance.
+// budget grid with one sweep per instance.
 //
 // medcc:deterministic — cells are pinned bit-identical to the corpus path
 func Campaign(seed int64, instances, levels int) ([]CampaignCell, error) {

@@ -373,62 +373,73 @@ func TestCampaignDeterministic(t *testing.T) {
 	}
 }
 
-// TestWarmSweepDivergesFromColdSolves pins how far the warm-started
-// sweeps behind Table IV and Figs. 9-11 are from the paper's definition
-// of an algorithm at a budget: one cold solve from the least-cost
-// schedule. It counts the (instance, level) cells where the warm sweep's
-// schedule differs from a cold ScheduleInto at the same budget, over
+// TestSweepsMatchColdSolves pins the campaigns to the paper's definition
+// of an algorithm at a budget, one solve from the least-cost schedule: on
 // both grids at DefaultSeed with 20 levels (10 instances per size for
-// Figs. 9-11). Level 1 of every sweep is itself a cold solve, so at most
-// 19 of each instance's 20 levels can differ. A change to either path
-// moves these counts.
-func TestWarmSweepDivergesFromColdSolves(t *testing.T) {
+// Figs. 9-11) and on Table II's and Fig. 6's budget lists, no level of
+// the sweep the campaign runs differs from ScheduleInto at its budget.
+func TestSweepsMatchColdSolves(t *testing.T) {
 	const levels = 20
-	algs := []string{"critical-greedy", "gain3-wrf"}
+	algs := []string{"critical-greedy", "gain3", "gain3-wrf"}
+	// differ counts the cells of the scratch's current instance where a
+	// sweep level and a cold solve disagree.
+	differ := func(cs *campaignScratch, budgets []float64) (int, error) {
+		n := 0
+		for _, name := range algs {
+			rows, err := cs.sweep(name, budgets)
+			if err != nil {
+				return 0, err
+			}
+			for lv, b := range budgets {
+				cold, err := cs.sched(name, b)
+				if err != nil {
+					return 0, err
+				}
+				if !rows[lv].Equal(cold) {
+					n++
+				}
+			}
+		}
+		return n, nil
+	}
 	for _, grid := range []struct {
 		name string
 		p    plan
-		want []int // diverging cells per algorithm, out of p.n*levels
 	}{
-		{"Table IV", tableIVPlan(DefaultSeed), []int{372, 353}},
-		{"Figs. 9-11", campaignPlan(DefaultSeed, 10), []int{3745, 3534}},
+		{"Table IV", tableIVPlan(DefaultSeed)},
+		{"Figs. 9-11", campaignPlan(DefaultSeed, 10)},
 	} {
-		diverged := make([][]int, grid.p.n) // per item, per algorithm
+		counts := make([]int, grid.p.n) // per item
 		err := grid.p.run(nil, func(cs *campaignScratch, k int, cmin, cmax float64) error {
-			budgets := cs.budgetGrid(cmin, cmax, levels)
-			diverged[k] = make([]int, len(algs))
-			for a, name := range algs {
-				warm, err := cs.sweep(name, budgets)
-				if err != nil {
-					return err
-				}
-				for lv, b := range budgets {
-					cold, err := cs.sched(name, b)
-					if err != nil {
-						return err
-					}
-					if !warm[lv].Equal(cold) {
-						if lv == 0 {
-							return fmt.Errorf("%s item %d: a sweep's first level must be a cold solve", name, k)
-						}
-						diverged[k][a]++
-					}
-				}
-			}
-			return nil
+			var err error
+			counts[k], err = differ(cs, cs.budgetGrid(cmin, cmax, levels))
+			return err
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for a, name := range algs {
-			got := 0
-			for k := range diverged {
-				got += diverged[k][a]
-			}
-			t.Logf("%s, %s: warm differs from cold in %d of %d cells", grid.name, name, got, grid.p.n*levels)
-			if got != grid.want[a] {
-				t.Errorf("%s, %s: %d diverging cells, pinned %d", grid.name, name, got, grid.want[a])
-			}
+		got := 0
+		for _, n := range counts {
+			got += n
+		}
+		if got != 0 {
+			t.Errorf("%s: %d of %d cells differ from a cold solve", grid.name, got, grid.p.n*levels*len(algs))
+		}
+	}
+	for _, step := range []float64{0.125, 1} {
+		var cs campaignScratch
+		var budgets []float64
+		var err error
+		cs.w, cs.m, budgets, err = exampleLevels(step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := differ(&cs, budgets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 0 {
+			t.Errorf("example at step %v: %d of %d cells differ from a cold solve", step, n, len(budgets)*len(algs))
 		}
 	}
 }

@@ -214,10 +214,9 @@ func (cs *campaignScratch) budgetGrid(cmin, cmax float64, levels int) []float64 
 }
 
 // sweep runs the named algorithm across an ascending budget grid on the
-// current instance, warm-starting each level from the previous one when
-// the algorithm supports it (sched.Sweeper) and falling back to
-// independent per-level solves otherwise. The returned schedules are owned
-// by the scratch, valid until the next sweep call for the same name.
+// current instance (sched.SweepSchedules: level k is the algorithm's
+// ScheduleInto at budgets[k]). The returned schedules are owned by the
+// scratch, valid until the next sweep call for the same name.
 func (cs *campaignScratch) sweep(name string, budgets []float64) ([]workflow.Schedule, error) {
 	alg, err := cs.alg(name)
 	if err != nil {

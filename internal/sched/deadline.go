@@ -33,7 +33,8 @@ func DeadlineLoss(w *workflow.Workflow, m *workflow.Matrices, deadline float64) 
 	if err != nil {
 		return nil, err
 	}
-	if ev.Makespan > deadline+dag.Eps {
+	// Negated so a NaN deadline is rejected: no makespan meets it.
+	if !(ev.Makespan <= deadline+dag.Eps) {
 		return nil, fmt.Errorf("%w: deadline %.6g < fastest makespan %.6g", ErrDeadline, deadline, ev.Makespan)
 	}
 	var e engine
@@ -87,7 +88,7 @@ func OptimalDeadline(w *workflow.Workflow, m *workflow.Matrices, deadline float6
 	if err != nil {
 		return nil, err
 	}
-	if evFast.Makespan > deadline+dag.Eps {
+	if !(evFast.Makespan <= deadline+dag.Eps) {
 		return nil, fmt.Errorf("%w: deadline %.6g < fastest makespan %.6g", ErrDeadline, deadline, evFast.Makespan)
 	}
 	mods := w.Schedulable()

@@ -56,7 +56,7 @@ func (g *Gain3WRF) ScheduleInto(dst workflow.Schedule, w *workflow.Workflow, m *
 }
 
 // runRounds plays upgrade rounds at the given budget until a full round
-// makes no move, leaving the state warm for a larger budget level.
+// makes no move.
 //
 // medcc:allocfree
 func (g *Gain3WRF) runRounds(s workflow.Schedule, ctmp *float64, budget float64) {
@@ -93,36 +93,6 @@ func (g *Gain3WRF) runRounds(s workflow.Schedule, ctmp *float64, budget float64)
 			return
 		}
 	}
-}
-
-// SweepInto implements Sweeper: each budget level continues the round loop
-// from the previous level's schedule and candidate caches. As with
-// Greedy.SweepInto, only level 0 is a cold solve; later levels disagree
-// with a cold ScheduleInto at the same budget in 353 of 400 and 3534 of
-// 4000 cells of the Table IV and Figs. 9-11 grids.
-//
-// medcc:deterministic
-func (g *Gain3WRF) SweepInto(dst []workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budgets []float64) ([]workflow.Schedule, error) {
-	if err := checkAscending(budgets); err != nil {
-		return nil, err
-	}
-	dst = growSweepDst(dst, len(budgets))
-	if len(budgets) == 0 {
-		return dst, nil
-	}
-	s, ctmp, err := checkFeasibleInto(w, m, budgets[0], g.eng.lc)
-	if err != nil {
-		return nil, err
-	}
-	e := &g.eng
-	e.lc = s
-	e.bind(w, m)
-	e.ct.start(e, candWRF)
-	for k, b := range budgets {
-		g.runRounds(s, &ctmp, b)
-		dst[k] = copySchedule(dst[k], s)
-	}
-	return dst, nil
 }
 
 func init() {

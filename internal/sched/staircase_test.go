@@ -9,9 +9,7 @@ import (
 )
 
 // staircaseSchedulers are the families the serve cache will build
-// staircases for: a warm-sweep Greedy (where per-level independence
-// actually matters — warm resumes diverge), GAIN3 (per-level by
-// design), and LOSS1 (no Sweeper at all).
+// staircases for: Greedy and GAIN3 (Sweepers) and LOSS1 (no Sweeper).
 func staircaseSchedulers() []struct {
 	name string
 	mk   func() IntoScheduler
@@ -27,9 +25,8 @@ func staircaseSchedulers() []struct {
 }
 
 // TestSweepGridBitIdentical is the staircase's core contract: every
-// grid level must equal an INDEPENDENT cold ScheduleInto at the same
-// budget, bit for bit — not the warm-resumed sweep, which for the
-// Greedy family legitimately diverges from cold solves.
+// grid level must equal an independent cold ScheduleInto at the same
+// budget, bit for bit.
 func TestSweepGridBitIdentical(t *testing.T) {
 	sizes := gen.PaperProblemSizes()[:6]
 	for _, size := range sizes {

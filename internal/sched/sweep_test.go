@@ -2,166 +2,19 @@ package sched
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"medcc/internal/cloud"
-	"medcc/internal/dag"
 	"medcc/internal/gen"
 	"medcc/internal/workflow"
 )
 
-// This file pins the warm-started budget sweeps (Sweeper.SweepInto) and the
-// candidate-heap selection itself against naive full-rescan references. The
-// references below define warm-start semantics from first principles: level
-// 0 solves cold from the least-cost schedule at budgets[0]; level k resumes
-// the flat rescan-everything loop from level k-1's schedule and running
-// cost. The live implementations must match bit-for-bit.
-
-// refGreedyResume continues the pre-engine Greedy loop (full rescan of all
-// candidates and types per iteration) from an arbitrary (s, ctmp) state.
-func refGreedyResume(cand CandidateSet, rank Criterion, w *workflow.Workflow, m *workflow.Matrices, s workflow.Schedule, ctmp *float64, budget float64) error {
-	n := len(m.Catalog)
-	for {
-		cextra := budget - *ctmp
-		if cextra <= 0 {
-			return nil
-		}
-		var cs []int
-		if cand == AllModules {
-			cs = w.Schedulable()
-		} else {
-			t, err := dag.NewTiming(w.Graph(), m.Times(s), nil)
-			if err != nil {
-				return err
-			}
-			for _, i := range w.Schedulable() {
-				if t.IsCritical(i) {
-					cs = append(cs, i)
-				}
-			}
-		}
-		bi, bj := -1, -1
-		var bestDT, bestDC float64
-		for _, i := range cs {
-			told := m.TE[i][s[i]]
-			cold := m.CE[i][s[i]]
-			for j := 0; j < n; j++ {
-				if j == s[i] {
-					continue
-				}
-				dt := told - m.TE[i][j]
-				dc := m.CE[i][j] - cold
-				if dt <= dag.Eps {
-					continue
-				}
-				if dc > cextra+costEps {
-					continue
-				}
-				if bi == -1 || upgradeBetter(rank == MaxRatio, dt, dc, bestDT, bestDC) {
-					bi, bj, bestDT, bestDC = i, j, dt, dc
-				}
-			}
-		}
-		if bi == -1 {
-			return nil
-		}
-		s[bi] = bj
-		*ctmp += bestDC
-	}
-}
-
-// refGreedySweep is the warm-sweep reference for the Greedy family.
-func refGreedySweep(cand CandidateSet, rank Criterion, w *workflow.Workflow, m *workflow.Matrices, budgets []float64) ([]workflow.Schedule, error) {
-	s, ctmp, err := checkFeasible(w, m, budgets[0])
-	if err != nil {
-		return nil, err
-	}
-	out := make([]workflow.Schedule, 0, len(budgets))
-	for _, b := range budgets {
-		if err := refGreedyResume(cand, rank, w, m, s, &ctmp, b); err != nil {
-			return nil, err
-		}
-		out = append(out, s.Clone())
-	}
-	return out, nil
-}
-
-// refGain3Sweep is the sweep reference for GAIN3: independent per-level
-// solves. The once-per-task rule is defined against a single solve from
-// the least-cost schedule, so GAIN is not a Sweeper: a per-level
-// continuation would re-admit every task each level and turn GAIN3 into a
-// round-based algorithm.
-func refGain3Sweep(w *workflow.Workflow, m *workflow.Matrices, budgets []float64) ([]workflow.Schedule, error) {
-	out := make([]workflow.Schedule, 0, len(budgets))
-	for _, b := range budgets {
-		s, err := refGainOncePerTask(w, m, b, false)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-// refWRFSweep is the warm-sweep reference for Gain3WRF: each level
-// continues the round loop from the previous level's schedule.
-func refWRFSweep(w *workflow.Workflow, m *workflow.Matrices, budgets []float64) ([]workflow.Schedule, error) {
-	s, ctmp, err := checkFeasible(w, m, budgets[0])
-	if err != nil {
-		return nil, err
-	}
-	out := make([]workflow.Schedule, 0, len(budgets))
-	for _, b := range budgets {
-		for {
-			movedAny := false
-			movedThisRound := make(map[int]bool)
-			for {
-				cextra := b - ctmp
-				if cextra <= 0 {
-					break
-				}
-				bi, bj := -1, -1
-				best := math.Inf(-1)
-				for _, i := range w.Schedulable() {
-					if movedThisRound[i] {
-						continue
-					}
-					for j := range m.Catalog {
-						if j == s[i] {
-							continue
-						}
-						told, tnew := m.TE[i][s[i]], m.TE[i][j]
-						dc := m.CE[i][j] - m.CE[i][s[i]]
-						if told-tnew <= dag.Eps || dc > cextra+costEps {
-							continue
-						}
-						wt := math.Inf(1)
-						if dc > costEps {
-							wt = (told / tnew) / dc
-						}
-						if wt > best {
-							bi, bj, best = i, j, wt
-						}
-					}
-				}
-				if bi == -1 {
-					break
-				}
-				ctmp += m.CE[bi][bj] - m.CE[bi][s[bi]]
-				s[bi] = bj
-				movedThisRound[bi] = true
-				movedAny = true
-			}
-			if !movedAny {
-				break
-			}
-		}
-		out = append(out, s.Clone())
-	}
-	return out, nil
-}
+// This file pins the budget sweeps (SweepSchedules, Sweeper.SweepInto)
+// to their contract, level k equals a fresh ScheduleInto at budgets[k],
+// and the candidate-heap selection itself against the naive full-rescan
+// references of differential_test.go.
 
 // sweepBudgets builds a 5-level ascending budget grid like the campaign
 // runners do.
@@ -173,133 +26,184 @@ func sweepBudgets(cmin, cmax float64) []float64 {
 	return out
 }
 
-func requireSameSweep(t *testing.T, name string, size gen.ProblemSize, budgets []float64, got, want []workflow.Schedule) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s on %v: %d levels, want %d", name, size, len(got), len(want))
-	}
-	for k := range want {
-		if !got[k].Equal(want[k]) {
-			t.Fatalf("%s on %v level %d (budget %.6g): schedule diverged from warm reference\n got: %v\nwant: %v",
-				name, size, k, budgets[k], got[k], want[k])
-		}
-	}
-}
-
-// TestSweepIntoMatchesWarmReference pins the warm-started sweeps of every
-// Sweeper against the full-rescan warm references across paper problem
-// sizes, and GAIN3's cold per-level sweep (SweepSchedules' fallback)
-// against its independent-solve reference.
-func TestSweepIntoMatchesWarmReference(t *testing.T) {
-	sizes := gen.PaperProblemSizes()
-	if testing.Short() {
-		sizes = sizes[:6]
-	} else {
-		sizes = sizes[:12]
-	}
-	for _, size := range sizes {
-		w, m, cmin, cmax := diffInstance(t, size.M, size)
-		budgets := sweepBudgets(cmin, cmax)
-
-		for _, combo := range []struct {
-			cand CandidateSet
-			rank Criterion
-			name string
-		}{
-			{CriticalOnly, MaxTimeDecrease, "critical-greedy"},
-			{CriticalOnly, MaxRatio, "critical-ratio"},
-			{AllModules, MaxTimeDecrease, "all-timedec"},
-			{AllModules, MaxRatio, "gain-fixpoint"},
-		} {
-			want, err := refGreedySweep(combo.cand, combo.rank, w, m, budgets)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g := &Greedy{Label: combo.name, Candidates: combo.cand, Rank: combo.rank}
-			got, err := g.SweepInto(nil, w, m, budgets)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameSweep(t, combo.name+" sweep", size, budgets, got, want)
-		}
-
-		wantG3, err := refGain3Sweep(w, m, budgets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotG3, err := SweepSchedules(&GAIN{Variant: 3}, nil, w, m, budgets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameSweep(t, "gain3 sweep", size, budgets, gotG3, wantG3)
-
-		wantWRF, err := refWRFSweep(w, m, budgets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotWRF, err := (&Gain3WRF{}).SweepInto(nil, w, m, budgets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameSweep(t, "gain3-wrf sweep", size, budgets, gotWRF, wantWRF)
-	}
-}
-
 // TestSweepIntoReusesDst pins destination reuse and the ascending-budgets
-// contract.
+// contract for both sweep implementations.
 func TestSweepIntoReusesDst(t *testing.T) {
 	size := gen.ProblemSize{M: 25, E: 201, N: 5}
 	w, m, cmin, cmax := diffInstance(t, size.M, size)
 	budgets := sweepBudgets(cmin, cmax)
-	g := CriticalGreedy()
-	dst, err := g.SweepInto(nil, w, m, budgets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ptr := &dst[0][0]
-	dst2, err := g.SweepInto(dst, w, m, budgets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &dst2[0][0] != ptr {
-		t.Fatal("SweepInto did not reuse per-level schedules")
-	}
-	if _, err := g.SweepInto(nil, w, m, []float64{budgets[1], budgets[0]}); err == nil {
-		t.Fatal("descending budgets accepted")
-	}
-}
-
-// TestSweepSchedulesColdFallback checks the generic sweep helper: for a
-// non-Sweeper it must equal independent per-level solves, and for a
-// Sweeper it must delegate to the warm path.
-func TestSweepSchedulesColdFallback(t *testing.T) {
-	size := gen.ProblemSize{M: 20, E: 95, N: 5}
-	w, m, cmin, cmax := diffInstance(t, size.M, size)
-	budgets := sweepBudgets(cmin, cmax)
-
-	l1 := &LOSS{Variant: 1}
-	got, err := SweepSchedules(l1, nil, w, m, budgets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, b := range budgets {
-		want, err := (&LOSS{Variant: 1}).Schedule(w, m, b)
+	for _, sw := range []Sweeper{CriticalGreedy(), &GAIN{Variant: 3}} {
+		dst, err := sw.SweepInto(nil, w, m, budgets)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameSchedule(t, "loss1 cold sweep", size, b, got[k], want)
+		ptr := &dst[0][0]
+		dst2, err := sw.SweepInto(dst, w, m, budgets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &dst2[0][0] != ptr {
+			t.Fatalf("%s: SweepInto did not reuse per-level schedules", sw.Name())
+		}
+		if _, err := sw.SweepInto(nil, w, m, []float64{budgets[1], budgets[0]}); err == nil {
+			t.Fatalf("%s: descending budgets accepted", sw.Name())
+		}
 	}
+}
 
-	cg := CriticalGreedy()
-	gotCG, err := SweepSchedules(cg, nil, w, m, budgets)
+// sweepAlgs are the schedulers the sweep differential covers. shared
+// marks the sweeps that reuse work across levels (the four Greedy
+// combinations, GAIN1 and GAIN3); gain2, gain3-wrf and loss1 solve each
+// level separately.
+var sweepAlgs = []struct {
+	name   string
+	shared bool
+}{
+	{"critical-greedy", true}, {"critical-ratio", true}, {"all-timedec", true}, {"gain-fixpoint", true},
+	{"gain1", true}, {"gain2", false}, {"gain3", true}, {"gain3-wrf", false}, {"loss1", false},
+}
+
+// randomSweepBudgets draws an ascending budget list over [cmin, cmax]
+// mixing uniform draws, dyadic grid fractions (BudgetAt), Cmin itself,
+// levels above Cmax and repeats of the previous level. One list in eight
+// starts below Cmin, so every level of it is infeasible.
+func randomSweepBudgets(rng *rand.Rand, cmin, cmax float64) []float64 {
+	n := 1 + rng.Intn(24)
+	out := make([]float64, 0, n+1)
+	for len(out) < n {
+		var b float64
+		switch r := rng.Intn(10); {
+		case r < 4:
+			b = cmin + rng.Float64()*(cmax-cmin)
+		case r < 7:
+			b = BudgetAt(cmin, cmax, float64(rng.Intn(17))/16)
+		case r == 7:
+			b = cmin
+		case r == 8:
+			b = cmax * (1 + rng.Float64())
+		default:
+			if len(out) == 0 {
+				continue
+			}
+			b = out[len(out)-1]
+		}
+		out = append(out, b)
+	}
+	if rng.Intn(8) == 0 {
+		out = append(out, cmin-1-rng.Float64())
+	}
+	slices.Sort(out)
+	return out
+}
+
+// boundarySweepBudgets puts levels on both sides of the affordability test
+// of every first step: Cmin+dc-costEps, Cmin+dc-costEps/2, Cmin+dc and
+// Cmin+dc+costEps for each option's cost increase dc over the least-cost
+// schedule. A certificate off by costEps passes random lists but not
+// these.
+func boundarySweepBudgets(w *workflow.Workflow, m *workflow.Matrices, cmin float64) []float64 {
+	lc := m.LeastCost(w)
+	var out []float64
+	for _, i := range w.Schedulable() {
+		for _, j := range m.Options(i) {
+			dc := m.CE[i][j] - m.CE[i][lc[i]]
+			if dc <= 0 {
+				continue
+			}
+			for _, d := range []float64{-costEps, -costEps / 2, 0, costEps} {
+				out = append(out, cmin+dc+d)
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// requireSweepMatchesSolves checks the Sweeper contract on one budget
+// list: level k of SweepSchedules(sw) is the schedule one.ScheduleInto
+// returns at budgets[k], or the sweep fails with the error of the first
+// level that fails.
+func requireSweepMatchesSolves(t *testing.T, name, input string, sw, one IntoScheduler, w *workflow.Workflow, m *workflow.Matrices, budgets []float64) {
+	t.Helper()
+	got, err := SweepSchedules(sw, nil, w, m, budgets)
+	for k, b := range budgets {
+		want, werr := one.ScheduleInto(nil, w, m, b)
+		if werr != nil {
+			if err == nil || err.Error() != werr.Error() {
+				t.Fatalf("%s on %s: level %d (budget %v) fails with %v, sweep returned %v", name, input, k, b, werr, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%s on %s: sweep failed (%v) but level %d (budget %v) solves", name, input, err, k, b)
+		}
+		if !got[k].Equal(want) {
+			t.Fatalf("%s on %s: level %d of %d (budget %v) differs from ScheduleInto\n got: %v\nwant: %v",
+				name, input, k, len(budgets), b, got[k], want)
+		}
+	}
+	if err != nil {
+		t.Fatalf("%s on %s: sweep failed (%v) but every level solves", name, input, err)
+	}
+}
+
+// TestSweepMatchesScheduleInto is the sweep differential: over random
+// paper-size instances and the tied inputs, with random and boundary
+// budget lists, every level of every covered scheduler's sweep equals a
+// fresh ScheduleInto at that level's budget. Each scheduler sweeps with
+// one reused instance, so stale scratch between instances shows too.
+// Boundary lists only test the shared sweeps; the per-level ones get
+// random lists, gain2 (quadratic solves) on the instances up to m=32.
+func TestSweepMatchesScheduleInto(t *testing.T) {
+	type input struct {
+		name       string
+		w          *workflow.Workflow
+		m          *workflow.Matrices
+		cmin, cmax float64
+	}
+	var inputs []input
+	sizes := gen.PaperProblemSizes()
+	if testing.Short() {
+		sizes = sizes[:10]
+	}
+	for k, size := range sizes {
+		w, m, cmin, cmax := diffInstance(t, 100+k, size)
+		inputs = append(inputs, input{fmt.Sprint(size), w, m, cmin, cmax})
+	}
+	for _, ti := range tiedInstances(t) {
+		inputs = append(inputs, input{ti.name + " " + fmt.Sprint(ti.size), ti.w, ti.m, ti.cmin, ti.cmax})
+	}
+	for a, alg := range sweepAlgs {
+		name, shared := alg.name, alg.shared
+		seed := int64(17 + a)
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			sw, one := mustInto(t, name), mustInto(t, name)
+			rng := rand.New(rand.NewSource(seed))
+			for _, in := range inputs {
+				if name == "gain2" && in.w.NumModules() > 32 {
+					continue
+				}
+				for r := 0; r < 4; r++ {
+					budgets := randomSweepBudgets(rng, in.cmin, in.cmax)
+					requireSweepMatchesSolves(t, name, in.name, sw, one, in.w, in.m, budgets)
+				}
+				if shared {
+					budgets := boundarySweepBudgets(in.w, in.m, in.cmin)
+					requireSweepMatchesSolves(t, name, in.name+" boundary", sw, one, in.w, in.m, budgets)
+				}
+			}
+		})
+	}
+}
+
+func mustInto(t *testing.T, name string) IntoScheduler {
+	t.Helper()
+	s, err := Get(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCG, err := refGreedySweep(CriticalOnly, MaxTimeDecrease, w, m, budgets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameSweep(t, "critical-greedy via SweepSchedules", size, budgets, gotCG, wantCG)
+	return s.(IntoScheduler)
 }
 
 // tiedInstance is an identical-branch workflow: a fork-join or a set of

@@ -224,7 +224,7 @@ func (s *Server) prepare(j *job, p Params) error {
 	}
 
 	if p.UseFraction {
-		if p.Fraction < 0 || p.Fraction > 1 {
+		if !(p.Fraction >= 0 && p.Fraction <= 1) { // NaN fails too
 			return &RequestError{Op: "budget", Err: errBadFraction}
 		}
 		// sched.BudgetAt is the one budget-resolution expression shared

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"medcc/internal/sched"
+	"medcc/internal/serve"
 )
 
 func TestSolveQuickstart(t *testing.T) {
@@ -206,5 +209,83 @@ func TestExactVsHourlyBilling(t *testing.T) {
 	}
 	if emax > hmax {
 		t.Fatalf("exact Cmax %v above hourly %v", emax, hmax)
+	}
+}
+
+// TestNaNBudgetsAndDeadlinesRejected pins that a NaN budget or deadline
+// errors on every entry point that takes one, instead of slipping past a
+// "budget < Cmin" style comparison (false for NaN) and returning a
+// schedule: every registered scheduler through Solve, both deadline
+// solvers, sweeps with a NaN level, and the in-process serve path.
+func TestNaNBudgetsAndDeadlinesRejected(t *testing.T) {
+	nan := math.NaN()
+	w, cat := PaperExample()
+	m, err := w.BuildMatrices(cat, HourlyBilling)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmin, cmax := m.BudgetRange(w)
+	srv, err := serve.New(serve.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var res serve.Result
+	var reqErr *serve.RequestError
+
+	type tc struct {
+		name string
+		run  func() error
+		ok   func(error) bool
+	}
+	isInfeasible := func(err error) bool { return errors.Is(err, ErrInfeasible) }
+	isDeadline := func(err error) bool { return errors.Is(err, ErrDeadline) }
+	isErr := func(err error) bool { return err != nil }
+	var cases []tc
+	for _, name := range Algorithms() {
+		name := name
+		cases = append(cases, tc{"Solve " + name, func() error {
+			_, err := Solve(w, cat, HourlyBilling, nan, name)
+			return err
+		}, isInfeasible})
+	}
+	for _, alg := range []string{"critical-greedy", "gain3", "loss1"} {
+		alg := alg
+		sweep := func(budgets ...float64) func() error {
+			return func() error {
+				sch, err := sched.Get(alg)
+				if err != nil {
+					return err
+				}
+				_, err = sched.SweepSchedules(sch.(sched.IntoScheduler), nil, w, m, budgets)
+				return err
+			}
+		}
+		cases = append(cases,
+			tc{alg + " sweep, NaN first level", sweep(nan, cmax), isErr},
+			tc{alg + " sweep, NaN middle level", sweep(cmin, nan, cmax), isErr},
+			tc{alg + " sweep, NaN last level", sweep(cmin, cmax, nan), isErr},
+			tc{alg + " sweep, NaN only level", sweep(nan), isInfeasible})
+	}
+	cases = append(cases,
+		tc{"SolveDeadline heuristic", func() error {
+			_, err := SolveDeadline(w, cat, HourlyBilling, nan, false)
+			return err
+		}, isDeadline},
+		tc{"SolveDeadline exact", func() error {
+			_, err := SolveDeadline(w, cat, HourlyBilling, nan, true)
+			return err
+		}, isDeadline},
+		tc{"serve budget", func() error {
+			return srv.Schedule(serve.Params{WorkflowRef: "example", CatalogRef: "paper", Budget: nan}, &res)
+		}, isInfeasible},
+		tc{"serve budget fraction", func() error {
+			return srv.Schedule(serve.Params{WorkflowRef: "example", CatalogRef: "paper", UseFraction: true, Fraction: nan}, &res)
+		}, func(err error) bool { return errors.As(err, &reqErr) }},
+	)
+	for _, c := range cases {
+		if err := c.run(); !c.ok(err) {
+			t.Errorf("%s: got error %v", c.name, err)
+		}
 	}
 }

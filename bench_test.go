@@ -299,6 +299,31 @@ func BenchmarkOptimalParallel8(b *testing.B) {
 	benchSolve(b, &sched.Optimal{Workers: 8}, instanceOpt8)
 }
 
+// benchSweepGrid times one staircase build: sched.SweepGrid with the
+// service's default grid over the instance's whole budget range, on one
+// reused scheduler as a serve worker builds them. Every build allocates
+// its staircase, so allocs/op is not zero.
+func benchSweepGrid(b *testing.B, sch sched.IntoScheduler, inst instance) {
+	b.Helper()
+	w, m, _ := inst(b)
+	cmin, cmax := m.BudgetRange(w)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sched.SweepGrid(sch, w, m, cmin, cmax, sched.GridOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSweepGridCriticalGreedy100(b *testing.B) {
+	benchSweepGrid(b, sched.CriticalGreedy(), instance100)
+}
+
+func BenchmarkSweepGridGAIN3_100(b *testing.B) {
+	benchSweepGrid(b, &sched.GAIN{Variant: 3}, instance100)
+}
+
 func BenchmarkTimingPass100(b *testing.B) {
 	w, m, _ := instance100(b)
 	s := m.LeastCost(w)

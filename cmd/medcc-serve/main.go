@@ -44,6 +44,20 @@ func main() {
 	}
 }
 
+// The daemon's connection timeouts. A client has readHeaderTimeout to
+// send its request headers, and an idle keep-alive connection is closed
+// after idleTimeout. There is deliberately no write timeout: a served
+// optimal solve can take seconds.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the service handler in the daemon's http.Server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // namedPaths collects repeatable name=path flags.
 type namedPaths map[string]string
 
@@ -106,7 +120,7 @@ func run(args []string, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: s.Handler()}
+	httpSrv := newHTTPServer(s.Handler())
 
 	snap := s.Snapshot()
 	fmt.Fprintf(os.Stderr, "medcc-serve: listening on %s (%d workflows, %d catalogs, snapshot v%d)\n",

@@ -24,6 +24,23 @@ func TestNamedPaths(t *testing.T) {
 	}
 }
 
+// TestHTTPServerTimeouts pins the daemon's connection timeouts: a client
+// that never finishes its headers, or idles on a keep-alive connection,
+// does not hold the connection forever, and a long solve is never cut
+// off mid-response.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v > 0", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v > 0", srv.IdleTimeout, idleTimeout)
+	}
+	if srv.WriteTimeout != 0 || srv.ReadTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, ReadTimeout = %v, want none", srv.WriteTimeout, srv.ReadTimeout)
+	}
+}
+
 func TestRunRejectsArgs(t *testing.T) {
 	if err := run([]string{"positional"}, nil); err == nil {
 		t.Fatal("run with positional arguments succeeded")

@@ -130,6 +130,10 @@ type engine struct {
 	// place behind unchanged pointers, so pointer equality alone would
 	// let stale timings and module lists leak across instances.
 	wver, mver uint64
+	// binds counts the binds that refilled the scratch (bind's slow
+	// path). State a scheduler derives from the bound instance stays
+	// valid while the count it was built at is current.
+	binds uint64
 
 	t     *dag.Timing
 	times []float64
@@ -159,6 +163,7 @@ func (e *engine) bind(w *workflow.Workflow, m *workflow.Matrices) {
 	}
 	e.w, e.m = w, m
 	e.wver, e.mver = w.Graph().Version(), m.Epoch()
+	e.binds++
 	e.t = nil
 	e.mods = w.SchedulableInto(e.mods)
 	nm := w.NumModules()

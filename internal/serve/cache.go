@@ -26,8 +26,9 @@ import (
 // binary search, one SoA row copy — no locks, no engine, 0 allocs/op.
 // Only bit-exact budget matches hit; anything between grid levels falls
 // through to the direct scheduling path, which is what makes cached
-// responses trivially bit-identical to direct sched.Run (grid levels
-// themselves are independent cold solves, see sched.SweepGrid).
+// responses trivially bit-identical to direct sched.Run (every grid
+// level equals a direct ScheduleInto at its budget; sched.SweepGrid
+// solves each refinement round as one exact sweep).
 //
 // Miss path: the first miss on a slot wins a CAS latch (singleflight)
 // and rides its own request to a worker, which answers the request

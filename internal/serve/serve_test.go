@@ -521,3 +521,35 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestWorkerOptimalRunsSequentially pins the exact solver a pool worker
+// serves with to one branch-and-bound goroutine: the pool already runs a
+// worker per core, and a truncated search is reproducible only with
+// Workers = 1.
+func TestWorkerOptimalRunsSequentially(t *testing.T) {
+	s := testServer(t, Config{Workers: 2, Cache: CacheConfig{Disable: true}})
+	var res Result
+	p := Params{WorkflowRef: "example", CatalogRef: "paper", UseFraction: true, Fraction: 0.5, Algorithm: "optimal"}
+	if err := s.Schedule(p, &res); err != nil {
+		t.Fatal(err)
+	}
+	s.Close() // the workers have exited, so their engines can be read
+	served := 0
+	for k := range s.workers {
+		alg, ok := s.workers[k].algs["optimal"]
+		if !ok {
+			continue
+		}
+		served++
+		opt, ok := alg.(*sched.Optimal)
+		if !ok {
+			t.Fatalf("worker %d serves optimal with %T", k, alg)
+		}
+		if opt.Workers != 1 {
+			t.Errorf("worker %d: optimal Workers = %d, want 1", k, opt.Workers)
+		}
+	}
+	if served != 1 {
+		t.Fatalf("%d workers built an optimal engine, want 1", served)
+	}
+}

@@ -200,7 +200,10 @@ func (w *worker) freshTiming(g *dag.Graph) (float64, error) {
 	return t.Makespan, nil
 }
 
-// algFor instantiates and caches a per-worker scheduler engine.
+// algFor instantiates and caches a per-worker scheduler engine. The
+// exact solver runs its branch and bound on one goroutine: the pool
+// already runs one worker per core, and a truncated search, which the
+// staircase cache stores, is reproducible only with Workers = 1.
 //
 // medcc:coldpath — once per (worker, algorithm).
 func (w *worker) algFor(name string) (sched.IntoScheduler, error) {
@@ -214,6 +217,9 @@ func (w *worker) algFor(name string) (sched.IntoScheduler, error) {
 	into, ok := sc.(sched.IntoScheduler)
 	if !ok {
 		return nil, fmt.Errorf("serve: %s does not support pooled scheduling", name)
+	}
+	if opt, ok := into.(*sched.Optimal); ok {
+		opt.Workers = 1
 	}
 	w.algs[name] = into
 	return into, nil

@@ -1,8 +1,8 @@
 // Command medcc-load is a closed-loop load generator for medcc-serve:
 // it drives the /schedule endpoint from -c concurrent clients until -n
 // requests have succeeded, and reports throughput, the p50/p99/p999
-// latency quantiles, and the server's cache hit ratio over the run
-// (from GET /stats).
+// latency quantiles, and the server's cache hits, misses, resumes and
+// hit ratio over the run (from GET /stats).
 //
 // Request bodies come from a binary workflow corpus (see cmd/wfgen
 // -corpus), each instance re-encoded as a standalone container body
@@ -21,7 +21,8 @@
 // -keys zipf skews which instance each request targets (repeat-heavy
 // traffic); -budget-dist picks each request's budget fraction: "fixed"
 // (always -budget), "grid" (random dyadic k/8 — bit-exact staircase
-// hits), or "uniform" (random in [0,1] — mostly cache misses). 429
+// hits), or "uniform" (random in [0,1] — mostly cache misses, which
+// resume from the staircase once it is installed). 429
 // backpressure responses are retried and counted, not treated as
 // errors; any other non-200 status fails the run.
 package main
@@ -67,16 +68,20 @@ type report struct {
 
 	// Cache accounting over the run, from GET /stats deltas. StatsOK is
 	// false (and the rest zero) against servers without the endpoint.
-	StatsOK     bool    `json:"stats_ok"`
-	CacheHits   int64   `json:"cache_hits"`
-	CacheMisses int64   `json:"cache_misses"`
-	HitRatio    float64 `json:"hit_ratio"`
+	// Resumes are the requests a worker solved from a staircase trail:
+	// misses between grid levels and simulated traces.
+	StatsOK      bool    `json:"stats_ok"`
+	CacheHits    int64   `json:"cache_hits"`
+	CacheMisses  int64   `json:"cache_misses"`
+	CacheResumes int64   `json:"cache_resumes"`
+	HitRatio     float64 `json:"hit_ratio"`
 }
 
 // serverStats is the slice of the /stats response the generator reads.
 type serverStats struct {
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
+	CacheHits    int64 `json:"cache_hits"`
+	CacheMisses  int64 `json:"cache_misses"`
+	CacheResumes int64 `json:"cache_resumes"`
 }
 
 // libraryListing is the slice of the /library response -refs reads.
@@ -251,6 +256,7 @@ func run(args []string, stdout io.Writer) error {
 			rep.StatsOK = true
 			rep.CacheHits = after.CacheHits - statsBefore.CacheHits
 			rep.CacheMisses = after.CacheMisses - statsBefore.CacheMisses
+			rep.CacheResumes = after.CacheResumes - statsBefore.CacheResumes
 			if total := rep.CacheHits + rep.CacheMisses; total > 0 {
 				rep.HitRatio = float64(rep.CacheHits) / float64(total)
 			}
@@ -265,8 +271,8 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "latency p50 %.3fms  p99 %.3fms  p999 %.3fms  (429 retries: %d)\n",
 		rep.P50Ms, rep.P99Ms, rep.P999Ms, rep.Retries429)
 	if rep.StatsOK {
-		fmt.Fprintf(stdout, "cache: %d hits / %d misses (hit ratio %.1f%%)\n",
-			rep.CacheHits, rep.CacheMisses, rep.HitRatio*100)
+		fmt.Fprintf(stdout, "cache: %d hits / %d misses / %d resumes (hit ratio %.1f%%)\n",
+			rep.CacheHits, rep.CacheMisses, rep.CacheResumes, rep.HitRatio*100)
 	}
 	return nil
 }

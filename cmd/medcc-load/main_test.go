@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"medcc/internal/encoding"
 	"medcc/internal/gen"
@@ -99,5 +101,63 @@ func TestRunServerError(t *testing.T) {
 	err = run([]string{"-url", ts.URL, "-corpus", corpus, "-n", "4", "-c", "1", "-budget", "2"}, &bytes.Buffer{})
 	if err == nil {
 		t.Fatal("run against rejecting server succeeded")
+	}
+}
+
+// TestRunRefsReportsResumes drives -refs traffic at uniform budgets. A
+// first run installs the staircase; in the second, every request misses
+// the grid and resumes from the staircase's trails, and the report
+// (JSON and text) counts the resumes from /stats deltas.
+func TestRunRefsReportsResumes(t *testing.T) {
+	s, err := serve.New(serve.Config{Workers: 2, QueueDepth: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	args := []string{"-url", ts.URL, "-refs", "-keys", "zipf", "-budget-dist", "uniform", "-n", "40", "-c", "2"}
+	if err := run(args, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	// The build runs on a worker after the first miss was answered.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		var st struct {
+			Staircases int `json:"staircases"`
+		}
+		resp, err := http.Get(ts.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Staircases == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("staircase never installed")
+		}
+	}
+	var out bytes.Buffer
+	if err := run(append(args, "-json", "-seed", "2"), &out); err != nil {
+		t.Fatal(err)
+	}
+	var rep report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("bad report %q: %v", out.Bytes(), err)
+	}
+	if !rep.StatsOK || rep.CacheMisses != 40 || rep.CacheResumes != 40 || rep.CacheHits != 0 {
+		t.Errorf("report %+v, want 40 misses, all resumed", rep)
+	}
+	out.Reset()
+	if err := run(append(args, "-seed", "3"), &out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(out.Bytes(), []byte("0 hits / 40 misses / 40 resumes")) {
+		t.Errorf("text report lacks the resume count:\n%s", out.Bytes())
 	}
 }

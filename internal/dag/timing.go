@@ -84,47 +84,74 @@ type Timing struct {
 // callers that mutate it must follow up with Update or UpdateNode.
 //
 // medcc:coldpath — construction allocates by design; steady-state refresh
-// goes through Update/UpdateNode.
+// goes through Update/UpdateNode, and rebinding through Reset.
 func NewTiming(g *Graph, nodeW []float64, edgeW EdgeWeight) (*Timing, error) {
+	t := new(Timing)
+	if err := t.Reset(g, nodeW, edgeW); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// Reset rebinds t to graph g with the given weights: afterwards t is
+// exactly what NewTiming(g, nodeW, edgeW) returns, but its arrays are
+// rebuilt in their existing capacity, so a Timing held across instances
+// of different sizes (a scheduler engine, a serve worker) allocates only
+// when an instance outgrows every earlier one. It fails like NewTiming;
+// a Timing whose Reset failed must be Reset again before use.
+//
+// medcc:coldpath — a rebind, not a per-iteration refresh: the first use
+// and size growth allocate (growTiming, the graph's cache rebuild), a
+// warm rebind refills existing capacity.
+func (t *Timing) Reset(g *Graph, nodeW []float64, edgeW EdgeWeight) error {
 	n := g.NumNodes()
 	if err := checkWeights(nodeW, n); err != nil {
-		return nil, err
+		return err
 	}
 	order, pos, err := g.topoShared()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	t := &Timing{
-		g:       g,
-		EST:     make([]float64, n),
-		EFT:     make([]float64, n),
-		Tail:    make([]float64, n),
-		order:   order,
-		pos:     pos,
-		nodeW:   nodeW,
-		edgeW:   edgeW,
-		predOff: g.predOff,
-		predAdj: g.predAdj,
-		succOff: g.succOff,
-		succAdj: g.succAdj,
-		scratch: make([]float64, n),
-		fdirty:  make([]int, n),
-		bdirty:  make([]int, n),
+	if cap(t.EST) < n {
+		t.growTiming(n)
 	}
+	// The dirty marks keep their values: they are compared with epochs
+	// that only grow, so marks left by an earlier binding never match.
+	t.EST, t.EFT, t.Tail, t.scratch = t.EST[:n], t.EFT[:n], t.Tail[:n], t.scratch[:n]
+	t.fdirty, t.bdirty = t.fdirty[:n], t.bdirty[:n]
+	t.g, t.order, t.pos, t.nodeW, t.edgeW = g, order, pos, nodeW, edgeW
 	if edgeW == nil {
 		// With zero transfer times the relaxations over the transitive
 		// reduction produce bit-identical EST/EFT/Tail (see buildReducedCSR),
 		// at a fraction of the edge work on dense graphs.
 		t.predOff, t.predAdj = g.redPredOff, g.redPredAdj
 		t.succOff, t.succAdj = g.redSuccOff, g.redSuccAdj
+	} else {
+		t.predOff, t.predAdj = g.predOff, g.predAdj
+		t.succOff, t.succAdj = g.succOff, g.succAdj
 	}
+	t.sinks = t.sinks[:0]
 	for u := 0; u < n; u++ {
 		if t.succOff[u] == t.succOff[u+1] {
 			t.sinks = append(t.sinks, int32(u))
 		}
 	}
 	t.run()
-	return t, nil
+	return nil
+}
+
+// growTiming allocates the per-node arrays for a new high-water node
+// count.
+//
+// medcc:coldpath
+func (t *Timing) growTiming(n int) {
+	t.EST = make([]float64, n)
+	t.EFT = make([]float64, n)
+	t.Tail = make([]float64, n)
+	t.scratch = make([]float64, n)
+	t.fdirty = make([]int, n)
+	t.bdirty = make([]int, n)
+	t.sinks = make([]int32, 0, n)
 }
 
 func checkWeights(nodeW []float64, n int) error {

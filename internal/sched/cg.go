@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 
 	"medcc/internal/workflow"
 )
@@ -44,10 +45,12 @@ type Greedy struct {
 	Rank       Criterion
 
 	eng engine
-	// SweepInto scratch: the working schedule, kept apart from the
-	// engine's least-cost one, and the record of the last level's run.
+	// Sweep scratch: the working schedule, kept apart from the engine's
+	// least-cost one, the steps of the current run, and SweepInto's view
+	// of the previous level's run.
 	cur   workflow.Schedule
 	steps []sweepStep
+	flat  [1][]sweepStep
 }
 
 // CriticalGreedy returns the paper's Critical-Greedy algorithm (Alg. 1).
@@ -197,11 +200,10 @@ func (st *sweepStep) holds(b float64) bool {
 
 // SweepInto implements Sweeper: level k is exactly the schedule
 // ScheduleInto returns at budgets[k]; the sweep only shares work between
-// levels. Each level's run is recorded (see sweepStep), and the next level
-// replays the longest prefix of that record whose steps hold at its
-// budget, then runs the ordinary loop from there. The level-k schedule is
-// written into dst[k] (reused when already the right length; dst is grown
-// as needed).
+// levels. Each level resumes from the previous level's run (see resume),
+// which stays in g.steps: the held prefix in place, this level's steps
+// appended after it. The level-k schedule is written into dst[k] (reused
+// when already the right length; dst is grown as needed).
 //
 // medcc:deterministic
 func (g *Greedy) SweepInto(dst []workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budgets []float64) ([]workflow.Schedule, error) {
@@ -209,44 +211,134 @@ func (g *Greedy) SweepInto(dst []workflow.Schedule, w *workflow.Workflow, m *wor
 	if err != nil || len(budgets) == 0 {
 		return dst, err
 	}
-	lc := g.eng.lc
-	g.cur = copySchedule(g.cur, lc)
+	g.cur = copySchedule(g.cur, g.eng.lc)
 	s := g.cur
-	var ctmp float64
 	g.steps = g.steps[:0]
 	for k, b := range budgets {
-		p := 0
-		for p < len(g.steps) && g.steps[p].holds(b) {
-			p++
-		}
-		switch {
-		case k > 0 && p == len(g.steps):
-			// The terminal holds too: b repeats the last schedule.
-		case k > 0 && p == len(g.steps)-1:
-			// Every accept holds: continue from the end state, whose
-			// timing and caches are current.
-			g.steps = g.steps[:p]
-			g.run(s, &ctmp, b, true)
-		default:
-			// Replay the holding prefix onto the least-cost schedule. The
-			// recorded cost is the one a cold run sums to, bit for bit.
-			copy(s, lc)
-			ctmp = cmin
-			if p > 0 {
-				ctmp = g.steps[p].cost
-			}
-			for _, st := range g.steps[:p] {
-				s[st.mod] = int(st.typ)
-			}
-			g.steps = g.steps[:p]
-			if err := g.restart(s); err != nil {
-				return nil, err
-			}
-			g.run(s, &ctmp, b, true)
+		g.flat[0] = g.steps
+		runs := stepRuns(g.flat[:])
+		p, n := runs.held(b)
+		g.steps = g.steps[:p]
+		if _, err := g.resume(s, cmin, runs, p, n, b, k > 0, true); err != nil {
+			return nil, err
 		}
 		dst[k] = copySchedule(dst[k], s)
 	}
 	return dst, nil
+}
+
+// ResumeInto implements Sweeper: it returns exactly what ScheduleInto
+// returns at budget, the same schedule or the same error. When tr was
+// recorded by a Greedy of the same CandidateSet and Criterion on the same
+// (w, m) at a budget at or below budget, the solve replays the prefix of
+// tr's steps that still holds and runs the loop from there (see resume);
+// any other trail, nil included, solves cold.
+//
+// medcc:allocfree
+// medcc:deterministic — resumed solves are differential-tested against
+// ScheduleInto
+func (g *Greedy) ResumeInto(dst workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budget float64, tr *Trail) (workflow.Schedule, error) {
+	if !tr.resumable(g.trailKind(), w, m, budget) {
+		return g.ScheduleInto(dst, w, m, budget)
+	}
+	s, cmin, err := checkFeasibleInto(w, m, budget, dst)
+	if err != nil {
+		return nil, err
+	}
+	g.eng.bind(w, m)
+	p, n := tr.runs.held(budget)
+	if _, err := g.resume(s, cmin, tr.runs, p, n, budget, false, false); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// resume is the one replay path of a Greedy solve from a recorded run;
+// SweepInto, ResumeInto and SweepGrid's levels all go through it. runs
+// was recorded on the bound instance at a budget at or below budget, and
+// its first p of n steps hold at budget. s holds the least-cost schedule,
+// of cost cmin, unless live is set: then s holds the run's final schedule
+// and the engine its timing and candidate caches, as between the levels
+// of one sweep. A run whose terminal step holds too is the answer. One
+// whose accepts all hold continues from its end state when live.
+// Otherwise the held prefix is replayed onto the least-cost schedule and
+// the loop runs from there; the recorded cost is the one a cold run sums
+// to, bit for bit. With record set the steps of that run are appended to
+// g.steps. It reports whether the loop ran.
+//
+// medcc:allocfree
+func (g *Greedy) resume(s workflow.Schedule, cmin float64, runs stepRuns, p, n int, budget float64, live, record bool) (ran bool, err error) {
+	switch {
+	case n > 0 && p == n:
+		// The terminal holds too: budget repeats the run's schedule.
+		if !live {
+			runs.replay(s, n-1)
+		}
+		return false, nil
+	case n > 0 && p == n-1 && live:
+		// Every accept holds: continue from the end state, whose timing
+		// and caches are current.
+		ctmp := runs.at(p).cost
+		g.run(s, &ctmp, budget, record)
+		return true, nil
+	}
+	ctmp := cmin
+	if n > 0 {
+		ctmp = runs.at(p).cost
+	}
+	if live {
+		copy(s, g.eng.lc)
+	}
+	runs.replay(s, p)
+	if err := g.restart(s); err != nil {
+		return false, err
+	}
+	g.run(s, &ctmp, budget, record)
+	return true, nil
+}
+
+// resumeTrail solves one SweepGrid level at budget from the trail of a
+// lower level (nil: from the least-cost schedule) and returns the level's
+// schedule and trail: from itself when every step held, otherwise from's
+// held prefix followed by a copy of the steps this run made. live
+// reports that the engine still holds from's end state.
+//
+// medcc:coldpath — allocates each level's schedule and trail.
+func (g *Greedy) resumeTrail(dst workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budget float64, from *Trail, live bool) (workflow.Schedule, *Trail, error) {
+	e := &g.eng
+	lc, cmin, err := checkFeasibleInto(w, m, budget, e.lc)
+	if err != nil {
+		return nil, nil, err
+	}
+	e.lc = lc
+	e.bind(w, m)
+	kind := g.trailKind()
+	var runs stepRuns
+	if from.resumable(kind, w, m, budget) {
+		runs = from.runs
+	} else {
+		from, live = nil, false
+	}
+	if !live {
+		g.cur = copySchedule(g.cur, lc)
+	}
+	p, n := runs.held(budget)
+	g.steps = g.steps[:0]
+	ran, err := g.resume(g.cur, cmin, runs, p, n, budget, live, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	tr := from
+	if ran {
+		tr = e.newTrail(kind, budget)
+		tr.runs = runs.extend(p, slices.Clone(g.steps))
+	}
+	return copySchedule(dst, g.cur), tr, nil
+}
+
+// trailKind is the kind of the trails this configuration records.
+func (g *Greedy) trailKind() trailKind {
+	return greedyTrail + trailKind(2*int(g.Candidates)+int(g.Rank))
 }
 
 // costEps tolerates float jitter in cost arithmetic; costs are sums of

@@ -14,14 +14,15 @@ import (
 type IntoScheduler interface {
 	Scheduler
 	// ScheduleInto behaves like Schedule but reuses dst for the result
-	// when it has the right length (allocating otherwise).
+	// when it has the capacity (allocating otherwise).
 	ScheduleInto(dst workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budget float64) (workflow.Schedule, error)
 }
 
-// Sweeper is implemented by schedulers that share work across the levels
-// of a budget sweep. Level k of a sweep is exactly the schedule
-// ScheduleInto returns at budgets[k] (or the same error); a Sweeper only
-// makes the levels cheaper than solving each one separately.
+// Sweeper is implemented by schedulers that share work between solves at
+// different budgets. Level k of a sweep is exactly the schedule
+// ScheduleInto returns at budgets[k] (or the same error), and so is a
+// solve resumed from a trail; a Sweeper only makes them cheaper than
+// solving each one from scratch.
 type Sweeper interface {
 	IntoScheduler
 	// SweepInto schedules the instance at each budgets[k] (which must be
@@ -29,6 +30,12 @@ type Sweeper interface {
 	// to len(budgets) when shorter and existing entries of the right
 	// length are reused.
 	SweepInto(dst []workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budgets []float64) ([]workflow.Schedule, error)
+	// ResumeInto returns exactly what ScheduleInto(dst, w, m, budget)
+	// returns. When tr was recorded by the same algorithm on the same
+	// (w, m) at a budget at or below budget (see Trail), the solve starts
+	// from the part of tr that still holds; any other trail, nil
+	// included, solves cold.
+	ResumeInto(dst workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budget float64, tr *Trail) (workflow.Schedule, error)
 }
 
 // SweepSchedules runs sch at every budget of an ascending sweep: through
@@ -135,11 +142,15 @@ type engine struct {
 	// valid while the count it was built at is current.
 	binds uint64
 
-	t     *dag.Timing
-	times []float64
-	mods  []int
-	moved []bool
-	lc    workflow.Schedule
+	// t is the incremental timing; tbound reports that it is bound to
+	// the current binding's graph (bind keeps t for reuse but clears
+	// tbound, and resetTiming rebuilds it in place).
+	t      *dag.Timing
+	tbound bool
+	times  []float64
+	mods   []int
+	moved  []bool
+	lc     workflow.Schedule
 
 	// ct is the per-module best-upgrade cache and lazy-deletion heap the
 	// greedy reschedulers drain instead of rescanning every (module, type)
@@ -164,7 +175,7 @@ func (e *engine) bind(w *workflow.Workflow, m *workflow.Matrices) {
 	e.w, e.m = w, m
 	e.wver, e.mver = w.Graph().Version(), m.Epoch()
 	e.binds++
-	e.t = nil
+	e.tbound = false
 	e.mods = w.SchedulableInto(e.mods)
 	nm := w.NumModules()
 	if cap(e.times) < nm {
@@ -179,20 +190,26 @@ func (e *engine) bind(w *workflow.Workflow, m *workflow.Matrices) {
 	}
 }
 
-// resetTiming refreshes the incremental timing to schedule s, constructing
-// it on first use. Afterwards e.t aliases e.times: UpdateNode keeps both in
+// resetTiming refreshes the incremental timing to schedule s, rebinding
+// it to the bound graph in place after a bind (and constructing it on
+// first use). Afterwards e.t aliases e.times: UpdateNode keeps both in
 // sync, and callers must never write e.times directly before updating.
 func (e *engine) resetTiming(s workflow.Schedule) error {
 	e.times = e.m.TimesInto(s, e.times)
+	if e.tbound {
+		return e.t.Update(e.times)
+	}
 	if e.t == nil {
 		t, err := dag.NewTiming(e.w.Graph(), e.times, nil)
 		if err != nil {
 			return err
 		}
 		e.t = t
-		return nil
+	} else if err := e.t.Reset(e.w.Graph(), e.times, nil); err != nil {
+		return err
 	}
-	return e.t.Update(e.times)
+	e.tbound = true
+	return nil
 }
 
 // updateNode applies the reassignment of module i to type j to the bound

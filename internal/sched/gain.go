@@ -2,6 +2,7 @@ package sched
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"medcc/internal/dag"
@@ -52,10 +53,11 @@ type GAIN struct {
 	Variant int // 1, 2 or 3
 
 	eng engine
-	// ups is SweepInto's sorted upgrade list for the engine binding
-	// counted by upsBind (0: none built yet).
-	ups     []gainUpgrade
-	upsBind uint64
+	// pass is the sorted upgrade list of the engine binding counted by
+	// passBind (0: none built yet); ups is its sort scratch.
+	ups      []gainUpgrade
+	pass     []gainMove
+	passBind uint64
 }
 
 // Name implements Scheduler.
@@ -112,11 +114,11 @@ func byGainWeight(a, b gainUpgrade) int {
 // SweepInto implements Sweeper: level k is exactly the schedule
 // ScheduleInto returns at budgets[k]. GAIN1 and GAIN3 build the improving
 // options of every task against the least-cost schedule, sort them
-// (byGainWeight), and make one pass per level (see the type doc for why
-// one pass is GAIN3). The sorted list depends only on the bound instance,
-// so it is built once per engine binding and repeat sweeps of the same
-// instance reuse it. GAIN2's whole-DAG weights move with the schedule, so
-// it solves each level separately.
+// (byGainWeight), and make one pass per level (gainPass; see the type doc
+// for why one pass is GAIN3). The sorted list depends only on the bound
+// instance, so it is built once per engine binding and repeat sweeps of
+// the same instance reuse it. GAIN2's whole-DAG weights move with the
+// schedule, so it solves each level separately.
 //
 // medcc:deterministic
 func (g *GAIN) SweepInto(dst []workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budgets []float64) ([]workflow.Schedule, error) {
@@ -128,35 +130,66 @@ func (g *GAIN) SweepInto(dst []workflow.Schedule, w *workflow.Workflow, m *workf
 	if err != nil || len(budgets) == 0 {
 		return dst, err
 	}
-	lc := e.lc
-	if g.upsBind != e.binds {
-		g.sortUpgrades()
-		g.upsBind = e.binds
-	}
+	g.sortUpgrades()
 	for k, b := range budgets {
-		s := copySchedule(dst[k], lc)
-		moved := e.resetMoved()
-		ctmp := cmin
-		for _, u := range g.ups {
-			if b-ctmp <= 0 {
-				break
-			}
-			if moved[u.mod] || u.dc > (b-ctmp)+costEps {
-				continue
-			}
-			s[u.mod] = int(u.typ)
-			moved[u.mod] = true
-			ctmp += u.dc
-		}
+		s := copySchedule(dst[k], e.lc)
+		gainPass(s, cmin, g.pass, b, e.resetMoved())
 		dst[k] = s
 	}
 	return dst, nil
 }
 
-// sortUpgrades rebuilds the sorted upgrade list of the bound instance
-// from its least-cost schedule e.lc.
+// ResumeInto implements Sweeper: it returns exactly what ScheduleInto
+// returns at budget. A GAIN1/GAIN3 trail of the same (w, m) holds the
+// instance's sorted upgrade list, valid at every budget, so the solve is
+// one pass over it; any other trail, and every GAIN2 solve, runs cold.
+//
+// medcc:allocfree
+// medcc:deterministic — resumed solves are differential-tested against
+// ScheduleInto
+func (g *GAIN) ResumeInto(dst workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budget float64, tr *Trail) (workflow.Schedule, error) {
+	if g.Variant == 2 || !tr.resumable(gainTrail, w, m, budget) {
+		return g.ScheduleInto(dst, w, m, budget)
+	}
+	s, cmin, err := checkFeasibleInto(w, m, budget, dst)
+	if err != nil {
+		return nil, err
+	}
+	g.eng.bind(w, m)
+	gainPass(s, cmin, tr.pass, budget, g.eng.resetMoved())
+	return s, nil
+}
+
+// resumeTrail solves one SweepGrid level: every level shares one trail,
+// a copy of the sorted list, built at the first level.
+//
+// medcc:coldpath — allocates the level's schedule and the trail.
+func (g *GAIN) resumeTrail(dst workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budget float64, from *Trail, _ bool) (workflow.Schedule, *Trail, error) {
+	tr := from
+	if !tr.resumable(gainTrail, w, m, budget) {
+		e := &g.eng
+		lc, _, err := checkFeasibleInto(w, m, budget, e.lc)
+		if err != nil {
+			return nil, nil, err
+		}
+		e.lc = lc
+		e.bind(w, m)
+		g.sortUpgrades()
+		tr = e.newTrail(gainTrail, math.Inf(-1))
+		tr.pass = slices.Clone(g.pass)
+	}
+	s, err := g.ResumeInto(dst, w, m, budget, tr)
+	return s, tr, err
+}
+
+// sortUpgrades builds the sorted upgrade list of the bound instance from
+// its least-cost schedule e.lc, unless the list of this binding is
+// already built.
 func (g *GAIN) sortUpgrades() {
 	e := &g.eng
+	if g.passBind == e.binds {
+		return
+	}
 	lc := e.lc
 	g.ups = g.ups[:0]
 	for _, i := range e.mods {
@@ -172,6 +205,11 @@ func (g *GAIN) sortUpgrades() {
 		}
 	}
 	slices.SortFunc(g.ups, byGainWeight)
+	g.pass = g.pass[:0]
+	for _, u := range g.ups {
+		g.pass = append(g.pass, gainMove{dc: u.dc, mod: u.mod, typ: u.typ})
+	}
+	g.passBind = e.binds
 }
 
 // oncePerTask implements GAIN2 (makespanWeight true) and GAIN3: pick the

@@ -16,10 +16,12 @@ import (
 // layer's snapshot-scoped cache is built on this.
 //
 // Every level is bit-identical to what a direct ScheduleInto call at
-// that budget returns. The starting grid and each refinement round are
-// solved as one ascending sweep (SweepSchedules), so a Sweeper shares
-// work between the levels of a round; every call rebinds the same
-// (workflow, matrices) pair, so the scheduler's engine binds once.
+// that budget returns. A scheduler that keeps trails (see Trail) solves
+// every level by resuming from a lower level's trail and keeps each
+// level's trail in the staircase, so a later solve at any budget can
+// resume from the level below it; other schedulers solve each level
+// separately. Every call rebinds the same (workflow, matrices) pair, so
+// the scheduler's engine binds once.
 
 // BudgetAt maps a grid fraction in [0, 1] onto the absolute budget
 // lo + frac*(hi-lo). Both the staircase builder and the serve layer's
@@ -62,7 +64,10 @@ func (o GridOptions) withDefaults() GridOptions {
 // ascending; level k holds schedule Scheds[Level[k]] (adjacent levels
 // with identical schedules share one distinct entry). Trunc is non-nil
 // only when the scheduler reports truncation (TruncationReporter) and
-// records the per-level flag.
+// records the per-level flag. Trails is non-nil only when the scheduler
+// keeps trails (the Greedy family, GAIN1 and GAIN3) and holds level k's
+// trail, from which a solve at any budget at or above Budgets[k] can
+// resume (Sweeper.ResumeInto).
 type Staircase struct {
 	Lo, Hi  float64
 	Fracs   []float64
@@ -70,6 +75,7 @@ type Staircase struct {
 	Level   []int32
 	Scheds  []workflow.Schedule
 	Trunc   []bool
+	Trails  []*Trail
 }
 
 // Levels returns the number of grid levels.
@@ -119,41 +125,45 @@ func (st *Staircase) Lookup(budget float64) (int, bool) {
 // where the schedule actually changes and sparse where it does not.
 // When MaxLevels binds within a round, the highest pairs are split.
 //
-// lo must be feasible (the serve layer passes the pair's Cmin). The
-// starting grid and each refinement round are solved as one ascending
-// sweep, so every level is bit-identical to a direct ScheduleInto at
-// its budget. A TruncationReporter is solved level by level instead, so
-// its flag can be read after each solve.
+// lo must be feasible (the serve layer passes the pair's Cmin). Every
+// level is bit-identical to a direct ScheduleInto at its budget. A
+// scheduler that keeps trails (the Greedy family, GAIN1 and GAIN3)
+// solves the starting grid as one ascending sweep, each level resuming
+// from the one below it, and each refinement midpoint by resuming from
+// the trail of its left neighbour; the staircase keeps every level's
+// trail. Any other scheduler solves each level with its own
+// ScheduleInto (their sweeps are per-level solves too), and a
+// TruncationReporter's flag is read after each solve.
 func SweepGrid(sch IntoScheduler, w *workflow.Workflow, m *workflow.Matrices, lo, hi float64, opt GridOptions) (*Staircase, error) {
 	if !(hi >= lo) {
 		return nil, fmt.Errorf("sched: SweepGrid budget range [%.6g, %.6g] inverted or NaN", lo, hi)
 	}
 	opt = opt.withDefaults()
 	tr, _ := sch.(TruncationReporter)
-	budgets := make([]float64, 0, opt.MaxLevels)
-	// solve fills in the schedule and truncation flag of every level;
-	// the fractions ascend.
-	solve := func(levels []gridLevel) error {
-		budgets = budgets[:0]
-		for _, l := range levels {
-			budgets = append(budgets, BudgetAt(lo, hi, l.frac))
-		}
-		if tr == nil {
-			scheds, err := SweepSchedules(sch, nil, w, m, budgets)
+	resume := trailResumer(sch)
+	// solve fills in the schedule, truncation flag and trail of every
+	// level; the fractions ascend. In the starting grid (chained) a level
+	// resumes from the one below it, whose end state the scheduler still
+	// holds; a refinement midpoint resumes from its left neighbour.
+	solve := func(levels []gridLevel, chained bool) error {
+		for k := range levels {
+			b := BudgetAt(lo, hi, levels[k].frac)
+			var err error
+			if resume != nil {
+				from, live := levels[k].from, false
+				if chained && k > 0 {
+					from, live = levels[k-1].trail, true
+				}
+				levels[k].sched, levels[k].trail, err = resume(nil, w, m, b, from, live)
+			} else {
+				levels[k].sched, err = sch.ScheduleInto(nil, w, m, b)
+			}
 			if err != nil {
 				return err
 			}
-			for k := range levels {
-				levels[k].sched = scheds[k]
+			if tr != nil {
+				levels[k].trunc = tr.WasTruncated()
 			}
-			return nil
-		}
-		for k, b := range budgets {
-			s, err := sch.ScheduleInto(nil, w, m, b)
-			if err != nil {
-				return err
-			}
-			levels[k].sched, levels[k].trunc = s, tr.WasTruncated()
 		}
 		return nil
 	}
@@ -162,16 +172,16 @@ func SweepGrid(sch IntoScheduler, w *workflow.Workflow, m *workflow.Matrices, lo
 	for k := range grid {
 		grid[k].frac = float64(k) / float64(initLevels-1)
 	}
-	if err := solve(grid); err != nil {
+	if err := solve(grid, true); err != nil {
 		return nil, err
 	}
 
 	// Refinement rounds: split every differing adjacent pair at its
 	// midpoint until the curve is resolved, the gaps hit the dyadic
 	// floor, or the level cap is reached. A round picks its pairs top
-	// down, solves their midpoints in one ascending sweep, and merges
-	// them in; each midpoint lies strictly inside its pair, so sorting
-	// by fraction puts it in place.
+	// down, solves their midpoints ascending, and merges them in; each
+	// midpoint lies strictly inside its pair, so sorting by fraction
+	// puts it in place.
 	mids := make([]gridLevel, 0, opt.MaxLevels)
 	for len(grid) < opt.MaxLevels {
 		mids = mids[:0]
@@ -180,13 +190,13 @@ func SweepGrid(sch IntoScheduler, w *workflow.Workflow, m *workflow.Matrices, lo
 			if gap < minRefineGap || grid[k].sched.Equal(grid[k+1].sched) {
 				continue
 			}
-			mids = append(mids, gridLevel{frac: grid[k].frac + float64(gap/2)})
+			mids = append(mids, gridLevel{frac: grid[k].frac + float64(gap/2), from: grid[k].trail})
 		}
 		if len(mids) == 0 {
 			break
 		}
 		slices.Reverse(mids)
-		if err := solve(mids); err != nil {
+		if err := solve(mids, false); err != nil {
 			return nil, err
 		}
 		grid = append(grid, mids...)
@@ -196,11 +206,14 @@ func SweepGrid(sch IntoScheduler, w *workflow.Workflow, m *workflow.Matrices, lo
 	return extractStaircase(lo, hi, grid), nil
 }
 
-// gridLevel is one solved point of a SweepGrid build.
+// gridLevel is one solved point of a SweepGrid build: its schedule,
+// truncation flag and trail, and the trail of the level a refinement
+// midpoint resumes from.
 type gridLevel struct {
-	frac  float64
-	sched workflow.Schedule
-	trunc bool
+	frac        float64
+	sched       workflow.Schedule
+	trunc       bool
+	from, trail *Trail
 }
 
 // extractStaircase collapses the solved grid into the shared form:
@@ -215,6 +228,7 @@ type gridLevel struct {
 func extractStaircase(lo, hi float64, grid []gridLevel) *Staircase {
 	st := &Staircase{Lo: lo, Hi: hi}
 	anyTrunc := slices.ContainsFunc(grid, func(l gridLevel) bool { return l.trunc })
+	anyTrail := slices.ContainsFunc(grid, func(l gridLevel) bool { return l.trail != nil })
 	for _, l := range grid {
 		b := BudgetAt(lo, hi, l.frac)
 		if n := len(st.Budgets); n > 0 && st.Budgets[n-1] == b {
@@ -232,6 +246,9 @@ func extractStaircase(lo, hi float64, grid []gridLevel) *Staircase {
 		st.Level = append(st.Level, lev)
 		if anyTrunc {
 			st.Trunc = append(st.Trunc, l.trunc)
+		}
+		if anyTrail {
+			st.Trails = append(st.Trails, l.trail)
 		}
 	}
 	return st

@@ -24,17 +24,24 @@ import (
 //
 // Hit path: one map read, one atomic.Pointer Load, one exact-match
 // binary search, one SoA row copy — no locks, no engine, 0 allocs/op.
-// Only bit-exact budget matches hit; anything between grid levels falls
-// through to the direct scheduling path, which is what makes cached
-// responses trivially bit-identical to direct sched.Run (every grid
-// level equals a direct ScheduleInto at its budget; sched.SweepGrid
-// solves each refinement round as one exact sweep).
+// Only bit-exact budget matches hit (every grid level equals a direct
+// ScheduleInto at its budget), so cached responses are bit-identical to
+// direct sched.Run.
 //
-// Miss path: the first miss on a slot wins a CAS latch (singleflight)
-// and rides its own request to a worker, which answers the request
-// first (direct path, nothing waits on the sweep) and then builds and
-// installs the staircase. Concurrent misses lose the CAS and just take
-// the direct path; they never block on the build.
+// Resume path: a request between grid levels, or one asking for a
+// simulated trace (which the cache does not store), still goes to a
+// worker, but it carries the trail of the grid level at or below its
+// budget (sched.Trail, kept per level by the Greedy family, GAIN1 and
+// GAIN3). The worker resumes the solve from that trail
+// (sched.Sweeper.ResumeInto): it replays the steps that still hold at
+// the request's budget and runs the rest, and the answer is exactly
+// ScheduleInto's. Trails are immutable and shared by all workers.
+//
+// Miss path: the first miss on a slot without a staircase wins a CAS
+// latch (singleflight) and rides its own request to a worker, which
+// answers the request first (cold solve, nothing waits on the sweep)
+// and then builds and installs the staircase. Concurrent misses lose
+// the CAS and just take the cold path; they never block on the build.
 
 // CacheConfig sizes the snapshot-scoped staircase cache.
 type CacheConfig struct {
@@ -65,7 +72,7 @@ type cacheSlot struct {
 }
 
 // staircase is the frozen, immutable result of one grid sweep in SoA
-// layout: per-level budgets/MEDs/costs/truncation plus distinct
+// layout: per-level budgets/MEDs/costs/truncation/trails plus distinct
 // schedules flattened into one backing array (level[k] selects row
 // flat[level[k]*nm : ...]). Readers share it freely; nothing is ever
 // written after freeze.
@@ -74,13 +81,16 @@ type staircase struct {
 	meds    []float64
 	costs   []float64
 	trunc   []bool
+	trails  []*sched.Trail // nil when the algorithm keeps none
 	level   []int32
 	flat    []int
 	nm      int
 	bytes   int64
 }
 
-// lookup binary-searches for a bit-exact budget match.
+// lookup binary-searches for a bit-exact budget match. On a miss it
+// returns the index of the first level above budget, so the level at or
+// below budget is one less.
 //
 // medcc:floateq-exact — grid membership is bit-exact by construction:
 // request budgets and grid budgets both come from sched.BudgetAt over
@@ -97,10 +107,21 @@ func (st *staircase) lookup(budget float64) (int, bool) {
 			hi = mid
 		}
 	}
-	if lo < len(st.budgets) && st.budgets[lo] == budget {
-		return lo, true
+	return lo, lo < len(st.budgets) && st.budgets[lo] == budget
+}
+
+// trailBelow returns the trail of the level at or below the budget
+// lookup placed at (k, hit), or nil when there is none.
+//
+// medcc:allocfree
+func (st *staircase) trailBelow(k int, hit bool) *sched.Trail {
+	if !hit {
+		k--
 	}
-	return 0, false
+	if k < 0 || st.trails == nil {
+		return nil
+	}
+	return st.trails[k]
 }
 
 // fill copies level k into the job's pooled result fields — the entire
@@ -130,6 +151,7 @@ type scheduleCache struct {
 
 	hits      atomic.Int64
 	misses    atomic.Int64
+	resumes   atomic.Int64
 	evictions atomic.Int64
 	builds    atomic.Int64
 
@@ -180,16 +202,20 @@ func (c *scheduleCache) slot(alg, wf, cat string) *cacheSlot {
 }
 
 // dispatch is the cache front end, between prepare and the admission
-// queue: serve a bit-exact grid hit from the pinned snapshot's
-// staircase without touching a worker, otherwise fall through to submit
-// — arming the singleflight build latch when this miss is the slot's
-// first. Simulated-trace requests and inline instances bypass the cache
-// (j.cacheable is set only for named snapshot pairs).
+// queue. A bit-exact grid hit is served from the pinned snapshot's
+// staircase without touching a worker. Any other request on a slot with
+// an installed staircase, a budget between grid levels or a simulated
+// trace, carries the trail of the level at or below its budget to the
+// worker, which resumes the solve from it (cache_resumes). The first
+// miss on a slot without a staircase arms the singleflight build latch.
+// Simulated-trace requests count as neither hits nor misses and never
+// arm a build; inline instances bypass the cache (j.cacheable is set
+// only for named snapshot pairs).
 //
 // medcc:allocfree
 func (s *Server) dispatch(j *job) error {
 	c := j.snap.cache
-	if c == nil || !j.cacheable || j.simulate {
+	if c == nil || !j.cacheable {
 		return s.submit(j)
 	}
 	slot := c.slot(j.alg, j.wfRef, j.catRef)
@@ -197,17 +223,24 @@ func (s *Server) dispatch(j *job) error {
 		return s.submit(j)
 	}
 	if st := slot.stair.Load(); st != nil {
-		if k, ok := st.lookup(j.budget); ok {
+		k, hit := st.lookup(j.budget)
+		if hit && !j.simulate {
 			slot.lastUse.Store(c.clock.Add(1))
 			c.hits.Add(1)
 			st.fill(j, k)
 			return nil
 		}
-	} else if slot.building.CompareAndSwap(false, true) {
+		if j.trail = st.trailBelow(k, hit); j.trail != nil {
+			slot.lastUse.Store(c.clock.Add(1))
+			c.resumes.Add(1)
+		}
+	} else if !j.simulate && slot.building.CompareAndSwap(false, true) {
 		j.buildSlot = slot
 		j.buildCache = c
 	}
-	c.misses.Add(1)
+	if !j.simulate {
+		c.misses.Add(1)
+	}
 	err := s.submit(j)
 	if err != nil && j.buildSlot != nil {
 		// The job never reached a worker (full queue, closing server):
@@ -226,7 +259,9 @@ func (s *Server) dispatch(j *job) error {
 //
 // medcc:coldpath
 func (c *scheduleCache) install(slot *cacheSlot, fz *staircase) {
+	defer slot.building.Store(false)
 	c.evictMu.Lock()
+	defer c.evictMu.Unlock()
 	slot.stair.Store(fz)
 	slot.lastUse.Store(c.clock.Add(1))
 	c.bytes.Add(fz.bytes)
@@ -234,8 +269,6 @@ func (c *scheduleCache) install(slot *cacheSlot, fz *staircase) {
 	if c.maxBytes > 0 {
 		c.evictLocked(slot)
 	}
-	c.evictMu.Unlock()
-	slot.building.Store(false)
 }
 
 // evictLocked drops least-recently-used staircases (never the one just
@@ -364,6 +397,10 @@ func (w *worker) freezeStaircase(st *sched.Staircase, wf *workflow.Workflow, m *
 		fz.trunc = make([]bool, nLev)
 		copy(fz.trunc, st.Trunc)
 	}
+	if st.Trails != nil {
+		fz.trails = make([]*sched.Trail, nLev)
+		copy(fz.trails, st.Trails)
+	}
 	disMED := make([]float64, nDis)
 	disCost := make([]float64, nDis)
 	for d, s := range st.Scheds {
@@ -379,17 +416,21 @@ func (w *worker) freezeStaircase(st *sched.Staircase, wf *workflow.Workflow, m *
 		fz.meds[k] = disMED[fz.level[k]]
 		fz.costs[k] = disCost[fz.level[k]]
 	}
-	fz.bytes = staircaseBytes(nLev, nDis, nm, fz.trunc != nil)
+	fz.bytes = staircaseBytes(nLev, nDis, nm, fz.trunc != nil, fz.trails != nil, st.TrailBytes())
 	return fz, nil
 }
 
 // staircaseBytes is the resident-size model used for the memory cap:
-// the SoA backing arrays plus the struct header.
-func staircaseBytes(nLev, nDis, nm int, hasTrunc bool) int64 {
+// the SoA backing arrays, the trails (each recorded step and sorted
+// list counted once, sched.Staircase.TrailBytes) plus the struct header.
+func staircaseBytes(nLev, nDis, nm int, hasTrunc, hasTrails bool, trailBytes int64) int64 {
 	b := int64(nLev) * (8 + 8 + 8 + 4) // budgets, meds, costs, level
 	b += int64(nDis) * int64(nm) * 8   // flat schedules
 	if hasTrunc {
 		b += int64(nLev)
 	}
-	return b + 128
+	if hasTrails {
+		b += int64(nLev) * 8
+	}
+	return b + trailBytes + 128
 }

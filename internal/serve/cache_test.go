@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -71,10 +73,14 @@ func waitStaircase(t *testing.T, s *Server, alg, wf, cat string) *staircase {
 
 // TestCacheThreeWayDifferential is the acceptance pin: for gen.Random
 // workflows × algorithms × budget fractions both ON the staircase grid
-// (dyadic, bit-exact hits) and OFF it (fall-through to the direct
-// path), the cached server, an uncached server, and direct sched.Run
-// must agree on the schedule exactly and on makespan/cost to the bit
-// (math.Float64bits).
+// (dyadic, bit-exact hits) and OFF it (fixed and random fractions,
+// resumed from the trail of the level below), with and without a
+// simulated trace, the cached server, an uncached server, and direct
+// sched.Run must agree on the schedule exactly and on makespan/cost to
+// the bit (math.Float64bits); the cached and uncached response bodies,
+// traces included, must be byte-identical. After install, every
+// off-grid or simulate request counts one cache_resumes and every grid
+// request without a trace one hit.
 func TestCacheThreeWayDifferential(t *testing.T) {
 	lib := genLibrary(t, []int{5, 20, 60})
 	cached := testServer(t, Config{Workers: 2, Library: lib})
@@ -85,8 +91,8 @@ func TestCacheThreeWayDifferential(t *testing.T) {
 	ch, uh := cached.Handler(), uncached.Handler()
 
 	gridFracs := []float64{0, 0.125, 0.25, 0.5, 0.875, 1}
-	offFracs := []float64{0.3, 0.7}
-	algs := []string{"critical-greedy", "critical-ratio", "gain1"}
+	rng := rand.New(rand.NewSource(21))
+	algs := []string{"critical-greedy", "critical-ratio", "gain1", "gain3"}
 
 	for _, wfName := range []string{"wf5", "wf20", "wf60"} {
 		snap := cached.Snapshot()
@@ -103,60 +109,64 @@ func TestCacheThreeWayDifferential(t *testing.T) {
 				t.Fatalf("%s/%s prime: status %d: %s", wfName, alg, rw.Code, rw.Body.Bytes())
 			}
 			st := waitStaircase(t, cached, alg, wfName, "paper")
+			if st.trails == nil {
+				t.Fatalf("%s/%s: staircase kept no trails", wfName, alg)
+			}
 
+			offFracs := []float64{0.3, 0.7, rng.Float64(), rng.Float64(), rng.Float64()}
 			for _, frac := range append(append([]float64(nil), gridFracs...), offFracs...) {
 				budget := sched.BudgetAt(cmin, cmax, frac)
-				if _, hit := st.lookup(budget); !hit {
-					for _, gf := range gridFracs {
-						if gf == frac {
-							t.Fatalf("%s/%s frac %v: dyadic fraction missing from staircase grid", wfName, alg, frac)
-						}
-					}
+				_, onGrid := st.lookup(budget)
+				if !onGrid && slices.Contains(gridFracs, frac) {
+					t.Fatalf("%s/%s frac %v: dyadic fraction missing from staircase grid", wfName, alg, frac)
 				}
+				for _, simulate := range []bool{false, true} {
+					label := fmt.Sprintf("%s/%s frac %v simulate %v", wfName, alg, frac, simulate)
+					hitsBefore, resumesBefore := snap.cache.hits.Load(), snap.cache.resumes.Load()
+					url := fmt.Sprintf("/schedule?workflow=%s&catalog=paper&algorithm=%s&budget_fraction=%v&simulate=%v", wfName, alg, frac, simulate)
+					rwC, got := postSchedule(t, ch, url, nil)
+					if got == nil {
+						t.Fatalf("%s cached: status %d: %s", label, rwC.Code, rwC.Body.Bytes())
+					}
+					hits, resumes := snap.cache.hits.Load()-hitsBefore, snap.cache.resumes.Load()-resumesBefore
+					wantHits := int64(0)
+					if onGrid && !simulate {
+						wantHits = 1
+					}
+					if hits != wantHits || resumes != 1-wantHits {
+						t.Fatalf("%s: %d hits and %d resumes, want %d and %d", label, hits, resumes, wantHits, 1-wantHits)
+					}
 
-				hitsBefore := snap.cache.hits.Load()
-				url := fmt.Sprintf("/schedule?workflow=%s&catalog=paper&algorithm=%s&budget_fraction=%g", wfName, alg, frac)
-				rwC, got := postSchedule(t, ch, url, nil)
-				if got == nil {
-					t.Fatalf("%s/%s frac %v cached: status %d: %s", wfName, alg, frac, rwC.Code, rwC.Body.Bytes())
-				}
-				if _, hit := st.lookup(budget); hit && snap.cache.hits.Load() == hitsBefore {
-					t.Fatalf("%s/%s frac %v: grid request did not hit the cache", wfName, alg, frac)
-				}
+					rwU, unc := postSchedule(t, uh, url, nil)
+					if unc == nil {
+						t.Fatalf("%s uncached: status %d: %s", label, rwU.Code, rwU.Body.Bytes())
+					}
+					if !bytes.Equal(rwC.Body.Bytes(), rwU.Body.Bytes()) {
+						t.Fatalf("%s: cached and uncached responses differ\ncached:   %s\nuncached: %s", label, rwC.Body.Bytes(), rwU.Body.Bytes())
+					}
 
-				rwU, unc := postSchedule(t, uh, url, nil)
-				if unc == nil {
-					t.Fatalf("%s/%s frac %v uncached: status %d: %s", wfName, alg, frac, rwU.Code, rwU.Body.Bytes())
-				}
-
-				ref, err := sched.Get(alg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := sched.Run(ref, w, m, budget)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				for name, resp := range map[string]*scheduleResponse{"cached": got, "uncached": unc} {
-					if len(resp.Schedule) != len(want.Schedule) {
-						t.Fatalf("%s/%s frac %v %s: schedule length %d != %d",
-							wfName, alg, frac, name, len(resp.Schedule), len(want.Schedule))
+					ref, err := sched.Get(alg)
+					if err != nil {
+						t.Fatal(err)
 					}
-					for i := range want.Schedule {
-						if resp.Schedule[i] != want.Schedule[i] {
-							t.Fatalf("%s/%s frac %v %s: schedule[%d] = %d, want %d",
-								wfName, alg, frac, name, i, resp.Schedule[i], want.Schedule[i])
-						}
+					want, err := sched.Run(ref, w, m, budget)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if math.Float64bits(resp.Makespan) != math.Float64bits(want.MED) {
-						t.Errorf("%s/%s frac %v %s: makespan %v != direct %v", wfName, alg, frac, name, resp.Makespan, want.MED)
+					if !workflow.Schedule(got.Schedule).Equal(want.Schedule) {
+						t.Fatalf("%s: schedule %v, direct %v", label, got.Schedule, want.Schedule)
 					}
-					if math.Float64bits(resp.Cost) != math.Float64bits(want.Cost) {
-						t.Errorf("%s/%s frac %v %s: cost %v != direct %v", wfName, alg, frac, name, resp.Cost, want.Cost)
+					if math.Float64bits(got.Makespan) != math.Float64bits(want.MED) {
+						t.Errorf("%s: makespan %v != direct %v", label, got.Makespan, want.MED)
 					}
-					if math.Float64bits(resp.Budget) != math.Float64bits(budget) {
-						t.Errorf("%s/%s frac %v %s: budget %v != BudgetAt %v", wfName, alg, frac, name, resp.Budget, budget)
+					if math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
+						t.Errorf("%s: cost %v != direct %v", label, got.Cost, want.Cost)
+					}
+					if math.Float64bits(got.Budget) != math.Float64bits(budget) {
+						t.Errorf("%s: budget %v != BudgetAt %v", label, got.Budget, budget)
+					}
+					if simulate != (got.Trace != nil) {
+						t.Errorf("%s: trace present = %v", label, got.Trace != nil)
 					}
 				}
 			}
@@ -195,6 +205,125 @@ func TestCachedScheduleAllocs(t *testing.T) {
 	}
 	if hits := c.hits.Load() - hitsBefore; hits < 100 {
 		t.Errorf("AllocsPerRun loop recorded %d cache hits, want >= 100 (requests not served from cache?)", hits)
+	}
+}
+
+// TestResumedScheduleAllocs is the resume path's zero-alloc gate: once
+// the staircase is installed, a warm in-process request between grid
+// levels carries the trail of the level below to the worker, which
+// resumes the solve from it without allocating.
+func TestResumedScheduleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on channel operations")
+	}
+	s := testServer(t, Config{Workers: 1, Library: genLibrary(t, []int{60})})
+	var res Result
+	for _, alg := range []string{"critical-greedy", "gain3"} {
+		p := Params{WorkflowRef: "wf60", CatalogRef: "paper", UseFraction: true, Fraction: 0.5, Algorithm: alg}
+		if err := s.Schedule(p, &res); err != nil { // arms the build
+			t.Fatal(err)
+		}
+		waitStaircase(t, s, alg, "wf60", "paper")
+	}
+	c := s.Snapshot().cache
+	var ps []Params
+	for _, alg := range []string{"critical-greedy", "gain3"} {
+		for _, frac := range []float64{0.05, 0.3, 0.61, 0.9} {
+			ps = append(ps, Params{WorkflowRef: "wf60", CatalogRef: "paper", UseFraction: true, Fraction: frac, Algorithm: alg})
+		}
+	}
+	next := 0
+	request := func() {
+		if err := s.Schedule(ps[next%len(ps)], &res); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for range ps { // warm the job pool, engines and result buffers
+		request()
+	}
+	resumesBefore := c.resumes.Load()
+	if avg := testing.AllocsPerRun(100, request); avg != 0 {
+		t.Errorf("warm resumed Schedule allocates %v allocs/op, want 0", avg)
+	}
+	if resumes := c.resumes.Load() - resumesBefore; resumes < 100 {
+		t.Errorf("AllocsPerRun loop recorded %d resumes, want >= 100 (requests not resumed?)", resumes)
+	}
+}
+
+// TestCacheConcurrentResume has several workers resume from one
+// staircase's trails at once, for critical-greedy and gain3, at random
+// budgets between grid levels: every answer must equal direct sched.Run.
+// Trails are shared read-only across workers; CI repeats this under
+// -race.
+func TestCacheConcurrentResume(t *testing.T) {
+	s := testServer(t, Config{Workers: 4, QueueDepth: 64, Library: genLibrary(t, []int{60})})
+	snap := s.Snapshot()
+	w := snap.Workflows["wf60"]
+	m, cmin, cmax, _ := snap.Pair("wf60", "paper")
+	algs := []string{"critical-greedy", "gain3"}
+	var res Result
+	for _, alg := range algs {
+		if err := s.Schedule(Params{WorkflowRef: "wf60", CatalogRef: "paper", UseFraction: true, Fraction: 0.5, Algorithm: alg}, &res); err != nil {
+			t.Fatal(err)
+		}
+		waitStaircase(t, s, alg, "wf60", "paper")
+	}
+	type want struct {
+		p   Params
+		run *sched.Result
+	}
+	rng := rand.New(rand.NewSource(6))
+	var wants []want
+	for k := 0; k < 32; k++ {
+		alg := algs[k%len(algs)]
+		p := Params{WorkflowRef: "wf60", CatalogRef: "paper", UseFraction: true, Fraction: rng.Float64(), Algorithm: alg}
+		ref, err := sched.Get(alg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := sched.Run(ref, w, m, sched.BudgetAt(cmin, cmax, p.Fraction))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants = append(wants, want{p, r})
+	}
+	resumesBefore := snap.cache.resumes.Load()
+	const clients, rounds = 8, 4
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			var res Result
+			for i := 0; i < rounds*len(wants); i++ {
+				wt := wants[(i+5*c)%len(wants)]
+				err := s.Schedule(wt.p, &res)
+				if err == ErrBusy {
+					i--
+					continue
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !workflow.Schedule(res.Schedule).Equal(wt.run.Schedule) ||
+					math.Float64bits(res.Makespan) != math.Float64bits(wt.run.MED) {
+					errs <- fmt.Errorf("client %d, %s at fraction %v: got %v (MED %v), want %v (MED %v)",
+						c, wt.p.Algorithm, wt.p.Fraction, res.Schedule, res.Makespan, wt.run.Schedule, wt.run.MED)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if resumes := snap.cache.resumes.Load() - resumesBefore; resumes != clients*rounds*int64(len(wants)) {
+		t.Errorf("%d resumes, want %d (every request is off the grid)", resumes, clients*rounds*len(wants))
 	}
 }
 
@@ -373,6 +502,15 @@ func TestStatsEndpoint(t *testing.T) {
 	if st.CacheMisses != 1 || st.CacheHits != 1 || st.CacheBuilds != 1 || st.Staircases != 1 || st.CacheBytes <= 0 {
 		t.Fatalf("warm stats: %+v", st)
 	}
+	off := p
+	off.Fraction = 0.3
+	if err := s.Schedule(off, &res); err != nil {
+		t.Fatal(err)
+	}
+	st = getStats()
+	if st.CacheMisses != 2 || st.CacheHits != 1 || st.CacheResumes != 1 || st.WorkerPanics != 0 {
+		t.Fatalf("stats after an off-grid request: %+v", st)
+	}
 
 	if _, err := s.Reload(); err != nil {
 		t.Fatal(err)
@@ -406,8 +544,10 @@ func TestCacheDisabledStats(t *testing.T) {
 }
 
 // TestCacheSimulateBypass: simulate requests carry a trace the cache
-// does not store, so they must bypass it — even at grid budgets with a
-// staircase installed — and still produce correct traces.
+// does not store, so they are never answered from it — even at grid
+// budgets with a staircase installed — and count as neither hits nor
+// misses. They do carry the grid level's trail to the worker (one
+// cache_resumes), which resumes the solve and replays the trace.
 func TestCacheSimulateBypass(t *testing.T) {
 	s := testServer(t, Config{Workers: 1})
 	var res Result
@@ -417,14 +557,17 @@ func TestCacheSimulateBypass(t *testing.T) {
 	}
 	waitStaircase(t, s, defaultAlgorithm, "example", "paper")
 	c := s.Snapshot().cache
-	hits := c.hits.Load()
+	hits, misses, resumes := c.hits.Load(), c.misses.Load(), c.resumes.Load()
 	sim := p
 	sim.Simulate = true
 	if err := s.Schedule(sim, &res); err != nil {
 		t.Fatal(err)
 	}
-	if c.hits.Load() != hits {
-		t.Error("simulate request was served from the cache")
+	if c.hits.Load() != hits || c.misses.Load() != misses {
+		t.Error("simulate request counted as a cache hit or miss")
+	}
+	if c.resumes.Load() != resumes+1 {
+		t.Error("simulate request at a grid budget did not resume from the level's trail")
 	}
 	if len(res.Trace.Modules) != len(res.Schedule) {
 		t.Errorf("simulate trace has %d modules, schedule %d", len(res.Trace.Modules), len(res.Schedule))

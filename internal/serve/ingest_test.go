@@ -57,3 +57,58 @@ func TestInlineIngestAllocs(t *testing.T) {
 		t.Errorf("warm inline ingest allocates %v allocs/op, want 0", avg)
 	}
 }
+
+// TestInlineScheduleAllocs carries the inline pin through the worker
+// round trip: decode, bind, a Critical-Greedy solve on a worker and the
+// MED on its pooled timing, cycling the ten paper sizes so consecutive
+// requests change size. The engine and the worker rebind their timings
+// in place (dag.Timing.Reset), and the Into helpers reuse capacity, so
+// once every pooled array has grown to the largest body a request
+// allocates nothing.
+func TestInlineScheduleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	s := testServer(t, Config{Workers: 1})
+	rng := rand.New(rand.NewSource(13))
+	var b gen.Builder
+	var bodies [][]byte
+	for _, size := range gen.PaperProblemSizes()[10:] {
+		w, cat, err := b.Instance(rng, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, containerBody(t, w, cat))
+	}
+
+	j := newJob()
+	ds := newDecodeScratch()
+	var src bytes.Reader
+	var res Result
+	next := 0
+	request := func() {
+		j.reset()
+		src.Reset(bodies[next%len(bodies)])
+		next++
+		ds.br.Reset(&src)
+		p := Params{UseFraction: true, Fraction: 0.5}
+		if err := ds.containerInstance(j, &p); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.prepare(j, p); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.schedule(j, &res); err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Schedule) != j.w.NumModules() {
+			t.Fatalf("schedule of %d modules for a %d-module body", len(res.Schedule), j.w.NumModules())
+		}
+	}
+	for range bodies { // grow every pooled array to the largest body
+		request()
+	}
+	if avg := testing.AllocsPerRun(4*len(bodies), request); avg != 0 {
+		t.Errorf("warm inline request allocates %v allocs/op, want 0", avg)
+	}
+}

@@ -17,6 +17,10 @@ var ErrBusy = errors.New("serve: admission queue full")
 // admitted.
 var ErrClosed = errors.New("serve: server closed")
 
+// ErrWorkerPanic wraps a panic recovered while a worker served a job
+// (mapped to 500 over HTTP). The worker drops its scratch and goes on.
+var ErrWorkerPanic = errors.New("serve: worker panic")
+
 // errNoBudget is the decode-side failure for requests that specify
 // neither an absolute budget nor a fraction.
 var errNoBudget = errors.New("serve: request needs budget or budget_fraction")
@@ -48,10 +52,13 @@ type job struct {
 	wfRef, catRef string
 
 	// cacheable marks named snapshot pairs — the only requests the
-	// staircase cache serves. buildSlot/buildCache are armed by dispatch
-	// when this request's miss won the singleflight latch; the worker
-	// captures them (captureBuild) before the done signal.
+	// staircase cache serves. trail is the installed staircase's trail
+	// at or below the budget, which the worker resumes from. buildSlot/
+	// buildCache are armed by dispatch when this request's miss won the
+	// singleflight latch; the worker captures them (captureBuild) before
+	// the done signal.
 	cacheable  bool
+	trail      *sched.Trail
 	buildSlot  *cacheSlot
 	buildCache *scheduleCache
 
@@ -86,6 +93,7 @@ func (j *job) reset() {
 	j.slots = 0
 	j.simulate = false
 	j.cacheable = false
+	j.trail = nil
 	j.buildSlot, j.buildCache = nil, nil
 	j.makespan, j.cost = 0, 0
 	j.truncated = false
@@ -97,6 +105,7 @@ func (j *job) reset() {
 // (or a request-scoped instance) alive.
 func (j *job) release() {
 	j.snap, j.w, j.m = nil, nil, nil
+	j.trail = nil
 	j.buildSlot, j.buildCache = nil, nil
 	j.err = nil
 }

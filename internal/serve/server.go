@@ -61,6 +61,7 @@ type Server struct {
 	workers []worker
 	algOK   map[string]bool
 	busy    atomic.Int64 // workers currently serving a batch (stats gauge)
+	panics  atomic.Int64 // panics recovered on workers, server lifetime
 
 	jobs    sync.Pool
 	scratch sync.Pool

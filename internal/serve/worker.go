@@ -44,6 +44,8 @@ type worker struct {
 // triggers a staircase build — AFTER its done signal, so the requester
 // never waits on the sweep, and only from fields captured beforehand,
 // because the ack releases the job back to the frontend pool.
+// A panic in a job or a build is recovered (see recovered); the worker
+// goes on with the next job.
 func (s *Server) runWorker(k int) {
 	defer s.wg.Done()
 	w := &s.workers[k]
@@ -53,15 +55,63 @@ func (s *Server) runWorker(k int) {
 		w.gather(s.queue, s.maxBatch)
 		w.sortBatch()
 		for _, j := range w.batch {
-			j.err = w.serve(j)
+			s.serveJob(w, j)
 			br := captureBuild(j)
 			j.done <- struct{}{}
 			if br.slot != nil {
-				w.buildStaircase(br)
+				s.buildJob(w, br)
 			}
 		}
 		s.busy.Add(-1)
 	}
+}
+
+// serveJob serves one job into j.err; a panic inside it becomes the
+// job's error, which answers 500.
+//
+// medcc:allocfree
+func (s *Server) serveJob(w *worker, j *job) {
+	defer s.recoverJob(w, j)
+	j.err = w.serve(j)
+}
+
+// recoverJob is serveJob's deferred recovery (recover only stops a panic
+// when the deferred function calls it itself).
+func (s *Server) recoverJob(w *worker, j *job) {
+	if r := recover(); r != nil {
+		j.err = s.recovered(w, r)
+	}
+}
+
+// buildJob builds a staircase; a panic inside the build releases the
+// slot's latch, so a later miss can claim the build again.
+//
+// medcc:coldpath — once per (snapshot, workflow, catalog, algorithm).
+func (s *Server) buildJob(w *worker, br buildReq) {
+	defer s.recoverBuild(w, br.slot)
+	w.buildStaircase(br)
+}
+
+// recoverBuild is buildJob's deferred recovery.
+func (s *Server) recoverBuild(w *worker, slot *cacheSlot) {
+	if r := recover(); r != nil {
+		_ = s.recovered(w, r)
+		slot.building.Store(false)
+	}
+}
+
+// recovered handles a panic recovered on a worker: it counts it
+// (worker_panics in /stats), drops the worker's scheduler engines,
+// timing and replayer, whose state is whatever the panic left, so the
+// next job starts clean, and returns the error the job answers with.
+//
+// medcc:coldpath — a panic is a bug, not a steady state.
+func (s *Server) recovered(w *worker, r any) error {
+	s.panics.Add(1)
+	w.algs = nil
+	w.times, w.t, w.tg, w.tver = nil, nil, nil, 0
+	w.rep = sim.Replayer{}
+	return fmt.Errorf("%w: %v", ErrWorkerPanic, r)
 }
 
 // gather drains up to max-1 additional queued jobs without blocking.
@@ -118,8 +168,9 @@ func batchLess(a, b *job) bool {
 	return a.snap.Version < b.snap.Version
 }
 
-// serve runs one admitted job: schedule within budget, price and time
-// the result, optionally replay it for a trace. Everything here runs in
+// serve runs one admitted job: schedule within budget (resuming from the
+// job's staircase trail when dispatch attached one), price and time the
+// result, optionally replay it for a trace. Everything here runs in
 // worker-owned scratch.
 //
 // medcc:allocfree
@@ -133,7 +184,13 @@ func (w *worker) serve(j *job) error {
 			return err
 		}
 	}
-	sc, err := alg.ScheduleInto(j.sched, j.w, j.m, j.budget)
+	var sc workflow.Schedule
+	var err error
+	if sw, ok := alg.(sched.Sweeper); ok && j.trail != nil {
+		sc, err = sw.ResumeInto(j.sched, j.w, j.m, j.budget, j.trail)
+	} else {
+		sc, err = alg.ScheduleInto(j.sched, j.w, j.m, j.budget)
+	}
 	if err != nil {
 		return err
 	}
@@ -186,18 +243,25 @@ func (w *worker) evalMED(wf *workflow.Workflow, m *workflow.Matrices, s workflow
 	return w.t.Makespan, nil
 }
 
-// freshTiming rebinds the pooled timing to a new graph.
+// freshTiming rebinds the pooled timing to a new graph, rebuilding it in
+// its existing capacity (dag.Timing.Reset), so inline requests of
+// changing sizes allocate only past the largest instance seen.
 //
 // medcc:coldpath — runs on instance switch within a batch, not per
-// request; batch sorting keeps same-instance requests adjacent so the
-// rebuild amortizes like the engines' bind.
+// request; only the first timing and size growth allocate.
 func (w *worker) freshTiming(g *dag.Graph) (float64, error) {
-	t, err := dag.NewTiming(g, w.times, nil)
-	if err != nil {
+	w.tg = nil // a failed rebuild leaves no binding
+	if w.t == nil {
+		t, err := dag.NewTiming(g, w.times, nil)
+		if err != nil {
+			return 0, err
+		}
+		w.t = t
+	} else if err := w.t.Reset(g, w.times, nil); err != nil {
 		return 0, err
 	}
-	w.t, w.tg, w.tver = t, g, g.Version()
-	return t.Makespan, nil
+	w.tg, w.tver = g, g.Version()
+	return w.t.Makespan, nil
 }
 
 // algFor instantiates and caches a per-worker scheduler engine. The

@@ -53,14 +53,16 @@ func (m *Matrices) Times(s Schedule) []float64 {
 }
 
 // TimesInto fills dst with the per-module execution times under schedule s
-// and returns it, allocating only when dst is nil or of the wrong length.
-// Reusing one buffer across greedy iterations keeps the scheduler hot loop
+// and returns it, reusing dst's capacity and allocating only when it is
+// too small. Reusing one buffer across greedy iterations, and across
+// instances of different sizes, keeps the scheduler hot loop
 // allocation-free.
 func (m *Matrices) TimesInto(s Schedule, dst []float64) []float64 {
-	if len(dst) != len(m.TE) {
+	if cap(dst) < len(m.TE) {
 		// medcc:lint-ignore allocfree — first-use growth; steady state reuses dst.
 		dst = make([]float64, len(m.TE))
 	}
+	dst = dst[:len(m.TE)]
 	for i, j := range s {
 		if j < 0 {
 			dst[i] = m.TE[i][0] // fixed module: identical in every column
@@ -114,13 +116,14 @@ func (m *Matrices) LeastCost(w *Workflow) Schedule {
 }
 
 // LeastCostInto writes the least-cost schedule into dst and returns it,
-// allocating only when dst is nil or of the wrong length.
+// reusing dst's capacity and allocating only when it is too small.
 func (m *Matrices) LeastCostInto(w *Workflow, dst Schedule) Schedule {
 	s := dst
-	if len(s) != len(m.TE) {
+	if cap(s) < len(m.TE) {
 		// medcc:lint-ignore allocfree — first-use growth; steady state reuses dst.
 		s = make(Schedule, len(m.TE))
 	}
+	s = s[:len(m.TE)]
 	for i := range m.TE {
 		if w.mods[i].Fixed {
 			s[i] = -1
@@ -155,13 +158,14 @@ func (m *Matrices) Fastest(w *Workflow) Schedule {
 }
 
 // FastestInto writes the fastest schedule into dst and returns it,
-// allocating only when dst is nil or of the wrong length.
+// reusing dst's capacity and allocating only when it is too small.
 func (m *Matrices) FastestInto(w *Workflow, dst Schedule) Schedule {
 	s := dst
-	if len(s) != len(m.TE) {
+	if cap(s) < len(m.TE) {
 		// medcc:lint-ignore allocfree — first-use growth; steady state reuses dst.
 		s = make(Schedule, len(m.TE))
 	}
+	s = s[:len(m.TE)]
 	for i := range m.TE {
 		if w.mods[i].Fixed {
 			s[i] = -1

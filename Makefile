@@ -12,7 +12,7 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific invariants (the ten medcc-lint analyzers); see
+# Project-specific invariants (the eleven medcc-lint analyzers); see
 # DESIGN.md §8 and `go run ./cmd/medcc-lint -list`.
 lint:
 	$(GO) run ./cmd/medcc-lint

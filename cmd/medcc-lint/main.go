@@ -14,7 +14,7 @@
 // See DESIGN.md §8 for what each analyzer enforces and README.md for
 // the annotation conventions (medcc:allocfree, medcc:coldpath,
 // medcc:scratch, medcc:floateq-exact, medcc:deterministic, medcc:daemon,
-// medcc:onesnapshot, medcc:lint-ignore).
+// medcc:onesnapshot, medcc:testoracle, medcc:lint-ignore).
 package main
 
 import (

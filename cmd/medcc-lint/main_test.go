@@ -44,7 +44,7 @@ func TestRunList(t *testing.T) {
 	}
 	for _, name := range []string{
 		"allocfree", "epochguard", "scratchescape", "floateq", "mapiter",
-		"atomics", "goroleak", "chanclose", "determinism", "errwrap",
+		"atomics", "goroleak", "chanclose", "determinism", "errwrap", "deadcode",
 	} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %s:\n%s", name, out)
@@ -76,7 +76,7 @@ func seedViolationModule(t *testing.T) string {
 	dir := t.TempDir()
 	files := map[string]string{
 		"go.mod": "module seeded\n",
-		"bad.go": "package seeded\n\nfunc eq(a, b float64) bool { return a == b }\n",
+		"bad.go": "package seeded\n\nfunc Eq(a, b float64) bool { return a == b }\n",
 	}
 	for name, content := range files {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
@@ -202,7 +202,7 @@ func TestRunSARIF(t *testing.T) {
 	}
 	for _, name := range []string{
 		"allocfree", "epochguard", "scratchescape", "floateq", "mapiter",
-		"atomics", "goroleak", "chanclose", "determinism", "errwrap", "staleignore",
+		"atomics", "goroleak", "chanclose", "determinism", "errwrap", "deadcode", "staleignore",
 	} {
 		if !ruleIDs[name] {
 			t.Errorf("SARIF rules missing %s", name)

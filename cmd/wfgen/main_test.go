@@ -74,16 +74,16 @@ func TestRunCorpusMode(t *testing.T) {
 	}
 	wf := workflow.New()
 	generated, converted := 0, 0
-	for {
+	for rec := 0; ; rec++ {
 		cat, info, err := cr.Next(wf)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			t.Fatalf("record %d: %v", cr.NumRead(), err)
+			t.Fatalf("record %d: %v", rec, err)
 		}
 		if err := cat.Validate(); err != nil {
-			t.Fatalf("record %d catalog: %v", cr.NumRead(), err)
+			t.Fatalf("record %d catalog: %v", rec, err)
 		}
 		switch info.Kind {
 		case encoding.KindGenerated:
@@ -91,7 +91,7 @@ func TestRunCorpusMode(t *testing.T) {
 			// info carries the requested problem size; the generator adds
 			// entry/exit modules on top of it.
 			if wf.NumModules() < int(info.M) {
-				t.Fatalf("record %d: %d modules for requested size %d", cr.NumRead(), wf.NumModules(), info.M)
+				t.Fatalf("record %d: %d modules for requested size %d", rec, wf.NumModules(), info.M)
 			}
 		case encoding.KindDAX:
 			converted++
@@ -99,7 +99,7 @@ func TestRunCorpusMode(t *testing.T) {
 				t.Fatalf("converted record: %d modules, %d edges", wf.NumModules(), wf.NumDependencies())
 			}
 		default:
-			t.Fatalf("record %d: unexpected kind %d", cr.NumRead(), info.Kind)
+			t.Fatalf("record %d: unexpected kind %d", rec, info.Kind)
 		}
 	}
 	if generated != 25 || converted != 1 {

@@ -1,6 +1,6 @@
 // Package analysis is the project's static-analysis suite: a
 // stdlib-only (go/parser, go/ast, go/types — no x/tools) driver, a
-// shared whole-module call-graph + fact engine (callgraph.go), and ten
+// shared whole-module call-graph + fact engine (callgraph.go), and eleven
 // analyzers that machine-check the invariants the timing engine
 // (internal/dag, internal/sched), the simulator core (internal/sim),
 // and the serving stack (internal/serve) were rebuilt around. The
@@ -29,6 +29,10 @@
 //     source, and unsorted map order.
 //   - errwrap:       error causes wrap with %w or shared sentinels; no
 //     err.Error() re-stringifying, no duplicate errors.New messages.
+//   - deadcode:      every function of a non-main package is reachable
+//     from main, init, a root-package export, a package-level
+//     initialiser, an interface method name, or a
+//     `// medcc:testoracle` reference implementation.
 //
 // Findings are suppressed line-by-line with
 // `// medcc:lint-ignore <analyzer> — rationale`, either trailing the
@@ -88,53 +92,11 @@ type Package struct {
 // allocfree call walk crossing package boundaries.
 type Module struct {
 	Fset     *token.FileSet
+	Path     string     // module path from go.mod; its package's exports are deadcode roots
 	Packages []*Package // all loaded packages, sorted by path
 	Targets  []*Package
 
-	funcIndex map[*types.Func]*FuncInfo
 	callGraph *CallGraph
-}
-
-// FuncInfo ties a function object to its declaration and owning package.
-type FuncInfo struct {
-	Decl *ast.FuncDecl
-	Pkg  *Package
-}
-
-// FuncDecl returns the module declaration of fn, or nil when fn has no
-// body in the loaded set (stdlib, interface methods, func values).
-func (m *Module) FuncDecl(fn *types.Func) *FuncInfo {
-	if m.funcIndex == nil {
-		m.funcIndex = make(map[*types.Func]*FuncInfo)
-		for _, pkg := range m.Packages {
-			for _, f := range pkg.Files {
-				for _, decl := range f.Decls {
-					fd, ok := decl.(*ast.FuncDecl)
-					if !ok || fd.Name == nil {
-						continue
-					}
-					if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-						m.funcIndex[obj] = &FuncInfo{Decl: fd, Pkg: pkg}
-					}
-				}
-			}
-		}
-	}
-	return m.funcIndex[fn]
-}
-
-// isTarget reports whether pos lies in one of the module's target
-// packages.
-func (m *Module) isTarget(pos token.Pos) bool {
-	file := m.Fset.Position(pos).Filename
-	for _, pkg := range m.Targets {
-		for _, f := range pkg.Files {
-			if m.Fset.Position(f.Pos()).Filename == file {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Callee resolves the static callee of call within pkg: a *types.Func
@@ -164,6 +126,7 @@ const (
 	MarkerDeterministic = "medcc:deterministic" // differential-tested root: no clock/global-rand/map-order (walked transitively)
 	MarkerDaemon        = "medcc:daemon"        // goroutine deliberately outlives its spawner (process-lifetime)
 	MarkerOneSnapshot   = "medcc:onesnapshot"   // request root: each atomic.Pointer snapshot Loaded at most once (walked transitively)
+	MarkerTestOracle    = "medcc:testoracle"    // reference implementation only tests call; a deadcode root
 	markerLintIgnore    = "medcc:lint-ignore"
 	markerWantComment   = "want" // fixture expectations, see analysis_test.go
 )
@@ -189,7 +152,7 @@ func commentHasMarker(text, marker string) bool {
 	return text == marker || strings.HasPrefix(text, marker+" ")
 }
 
-var ignoreRe = regexp.MustCompile(`medcc:lint-ignore\s+([a-z,]+)`)
+var ignoreRe = regexp.MustCompile(markerLintIgnore + `\s+([a-z,]+)`)
 
 // StaleIgnoreName is the pseudo-analyzer name of the driver's stale
 // suppression check: a `medcc:lint-ignore` comment that suppresses no
@@ -281,13 +244,22 @@ func suppressions(m *Module) (suppressionIndex, []*ignoreComment) {
 
 // Run executes the analyzers over the module, drops findings suppressed
 // by `medcc:lint-ignore` comments, reports suppressions that suppressed
-// nothing (staleignore), and returns the rest sorted by position.
+// nothing (staleignore), and returns the rest that lie in the module's
+// target packages, sorted by position.
 func Run(m *Module, analyzers []Analyzer) []Diagnostic {
 	sup, comments := suppressions(m)
+	targets := map[string]bool{}
+	for _, pkg := range m.Targets {
+		for _, f := range pkg.Files {
+			targets[m.Fset.Position(f.Pos()).Filename] = true
+		}
+	}
 	var out []Diagnostic
 	seen := map[string]bool{}
 	emit := func(d Diagnostic) {
-		if sup.suppress(d) {
+		// Suppress first, so a suppression in a loaded non-target
+		// package still counts as used and is not reported stale.
+		if sup.suppress(d) || !targets[d.Pos.Filename] {
 			return
 		}
 		key := d.String()
@@ -350,6 +322,7 @@ func All() []Analyzer {
 		&ChanClose{},
 		&Determinism{},
 		&ErrWrap{},
+		&DeadCode{},
 	}
 }
 

@@ -96,7 +96,49 @@ func TestGoroLeakFixture(t *testing.T)      { runFixture(t, "goroleak") }
 func TestChanCloseFixture(t *testing.T)     { runFixture(t, "chanclose") }
 func TestDeterminismFixture(t *testing.T)   { runFixture(t, "determinism") }
 func TestErrWrapFixture(t *testing.T)       { runFixture(t, "errwrap") }
+func TestDeadCodeFixture(t *testing.T)      { runFixture(t, "deadcode") }
 func TestStaleIgnoreFixture(t *testing.T)   { runFixture(t, "staleignore") }
+
+// funcAnalyzer adapts a function to the Analyzer interface for driver
+// tests.
+type funcAnalyzer func(m *Module, report func(Diagnostic))
+
+func (funcAnalyzer) Name() string                             { return "stub" }
+func (funcAnalyzer) Doc() string                              { return "driver test stub" }
+func (f funcAnalyzer) Run(m *Module, report func(Diagnostic)) { f(m, report) }
+
+// TestRunFiltersToTargets pins the driver's target filter: a fixture
+// load also type-checks the module packages the fixture imports (the
+// deadcode fixture imports internal/stats), and a finding an analyzer
+// reports there must not come back.
+func TestRunFiltersToTargets(t *testing.T) {
+	root, err := FindRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := l.LoadFixture(filepath.Join("testdata", "src", "deadcode"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reported := map[string]bool{}
+	stub := funcAnalyzer(func(m *Module, report func(Diagnostic)) {
+		for _, pkg := range m.Packages {
+			reported[pkg.Path] = true
+			report(Diagnostic{Pos: m.Fset.Position(pkg.Files[0].Name.Pos()), Message: "in " + pkg.Path})
+		}
+	})
+	diags := Run(m, []Analyzer{stub})
+	if !reported["fixture/deadcode"] || !reported["medcc/internal/stats"] {
+		t.Fatalf("stub reported in %v, want the fixture and medcc/internal/stats", reported)
+	}
+	if len(diags) != 1 || diags[0].Message != "in fixture/deadcode" {
+		t.Fatalf("Run returned %v, want only the fixture's finding", diags)
+	}
+}
 
 // TestLintSelf runs the full suite over the real module, so
 // `go test ./...` fails on new invariant violations even where CI does
@@ -122,8 +164,8 @@ func TestLintSelf(t *testing.T) {
 
 func TestByName(t *testing.T) {
 	all, err := ByName("")
-	if err != nil || len(all) != 10 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 10, nil", len(all), err)
+	if err != nil || len(all) != 11 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 11, nil", len(all), err)
 	}
 	two, err := ByName("allocfree, floateq")
 	if err != nil || len(two) != 2 {

@@ -19,8 +19,9 @@ import (
 //     have no static callee and no edge — analyzers over-approximate
 //     around them with annotations on the concrete implementations);
 //   - per-function facts collected in a single AST pass: every call
-//     site (with its resolved callee, in-module or not), go statements,
-//     channel sends / closes / receives, and map range statements.
+//     site (with its resolved callee, in-module or not), every function
+//     the body references, go statements, channel sends / closes /
+//     receives, and map range statements.
 //
 // Facts deliberately include what happens inside function literals
 // declared in the body: a closure runs with (or on behalf of) its
@@ -53,6 +54,10 @@ type FuncNode struct {
 	Recvs      []*ast.UnaryExpr // <-ch receive expressions
 	ChanRanges []*ast.RangeStmt // for range ch
 	MapRanges  []*ast.RangeStmt // for range m (map-typed X)
+	// Refs lists every function the body names, called or not: callees,
+	// func values and method values (generic instances normalized to
+	// their origin), in body order with repeats. deadcode walks these.
+	Refs []*types.Func
 
 	callees []*FuncNode // deduped in-module callees with bodies, first-call order
 }
@@ -122,6 +127,10 @@ func (n *FuncNode) collectFacts() {
 				}
 			}
 			n.Calls = append(n.Calls, CallSite{Expr: node, Callee: Callee(n.Pkg, node)})
+		case *ast.Ident:
+			if fn := referencedFunc(info, node); fn != nil {
+				n.Refs = append(n.Refs, fn)
+			}
 		case *ast.GoStmt:
 			n.GoStmts = append(n.GoStmts, node)
 		case *ast.SendStmt:
@@ -140,6 +149,20 @@ func (n *FuncNode) collectFacts() {
 		}
 		return true
 	})
+}
+
+// referencedFunc returns the function an identifier node refers to (a
+// generic instance mapped to its origin), or nil for any other node.
+func referencedFunc(info *types.Info, node ast.Node) *types.Func {
+	id, ok := node.(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	fn, ok := info.Uses[id].(*types.Func)
+	if !ok {
+		return nil
+	}
+	return fn.Origin()
 }
 
 // HasMarker reports whether the node's doc comment carries the marker.

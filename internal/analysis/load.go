@@ -264,29 +264,7 @@ func (l *Loader) LoadAll() (*Module, error) {
 		pkgs[i] = t.pkg
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
-	return &Module{Fset: l.fset, Packages: pkgs, Targets: pkgs}, nil
-}
-
-// LoadFixture loads the single package in dir under a synthetic import
-// path, together with any module packages it (transitively) imports,
-// and returns a Module targeting only the fixture. Analyzer tests use
-// this to run one analyzer over one testdata package.
-func (l *Loader) LoadFixture(dir string) (*Module, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	pkg, err := l.loadDir(abs, "fixture/"+filepath.Base(abs))
-	if err != nil {
-		return nil, err
-	}
-	var pkgs []*Package
-	// medcc:lint-ignore mapiter — the slice is sorted by Path two lines down; the collect-then-sort idiom checker does not see past the append body.
-	for _, p := range l.pkgs {
-		pkgs = append(pkgs, p)
-	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
-	return &Module{Fset: l.fset, Packages: pkgs, Targets: []*Package{pkg}}, nil
+	return &Module{Fset: l.fset, Path: l.ModPath, Packages: pkgs, Targets: pkgs}, nil
 }
 
 func hasGoFiles(dir string) bool {
@@ -321,10 +299,10 @@ func (l *Loader) dirForPath(path string) (string, bool) {
 	return "", false
 }
 
-// Import implements types.Importer for the sequential path
-// (LoadFixture and its transitive module imports): module-internal
-// paths load (and memoize) through the loader, all others go to the
-// toolchain importer.
+// Import implements types.Importer for the sequential path (the tests'
+// LoadFixture and its transitive module imports): module-internal paths
+// load (and memoize) through the loader, all others go to the toolchain
+// importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if dir, ok := l.dirForPath(path); ok {
 		pkg, err := l.loadDir(dir, path)
@@ -402,10 +380,10 @@ func (l *Loader) checkFiles(path, dir string, files []*ast.File) (*Package, erro
 }
 
 // loadDir parses and type-checks the package in dir, memoized by import
-// path — the sequential recursion used by LoadFixture and Import. Test
-// files are excluded: the analyzers enforce engine invariants on
-// shipped code, and external-test packages would need a second checker
-// pass for no finding we care about.
+// path — the sequential recursion used by Import and the tests'
+// LoadFixture. Test files are excluded: the analyzers enforce engine
+// invariants on shipped code, and external-test packages would need a
+// second checker pass for no finding we care about.
 func (l *Loader) loadDir(dir, path string) (*Package, error) {
 	if pkg, ok := l.pkgs[path]; ok {
 		return pkg, nil

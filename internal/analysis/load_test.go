@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -22,6 +23,27 @@ func writeModule(t *testing.T, files map[string]string) string {
 		}
 	}
 	return dir
+}
+
+// LoadFixture loads the single package in dir under a synthetic import
+// path, together with any module packages it (transitively) imports,
+// and returns a Module targeting only the fixture. Analyzer tests use
+// this to run one analyzer over one testdata package.
+func (l *Loader) LoadFixture(dir string) (*Module, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	pkg, err := l.loadDir(abs, "fixture/"+filepath.Base(abs))
+	if err != nil {
+		return nil, err
+	}
+	var pkgs []*Package
+	for _, p := range l.pkgs {
+		pkgs = append(pkgs, p)
+	}
+	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
+	return &Module{Fset: l.fset, Path: l.ModPath, Packages: pkgs, Targets: []*Package{pkg}}, nil
 }
 
 func loadAll(t *testing.T, root string) (*Module, error) {

@@ -77,9 +77,3 @@ var HourlyRoundUp BillingPolicy = RoundUp{Unit: 1}
 func ExecCost(p BillingPolicy, vt VMType, workload float64) float64 {
 	return p.BilledTime(vt.ExecTime(workload)) * vt.Rate
 }
-
-// TransferCost returns C(R_ij) = CR * DS_ij (Eq. 4). CR is zero for
-// intra-cloud transfers, the setting of the paper's evaluation.
-func TransferCost(ratePerUnit, dataSize float64) float64 {
-	return ratePerUnit * dataSize
-}

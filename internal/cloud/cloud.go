@@ -1,8 +1,6 @@
 // Package cloud models the IaaS side of the MED-CC problem: VM types with
-// processing power and per-unit-time charging rates, billing policies
-// (instance-hour rounding as on EC2, plus finer granularities), virtual
-// machine instance lifecycle with a billing meter, and the physical /
-// virtual resource graphs used to derive data-transfer times.
+// processing power and per-unit-time charging rates, and billing policies
+// (instance-hour rounding as on EC2, plus finer granularities).
 package cloud
 
 import (

@@ -177,12 +177,3 @@ func TestExecCostMatchesPaperExample(t *testing.T) {
 		t.Fatalf("cost of WL=40 on VT2 = %v, want 12", got)
 	}
 }
-
-func TestTransferCost(t *testing.T) {
-	if got := TransferCost(0, 100); got != 0 {
-		t.Fatalf("intra-cloud transfer cost = %v, want 0", got)
-	}
-	if got := TransferCost(0.5, 100); got != 50 {
-		t.Fatalf("transfer cost = %v, want 50", got)
-	}
-}

@@ -2,18 +2,13 @@
 // paper assumes has already happened to its inputs (§III-B: "scientific
 // workflows that have been preprocessed by an appropriate clustering
 // technique ... such that a group of modules in the original workflow are
-// bundled together as one aggregate module"). Two classic techniques from
-// the cited Pegasus line of work are provided:
+// bundled together as one aggregate module"). Vertical clustering, from the
+// cited Pegasus line of work, merges single-entry/single-exit chains: the
+// transformation that turns the full WRF program graph (Fig. 13) into the
+// grouped six-module workflow (Fig. 14), where ungrib -> metgrid -> real ->
+// wrf -> ARWpost pipelines collapse into one aggregate each.
 //
-//   - Vertical clustering merges single-entry/single-exit chains, the
-//     transformation that turns the full WRF program graph (Fig. 13) into
-//     the grouped six-module workflow (Fig. 14): ungrib -> metgrid ->
-//     real -> wrf -> ARWpost pipelines collapse into one aggregate each.
-//   - Horizontal clustering merges independent modules at the same
-//     topological level into bounded-size groups, reducing the width of
-//     embarrassingly parallel stages.
-//
-// Both preserve execution semantics under the additive workload model:
+// It preserves execution semantics under the additive workload model:
 // an aggregate's workload is the sum of its members', edges are the union
 // of the members' external edges, and intra-cluster data movement
 // disappears (it becomes local I/O on the shared VM).
@@ -21,7 +16,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"medcc/internal/workflow"
 )
@@ -57,64 +51,6 @@ func Vertical(w *workflow.Workflow) (*Result, error) {
 			continue
 		}
 		parent.union(u, v)
-	}
-	return build(w, parent)
-}
-
-// Horizontal merges independent modules that share a topological level
-// (longest-path depth from the sources) into groups of at most maxGroup,
-// filling groups in index order. Fixed modules are never merged. Same-
-// level modules cannot reach one another, so merging keeps the graph
-// acyclic.
-func Horizontal(w *workflow.Workflow, maxGroup int) (*Result, error) {
-	if maxGroup < 1 {
-		return nil, fmt.Errorf("cluster: maxGroup %d < 1", maxGroup)
-	}
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	g := w.Graph()
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	level := make([]int, w.NumModules())
-	for _, u := range order {
-		for _, p := range g.Pred(u) {
-			if level[p]+1 > level[u] {
-				level[u] = level[p] + 1
-			}
-		}
-	}
-	byLevel := map[int][]int{}
-	for i := 0; i < w.NumModules(); i++ {
-		if w.Module(i).Fixed {
-			continue
-		}
-		byLevel[level[i]] = append(byLevel[level[i]], i)
-	}
-	// Levels are visited in sorted order: the groups formed are disjoint
-	// across levels, but aggregate-module numbering downstream follows
-	// union order, so map iteration order must not reach it (found by
-	// mapiter).
-	levels := make([]int, 0, len(byLevel))
-	for lvl := range byLevel {
-		levels = append(levels, lvl)
-	}
-	sort.Ints(levels)
-	parent := newUnionFind(w.NumModules())
-	for _, lvl := range levels {
-		mods := byLevel[lvl]
-		sort.Ints(mods)
-		for start := 0; start < len(mods); start += maxGroup {
-			end := start + maxGroup
-			if end > len(mods) {
-				end = len(mods)
-			}
-			for k := start + 1; k < end; k++ {
-				parent.union(mods[start], mods[k])
-			}
-		}
 	}
 	return build(w, parent)
 }
@@ -188,17 +124,6 @@ func build(w *workflow.Workflow, uf *unionFind) (*Result, error) {
 		return nil, fmt.Errorf("cluster: clustered workflow invalid: %w", err)
 	}
 	return &Result{Clustered: out, Members: members, ClusterOf: clusterOf}, nil
-}
-
-// ExpandSchedule translates a schedule of the clustered workflow back to
-// the original modules: every member of a cluster inherits the cluster's
-// VM type (they share the aggregate's VM).
-func (r *Result) ExpandSchedule(s workflow.Schedule) workflow.Schedule {
-	out := make(workflow.Schedule, len(r.ClusterOf))
-	for i, c := range r.ClusterOf {
-		out[i] = s[c]
-	}
-	return out
 }
 
 // unionFind is a minimal disjoint-set structure with path compression.

@@ -135,32 +135,6 @@ func TestVerticalTurnsFullWRFIntoGroupedShape(t *testing.T) {
 	}
 }
 
-func TestHorizontalGroupsLevels(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	w := gen.ForkJoin(rng, 9, 10, 10) // 9 parallel branches
-	r, err := Horizontal(w, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPartition(t, w, r)
-	// 9 branches in groups of 3 -> 3 aggregates + 2 fixed = 5 modules.
-	if r.Clustered.NumModules() != 5 {
-		t.Fatalf("%d modules, want 5", r.Clustered.NumModules())
-	}
-	for _, i := range r.Clustered.Schedulable() {
-		if math.Abs(r.Clustered.Module(i).Workload-30) > 1e-9 {
-			t.Fatalf("group workload %v, want 30", r.Clustered.Module(i).Workload)
-		}
-	}
-}
-
-func TestHorizontalRejectsBadGroupSize(t *testing.T) {
-	w := workflow.NewPipeline([]float64{1, 2})
-	if _, err := Horizontal(w, 0); err == nil {
-		t.Fatal("maxGroup 0 accepted")
-	}
-}
-
 func TestClusteringPropertiesOnRandomDAGs(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 20; trial++ {
@@ -173,25 +147,22 @@ func TestClusteringPropertiesOnRandomDAGs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, f := range []func() (*Result, error){
-			func() (*Result, error) { return Vertical(w) },
-			func() (*Result, error) { return Horizontal(w, 1+rng.Intn(4)) },
-		} {
-			r, err := f()
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-			checkPartition(t, w, r)
-			if r.Clustered.NumModules() > w.NumModules() {
-				t.Fatalf("trial %d: clustering grew the workflow", trial)
-			}
+		r, err := Vertical(w)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		checkPartition(t, w, r)
+		if r.Clustered.NumModules() > w.NumModules() {
+			t.Fatalf("trial %d: clustering grew the workflow", trial)
 		}
 	}
 }
 
 // TestExpandScheduleRoundTrip schedules a clustered workflow and expands
-// the result: every original module inherits its aggregate's type, and
-// the expanded schedule is valid for the original workflow.
+// the result through ClusterOf, every original module taking its
+// aggregate's type: the expanded schedule must be valid for the original
+// workflow, so fixed modules map to fixed aggregates and the rest to
+// schedulable ones.
 func TestExpandScheduleRoundTrip(t *testing.T) {
 	full := wrf.Full()
 	r, err := Vertical(full)
@@ -208,14 +179,12 @@ func TestExpandScheduleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expanded := r.ExpandSchedule(res.Schedule)
+	expanded := make(workflow.Schedule, len(r.ClusterOf))
+	for i, c := range r.ClusterOf {
+		expanded[i] = res.Schedule[c]
+	}
 	if err := full.ValidateSchedule(expanded, len(cat)); err != nil {
 		t.Fatal(err)
-	}
-	for i := range expanded {
-		if expanded[i] != res.Schedule[r.ClusterOf[i]] {
-			t.Fatalf("module %d type mismatch after expansion", i)
-		}
 	}
 }
 

@@ -136,16 +136,6 @@ func (g *Graph) AddNode(name string) int {
 	return len(g.names) - 1
 }
 
-// AddNodes appends n anonymous nodes named "w0".."w<n-1>" (offset by the
-// current node count) and returns the index of the first one.
-func (g *Graph) AddNodes(n int) int {
-	first := len(g.names)
-	for i := 0; i < n; i++ {
-		g.AddNode(fmt.Sprintf("w%d", first+i))
-	}
-	return first
-}
-
 // AddEdge inserts a directed edge u -> v. Self-loops and duplicate edges
 // are rejected; out-of-range indices are an error. Cycles are not detected
 // here (that is Validate's job) so construction stays O(1) amortized.
@@ -185,13 +175,6 @@ func (g *Graph) linked(u, v int) bool {
 	return false
 }
 
-// MustEdge is AddEdge that panics on error; for hand-built test fixtures.
-func (g *Graph) MustEdge(u, v int) {
-	if err := g.AddEdge(u, v); err != nil {
-		panic(err)
-	}
-}
-
 // HasEdge reports whether the directed edge u -> v exists.
 func (g *Graph) HasEdge(u, v int) bool {
 	if u < 0 || u >= len(g.names) || v < 0 || v >= len(g.names) {
@@ -209,9 +192,6 @@ func (g *Graph) NumEdges() int { return g.edges }
 // Name returns the display name of node i.
 func (g *Graph) Name(i int) string { return g.names[i] }
 
-// SetName replaces the display name of node i.
-func (g *Graph) SetName(i int, name string) { g.names[i] = name }
-
 // Succ returns the successor list of node i. The returned slice is shared
 // with the graph and must not be modified.
 func (g *Graph) Succ(i int) []int { return g.succ[i] }
@@ -225,28 +205,6 @@ func (g *Graph) InDegree(i int) int { return len(g.pred[i]) }
 
 // OutDegree returns the number of outgoing edges of node i.
 func (g *Graph) OutDegree(i int) int { return len(g.succ[i]) }
-
-// Sources returns all nodes with no predecessors, in index order.
-func (g *Graph) Sources() []int {
-	var out []int
-	for i := range g.names {
-		if len(g.pred[i]) == 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Sinks returns all nodes with no successors, in index order.
-func (g *Graph) Sinks() []int {
-	var out []int
-	for i := range g.names {
-		if len(g.succ[i]) == 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
 
 // TopoOrder returns a topological ordering via Kahn's algorithm, or ErrCycle
 // if none exists. Among ready nodes the lowest index is taken first, so the
@@ -477,56 +435,6 @@ func (g *Graph) Validate() error {
 	return err
 }
 
-// FindCycle returns one directed cycle as a node sequence (first == last),
-// or nil if the graph is acyclic.
-func (g *Graph) FindCycle() []int {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	n := len(g.names)
-	color := make([]int, n)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	var cycle []int
-	var dfs func(u int) bool
-	dfs = func(u int) bool {
-		color[u] = gray
-		for _, v := range g.succ[u] {
-			switch color[v] {
-			case white:
-				parent[v] = u
-				if dfs(v) {
-					return true
-				}
-			case gray:
-				// Back edge u -> v closes a cycle v ... u v.
-				cycle = []int{v}
-				for x := u; x != v; x = parent[x] {
-					cycle = append(cycle, x)
-				}
-				cycle = append(cycle, v)
-				// Reverse to forward order.
-				for i, j := 0, len(cycle)-1; i < j; i, j = i+1, j-1 {
-					cycle[i], cycle[j] = cycle[j], cycle[i]
-				}
-				return true
-			}
-		}
-		color[u] = black
-		return false
-	}
-	for i := 0; i < n; i++ {
-		if color[i] == white && dfs(i) {
-			return cycle
-		}
-	}
-	return nil
-}
-
 // Reachable reports whether v is reachable from u by directed edges.
 func (g *Graph) Reachable(u, v int) bool {
 	if u == v {
@@ -568,78 +476,4 @@ func (g *Graph) Clone() *Graph {
 		c.pred[i] = append([]int(nil), g.pred[i]...)
 	}
 	return c
-}
-
-// TransitiveReduction returns a new graph with every edge (u,v) removed for
-// which an alternative directed path u -> ... -> v exists. The input must be
-// acyclic. Useful for canonicalizing generated workflows before comparison.
-func (g *Graph) TransitiveReduction() (*Graph, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	n := len(g.names)
-	pos := make([]int, n)
-	for i, u := range order {
-		pos[u] = i
-	}
-	out := &Graph{
-		names: append([]string(nil), g.names...),
-		succ:  make([][]int, n),
-		pred:  make([][]int, n),
-	}
-	for u := 0; u < n; u++ {
-		for _, v := range g.succ[u] {
-			if !g.longerPathExists(u, v, pos) {
-				out.succ[u] = append(out.succ[u], v)
-				out.pred[v] = append(out.pred[v], u)
-				out.edges++
-			}
-		}
-	}
-	return out, nil
-}
-
-// longerPathExists reports whether v is reachable from u by a path of at
-// least two edges, using topological positions to prune the search.
-func (g *Graph) longerPathExists(u, v int, pos []int) bool {
-	seen := make(map[int]bool)
-	var stack []int
-	for _, s := range g.succ[u] {
-		if s != v && pos[s] < pos[v] {
-			stack = append(stack, s)
-			seen[s] = true
-		}
-	}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range g.succ[x] {
-			if s == v {
-				return true
-			}
-			if !seen[s] && pos[s] < pos[v] {
-				seen[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	return false
-}
-
-// DOT renders the graph in Graphviz dot syntax, one node per index with its
-// display name as the label.
-func (g *Graph) DOT() string {
-	var b []byte
-	b = append(b, "digraph workflow {\n"...)
-	for i, name := range g.names {
-		b = append(b, fmt.Sprintf("  n%d [label=%q];\n", i, name)...)
-	}
-	for u := range g.succ {
-		for _, v := range g.succ[u] {
-			b = append(b, fmt.Sprintf("  n%d -> n%d;\n", u, v)...)
-		}
-	}
-	b = append(b, '}', '\n')
-	return string(b)
 }

@@ -481,13 +481,6 @@ func (t *Timing) WhatIfMakespan(i int, w float64) float64 {
 	return mk
 }
 
-// LFT returns the latest finish time of node i against the current
-// makespan anchor: Makespan - Tail[i].
-func (t *Timing) LFT(i int) float64 { return t.Makespan - t.Tail[i] }
-
-// LST returns the latest start time of node i: LFT(i) minus its weight.
-func (t *Timing) LST(i int) float64 { return t.Makespan - t.Tail[i] - t.nodeW[i] }
-
 // Slack returns the buffer time of node i: the amount its execution can be
 // delayed without affecting the end-to-end delay. It is evaluated as
 // (Makespan - Tail[i]) - EFT[i]; all criticality decisions in this repo
@@ -496,65 +489,3 @@ func (t *Timing) Slack(i int) float64 { return t.Makespan - t.Tail[i] - t.EFT[i]
 
 // IsCritical reports whether node i has zero buffer time.
 func (t *Timing) IsCritical(i int) bool { return t.Slack(i) <= Eps }
-
-// CriticalNodes returns all zero-slack nodes in topological order.
-func (t *Timing) CriticalNodes() []int {
-	var out []int
-	for _, u := range t.order {
-		if t.IsCritical(u) {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// CriticalPath returns one longest (time-weighted) source-to-sink path in
-// topological order. When several critical paths exist, the one following
-// the lowest-index critical predecessor at each step is returned, so the
-// result is deterministic.
-func (t *Timing) CriticalPath() []int {
-	g := t.g
-	// Find a critical sink: EFT == makespan.
-	end := -1
-	for _, u := range t.order {
-		if math.Abs(t.EFT[u]-t.Makespan) <= Eps {
-			end = u
-			break
-		}
-	}
-	if end == -1 {
-		return nil
-	}
-	// Walk backwards along tight edges: pred p is on the path if
-	// EFT[p] + w(p,u) == EST[u] and p itself is critical.
-	path := []int{end}
-	u := end
-	for t.EST[u] > Eps {
-		next := -1
-		for _, p := range g.Pred(u) {
-			e := 0.0
-			if t.edgeW != nil {
-				e = t.edgeW(p, u)
-			}
-			if math.Abs(t.EFT[p]+e-t.EST[u]) <= Eps && t.IsCritical(p) {
-				if next == -1 || p < next {
-					next = p
-				}
-			}
-		}
-		if next == -1 {
-			break
-		}
-		path = append(path, next)
-		u = next
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
-}
-
-// LongestPathLen returns the makespan (length of the critical path). It is
-// provided for call sites where the intent is graph-theoretic rather than
-// scheduling-oriented.
-func (t *Timing) LongestPathLen() float64 { return t.Makespan }

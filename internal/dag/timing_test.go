@@ -184,11 +184,14 @@ func TestTimingPropertiesRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < g.NumNodes(); i++ {
-			// EST <= LST, EFT <= LFT, finish-start == weight.
-			if tm.EST[i] > tm.LST(i)+Eps || tm.EFT[i] > tm.LFT(i)+Eps {
+			// EST <= LST, EFT <= LFT, finish-start == weight, where
+			// LFT = Makespan - Tail and LST = LFT - weight.
+			lft := tm.Makespan - tm.Tail[i]
+			lst := lft - w[i]
+			if tm.EST[i] > lst+Eps || tm.EFT[i] > lft+Eps {
 				t.Fatalf("trial %d node %d: earliest after latest", trial, i)
 			}
-			if !almostEq(tm.EFT[i]-tm.EST[i], w[i]) || !almostEq(tm.LFT(i)-tm.LST(i), w[i]) {
+			if !almostEq(tm.EFT[i]-tm.EST[i], w[i]) {
 				t.Fatalf("trial %d node %d: duration mismatch", trial, i)
 			}
 			if tm.EFT[i] > tm.Makespan+Eps {
@@ -216,9 +219,6 @@ func TestTimingPropertiesRandom(t *testing.T) {
 		}
 		if !almostEq(sum, tm.Makespan) {
 			t.Fatalf("trial %d: critical path length %v != makespan %v", trial, sum, tm.Makespan)
-		}
-		if !almostEq(tm.LongestPathLen(), tm.Makespan) {
-			t.Fatalf("trial %d: LongestPathLen mismatch", trial)
 		}
 	}
 }

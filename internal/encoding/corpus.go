@@ -177,9 +177,6 @@ func (cr *CorpusReader) Len() int {
 	return int(cr.total)
 }
 
-// NumRead returns the number of records consumed so far.
-func (cr *CorpusReader) NumRead() int { return cr.read }
-
 // NextRaw advances to the next record and returns its parsed view plus
 // the resolved catalog and instance info. The workflow chunk is left
 // undecoded — parallel consumers copy the body (Record.Body) and decode

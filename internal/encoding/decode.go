@@ -9,7 +9,6 @@ import (
 	"math"
 
 	"medcc/internal/cloud"
-	"medcc/internal/sim"
 	"medcc/internal/workflow"
 )
 
@@ -112,13 +111,6 @@ type payloadCursor struct {
 }
 
 // medcc:allocfree
-func (c *payloadCursor) u16() uint16 {
-	v := binary.LittleEndian.Uint16(c.p[c.off:])
-	c.off += 2
-	return v
-}
-
-// medcc:allocfree
 func (c *payloadCursor) u32() uint32 {
 	v := binary.LittleEndian.Uint32(c.p[c.off:])
 	c.off += 4
@@ -135,16 +127,6 @@ func (c *payloadCursor) u64() uint64 {
 // medcc:allocfree
 func (c *payloadCursor) f64() float64 {
 	return lef64(c.u64())
-}
-
-// medcc:allocfree
-func (c *payloadCursor) i32() int32 { return int32(c.u32()) }
-
-// medcc:allocfree
-func (c *payloadCursor) bytes(n int) []byte {
-	b := c.p[c.off : c.off+n]
-	c.off += n
-	return b
 }
 
 // WorkflowInto decodes chunk i (a ChunkWorkflow) into dst, reusing its
@@ -274,94 +256,6 @@ func (d *Decoder) ScheduleInto(r Record, i int, dst workflow.Schedule) (workflow
 	return dst, nil
 }
 
-// TraceInto decodes chunk i (a ChunkTrace) into dst, reusing its
-// module/VM slices and each VM's module list.
-//
-// medcc:allocfree
-func (d *Decoder) TraceInto(r Record, i int, dst *sim.Result) error {
-	p, err := d.Payload(r, i)
-	if err != nil {
-		return err
-	}
-	const scalars = 8 + 8 + 8 + 4 + 4 + 4
-	if len(p) < scalars {
-		return fmt.Errorf("encoding: trace payload truncated at %d bytes", len(p))
-	}
-	m := uint64(binary.LittleEndian.Uint32(p[24:]))
-	v := uint64(binary.LittleEndian.Uint32(p[28:]))
-	tot := uint64(binary.LittleEndian.Uint32(p[32:]))
-	need := uint64(scalars) + m*(8+8+8+4) + v*(4+8+8+8+8+4) + tot*4
-	if need != uint64(len(p)) {
-		return fmt.Errorf("encoding: trace payload is %d bytes, layout needs %d", len(p), need)
-	}
-	var c payloadCursor
-	c.p = p
-	dst.Makespan = c.f64()
-	dst.Cost = c.f64()
-	dst.Events = int64(c.u64())
-	c.off += 12 // m, v, tot already read
-
-	dst.Modules = growModuleTraces(dst.Modules, int(m))
-	for j := 0; j < int(m); j++ {
-		dst.Modules[j].Ready = lef64(binary.LittleEndian.Uint64(p[c.off+8*j:]))
-	}
-	c.off += int(m) * 8
-	for j := 0; j < int(m); j++ {
-		dst.Modules[j].Start = lef64(binary.LittleEndian.Uint64(p[c.off+8*j:]))
-	}
-	c.off += int(m) * 8
-	for j := 0; j < int(m); j++ {
-		dst.Modules[j].Finish = lef64(binary.LittleEndian.Uint64(p[c.off+8*j:]))
-	}
-	c.off += int(m) * 8
-	for j := 0; j < int(m); j++ {
-		dst.Modules[j].VM = int(int32(binary.LittleEndian.Uint32(p[c.off+4*j:])))
-	}
-	c.off += int(m) * 4
-
-	dst.VMs = growVMTraces(dst.VMs, int(v))
-	for j := 0; j < int(v); j++ {
-		dst.VMs[j].Type = int(int32(binary.LittleEndian.Uint32(p[c.off+4*j:])))
-	}
-	c.off += int(v) * 4
-	for j := 0; j < int(v); j++ {
-		dst.VMs[j].BootAt = lef64(binary.LittleEndian.Uint64(p[c.off+8*j:]))
-	}
-	c.off += int(v) * 8
-	for j := 0; j < int(v); j++ {
-		dst.VMs[j].ReadyAt = lef64(binary.LittleEndian.Uint64(p[c.off+8*j:]))
-	}
-	c.off += int(v) * 8
-	for j := 0; j < int(v); j++ {
-		dst.VMs[j].StoppedAt = lef64(binary.LittleEndian.Uint64(p[c.off+8*j:]))
-	}
-	c.off += int(v) * 8
-	for j := 0; j < int(v); j++ {
-		dst.VMs[j].Cost = lef64(binary.LittleEndian.Uint64(p[c.off+8*j:]))
-	}
-	c.off += int(v) * 8
-	countOff := c.off
-	c.off += int(v) * 4
-	left := tot
-	for j := 0; j < int(v); j++ {
-		k := uint64(binary.LittleEndian.Uint32(p[countOff+4*j:]))
-		if k > left {
-			return fmt.Errorf("encoding: trace VM %d claims %d modules, only %d remain in the flat list", j, k, left)
-		}
-		left -= k
-		mods := dst.VMs[j].Modules[:0]
-		for x := 0; x < int(k); x++ {
-			mods = append(mods, int(binary.LittleEndian.Uint32(p[c.off+4*x:])))
-		}
-		dst.VMs[j].Modules = mods
-		c.off += int(k) * 4
-	}
-	if left != 0 {
-		return fmt.Errorf("encoding: trace flat module list has %d unclaimed entries", left)
-	}
-	return nil
-}
-
 // InstanceInfo decodes chunk i (a ChunkInstanceInfo).
 //
 // medcc:allocfree
@@ -400,29 +294,6 @@ func (d *Decoder) CatalogRef(r Record, i int) (int, error) {
 		return 0, fmt.Errorf("encoding: catalog-ref payload is %d bytes, want 4", len(p))
 	}
 	return int(binary.LittleEndian.Uint32(p)), nil
-}
-
-// growModuleTraces resizes dst to n entries, reusing its backing array.
-//
-// medcc:allocfree
-func growModuleTraces(dst []sim.ModuleTrace, n int) []sim.ModuleTrace {
-	if cap(dst) < n {
-		return make([]sim.ModuleTrace, n) // medcc:lint-ignore allocfree — first-use growth
-	}
-	return dst[:n]
-}
-
-// growVMTraces resizes dst to n entries. Growth copies the old entries
-// so their pooled per-VM module slices keep their capacity.
-//
-// medcc:allocfree
-func growVMTraces(dst []sim.VMTrace, n int) []sim.VMTrace {
-	if cap(dst) < n {
-		next := make([]sim.VMTrace, n) // medcc:lint-ignore allocfree — first-use growth
-		copy(next, dst[:cap(dst)])
-		return next
-	}
-	return dst[:n]
 }
 
 // lef64 converts stored IEEE-754 bits back to a float64.

@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"medcc/internal/cloud"
-	"medcc/internal/sim"
 	"medcc/internal/workflow"
 )
 
@@ -118,65 +117,6 @@ func AppendSchedule(dst []byte, s workflow.Schedule) []byte {
 	dst = appendU32(dst, uint32(len(s)))
 	for _, j := range s {
 		dst = appendI32(dst, int32(j))
-	}
-	return dst
-}
-
-// AppendTrace appends the ChunkTrace payload for a simulated run.
-//
-// Payload layout:
-//
-//	makespan f64 | cost f64 | events u64 |
-//	numModules u32 | numVMs u32 | totalVMModules u32 |
-//	ready f64 x m | start f64 x m | finish f64 x m | vm i32 x m |
-//	type i32 x v | bootAt f64 x v | readyAt f64 x v | stoppedAt f64 x v |
-//	cost f64 x v | modCount u32 x v |
-//	flat VM module indices u32 x totalVMModules
-func AppendTrace(dst []byte, r *sim.Result) []byte {
-	dst = appendF64(dst, r.Makespan)
-	dst = appendF64(dst, r.Cost)
-	dst = appendU64(dst, uint64(r.Events))
-	total := 0
-	for i := range r.VMs {
-		total += len(r.VMs[i].Modules)
-	}
-	dst = appendU32(dst, uint32(len(r.Modules)))
-	dst = appendU32(dst, uint32(len(r.VMs)))
-	dst = appendU32(dst, uint32(total))
-	for i := range r.Modules {
-		dst = appendF64(dst, r.Modules[i].Ready)
-	}
-	for i := range r.Modules {
-		dst = appendF64(dst, r.Modules[i].Start)
-	}
-	for i := range r.Modules {
-		dst = appendF64(dst, r.Modules[i].Finish)
-	}
-	for i := range r.Modules {
-		dst = appendI32(dst, int32(r.Modules[i].VM))
-	}
-	for i := range r.VMs {
-		dst = appendI32(dst, int32(r.VMs[i].Type))
-	}
-	for i := range r.VMs {
-		dst = appendF64(dst, r.VMs[i].BootAt)
-	}
-	for i := range r.VMs {
-		dst = appendF64(dst, r.VMs[i].ReadyAt)
-	}
-	for i := range r.VMs {
-		dst = appendF64(dst, r.VMs[i].StoppedAt)
-	}
-	for i := range r.VMs {
-		dst = appendF64(dst, r.VMs[i].Cost)
-	}
-	for i := range r.VMs {
-		dst = appendU32(dst, uint32(len(r.VMs[i].Modules)))
-	}
-	for i := range r.VMs {
-		for _, mi := range r.VMs[i].Modules {
-			dst = appendU32(dst, uint32(mi))
-		}
 	}
 	return dst
 }
@@ -297,12 +237,6 @@ func (b *RecordBuilder) CatalogRef(index int) {
 func (b *RecordBuilder) Schedule(s workflow.Schedule) {
 	b.buf = AppendSchedule(b.buf, s)
 	b.add(ChunkSchedule)
-}
-
-// Trace adds a ChunkTrace for a simulated run.
-func (b *RecordBuilder) Trace(r *sim.Result) {
-	b.buf = AppendTrace(b.buf, r)
-	b.add(ChunkTrace)
 }
 
 // InstanceInfo adds a ChunkInstanceInfo.

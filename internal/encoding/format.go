@@ -1,6 +1,6 @@
 // Package encoding is the module's compact binary container: a chunked,
-// versioned format for workflows, VM catalogs, schedules, simulation
-// traces, and instance corpora. It exists because JSON/DAX/WfCommons
+// versioned format for workflows, VM catalogs, schedules, and instance
+// corpora. It exists because JSON/DAX/WfCommons
 // parsing dominates everything else at campaign scale — the schedulers
 // and the simulator run at 0 allocs/op, so regenerating or re-parsing
 // 10^5 instances per campaign is the remaining front-of-pipeline cost.
@@ -79,8 +79,9 @@ const (
 	ChunkCatalog ChunkType = 2
 	// ChunkSchedule is a module->VM-type mapping (-1 for fixed modules).
 	ChunkSchedule ChunkType = 3
-	// ChunkTrace is a simulated run: per-module and per-VM lifecycles
-	// plus the scalar outcomes.
+	// ChunkTrace is reserved for a simulated run's trace. The package
+	// has no codec for it; ParseRecord hands such a chunk out as an
+	// opaque payload like any other, so the format version is unchanged.
 	ChunkTrace ChunkType = 4
 	// ChunkInstanceInfo carries corpus bookkeeping: the generator seed
 	// and index, the problem size, and the instance's budget range.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"medcc/internal/cloud"
-	"medcc/internal/sim"
 	"medcc/internal/workflow"
 )
 
@@ -68,7 +67,6 @@ func FuzzDecodeRecord(f *testing.F) {
 		var (
 			d   Decoder
 			wf  = workflow.New()
-			res sim.Result
 			sc  workflow.Schedule
 			cat cloud.Catalog
 		)
@@ -85,8 +83,6 @@ func FuzzDecodeRecord(f *testing.F) {
 				cat, _ = d.CatalogInto(rec, i, cat)
 			case ChunkSchedule:
 				sc, _ = d.ScheduleInto(rec, i, sc)
-			case ChunkTrace:
-				_ = d.TraceInto(rec, i, &res)
 			case ChunkInstanceInfo:
 				_, _ = d.InstanceInfo(rec, i)
 			case ChunkCatalogRef:

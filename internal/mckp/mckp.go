@@ -151,6 +151,8 @@ func byProfitDesc(cls []Item) []int {
 // nearest integer; the caller chooses scale so that scaled weights are
 // (near-)integral — e.g. scale=1 when costs are whole dollars. Complexity
 // O(m * n * scaledCapacity).
+//
+// medcc:testoracle — the exact DP that tests check SolveBB, the reduction's solver, against.
 func SolveDP(p *Problem, scale float64) ([]int, float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, 0, err
@@ -220,6 +222,8 @@ func SolveDP(p *Problem, scale float64) ([]int, float64, error) {
 // upgrade with the best profit-increase / weight-increase ratio that fits.
 // This is the LP-relaxation-flavored heuristic; it mirrors the GAIN family
 // on the scheduling side.
+//
+// medcc:testoracle — the MCKP counterpart of GAIN, property-tested against SolveBB's optimum.
 func SolveGreedy(p *Problem) ([]int, float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, 0, err

@@ -67,6 +67,8 @@ func IsPipeline(w *workflow.Workflow) bool {
 // reduction with branch and bound, returning the optimal schedule and its
 // total execution time. It is the independent oracle used to validate the
 // generic Optimal scheduler (DESIGN.md experiment A2).
+//
+// medcc:testoracle — Theorem 1's executable reduction; TestTheorem1Equivalence checks sched.Optimal against it.
 func PipelineOptimal(w *workflow.Workflow, m *workflow.Matrices, budget float64) (workflow.Schedule, float64, error) {
 	p, K, err := FromPipeline(w, m, budget)
 	if err != nil {

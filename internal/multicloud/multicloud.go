@@ -98,14 +98,6 @@ type Assignment struct {
 	Type   []int
 }
 
-// Clone deep-copies the assignment.
-func (a Assignment) Clone() Assignment {
-	return Assignment{
-		Region: append([]int(nil), a.Region...),
-		Type:   append([]int(nil), a.Type...),
-	}
-}
-
 // Validate checks the assignment against the workflow and fabric.
 func (f *Fabric) ValidateAssignment(w *workflow.Workflow, a Assignment) error {
 	if len(a.Region) != w.NumModules() || len(a.Type) != w.NumModules() {

@@ -254,16 +254,6 @@ func TestMultiCloudBeatsBestSingleRegion(t *testing.T) {
 	}
 }
 
-func TestAssignmentClone(t *testing.T) {
-	a := Assignment{Region: []int{1, 2}, Type: []int{0, 1}}
-	c := a.Clone()
-	c.Region[0] = 9
-	c.Type[1] = 9
-	if a.Region[0] == 9 || a.Type[1] == 9 {
-		t.Fatal("clone not independent")
-	}
-}
-
 func TestSingleRegionBestInfeasibleEverywhere(t *testing.T) {
 	f := twoRegions()
 	w := chainWorkflow(t, []float64{100}, 0)

@@ -235,18 +235,3 @@ func Homogeneous(vt cloud.VMType, count int, bandwidth float64, billing cloud.Bi
 	}
 	return p
 }
-
-// FromReusePlan converts a MED-CC schedule's reuse plan into a pool with
-// one instance per planned VM, enabling apples-to-apples comparison of
-// the paper's one-to-one model against pooled list scheduling.
-func FromReusePlan(cat cloud.Catalog, plan *workflow.ReusePlan, bandwidth float64, billing cloud.BillingPolicy) *Pool {
-	p := &Pool{Bandwidth: bandwidth, Billing: billing}
-	for v := 0; v < plan.NumVMs(); v++ {
-		vt := cat[plan.TypeOf[v]]
-		p.Instances = append(p.Instances, Instance{
-			Name: fmt.Sprintf("vm%d-%s", v, vt.Name),
-			Type: vt,
-		})
-	}
-	return p
-}

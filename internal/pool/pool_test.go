@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -245,7 +246,10 @@ func TestPoolVsOneToOne(t *testing.T) {
 	}
 	ev, _ := w.Evaluate(m, res.Schedule, nil)
 	plan := w.PlanReuse(res.Schedule, ev.Timing, workflow.ReuseByInterval)
-	p := FromReusePlan(cat, plan, 0, cloud.HourlyRoundUp)
+	p := &Pool{Billing: cloud.HourlyRoundUp}
+	for v := 0; v < plan.NumVMs(); v++ {
+		p.Instances = append(p.Instances, Instance{Name: fmt.Sprintf("vm%d", v), Type: cat[plan.TypeOf[v]]})
+	}
 	r, err := HEFT(p, w)
 	if err != nil {
 		t.Fatal(err)

@@ -88,34 +88,6 @@ func (st *Staircase) Steps() int { return len(st.Scheds) }
 // callers must treat it as read-only.
 func (st *Staircase) Schedule(k int) workflow.Schedule { return st.Scheds[st.Level[k]] }
 
-// Truncated reports level k's truncation flag.
-func (st *Staircase) Truncated(k int) bool { return st.Trunc != nil && st.Trunc[k] }
-
-// Lookup binary-searches the grid for an exact budget match and returns
-// its level. Only bit-exact hits count: between two grid levels the
-// scheduler's answer is not determined by the endpoints (greedy
-// heuristics are step functions with unknown step positions), so a
-// near-miss must fall through to a direct solve.
-//
-// medcc:floateq-exact — grid membership is bit-exact by construction:
-// both sides of the comparison come from BudgetAt over identical
-// (lo, hi, frac) inputs.
-func (st *Staircase) Lookup(budget float64) (int, bool) {
-	lo, hi := 0, len(st.Budgets)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if st.Budgets[mid] < budget {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(st.Budgets) && st.Budgets[lo] == budget {
-		return lo, true
-	}
-	return lo, false
-}
-
 // SweepGrid solves (sch, w, m) at every level of an adaptively refined
 // fraction grid over the budget range [lo, hi] and extracts the
 // staircase. The initial grid is uniform; then, while the level count

@@ -574,6 +574,65 @@ func TestCacheSimulateBypass(t *testing.T) {
 	}
 }
 
+// TestStaircaseLookup pins the lookup dispatch and trailBelow rely on,
+// on a served staircase and on the one-level staircase of a zero-width
+// budget range: every grid budget hits its own level, and every other
+// budget, one ulp off a grid point included, misses at the first level
+// above it: 0 below the range, the level count above it.
+func TestStaircaseLookup(t *testing.T) {
+	s := testServer(t, Config{Workers: 1})
+	snap := s.Snapshot()
+	m, cmin, cmax, _ := snap.Pair("example", "paper")
+	var res Result
+	if err := s.Schedule(Params{WorkflowRef: "example", CatalogRef: "paper", UseFraction: true, Fraction: 0.5}, &res); err != nil {
+		t.Fatal(err)
+	}
+	served := waitStaircase(t, s, defaultAlgorithm, "example", "paper")
+	zw, err := sched.SweepGrid(sched.CriticalGreedy(), snap.Workflows["example"], m, cmin, cmin, sched.GridOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zw.Levels() != 1 {
+		t.Fatalf("zero-width range: %d levels, want 1", zw.Levels())
+	}
+
+	rng := rand.New(rand.NewSource(99))
+	for _, st := range []*staircase{served, {budgets: zw.Budgets}} {
+		n := len(st.budgets)
+		miss := func(b float64, want int) {
+			t.Helper()
+			if k, hit := st.lookup(b); hit || k != want {
+				t.Fatalf("%d levels: lookup(%v) = (%d, %v), want (%d, false)", n, b, k, hit, want)
+			}
+		}
+		for k, b := range st.budgets {
+			if got, hit := st.lookup(b); !hit || got != k {
+				t.Fatalf("%d levels: lookup(budgets[%d]) = (%d, %v), want (%d, true)", n, k, got, hit, k)
+			}
+			miss(math.Nextafter(b, math.Inf(-1)), k)
+			miss(math.Nextafter(b, math.Inf(1)), k+1)
+		}
+		miss(st.budgets[0]-1, 0)
+		miss(st.budgets[n-1]+1, n)
+		for trial := 0; trial < 100; trial++ {
+			b := cmin + rng.Float64()*(cmax-cmin)
+			k, hit := st.lookup(b)
+			if hit {
+				if st.budgets[k] != b {
+					t.Fatalf("lookup(%v) claimed a hit on budgets[%d] = %v", b, k, st.budgets[k])
+				}
+				continue
+			}
+			if (k > 0 && st.budgets[k-1] >= b) || (k < n && st.budgets[k] <= b) {
+				t.Fatalf("lookup(%v) missed at %d, not the first level above it", b, k)
+			}
+		}
+	}
+	if tr := served.trailBelow(served.lookup(served.budgets[0] - 1)); tr != nil {
+		t.Fatal("a budget below the grid resumed from a trail")
+	}
+}
+
 // TestDispatchOffGridFallThrough: absolute budgets that are not grid
 // points must take the direct path bit-identically whether or not a
 // staircase exists.

@@ -19,32 +19,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the sample standard deviation (n-1), or 0 when fewer than
-// two values.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += float64(d * d)
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
-// Min returns the minimum, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the maximum, or -Inf for an empty slice.
 func Max(xs []float64) float64 {
 	m := math.Inf(-1)

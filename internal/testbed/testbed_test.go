@@ -89,7 +89,13 @@ func TestExecuteRespectsSlotLimits(t *testing.T) {
 	if dep.QueueWait <= 0 {
 		t.Fatal("no queue wait recorded despite oversubscription")
 	}
-	for h, c := range dep.HostUtilization(cfg.VMMs) {
+	perHost := make([]int, cfg.VMMs)
+	for _, vm := range dep.VMs {
+		if vm.Host >= 0 && vm.Host < cfg.VMMs {
+			perHost[vm.Host]++
+		}
+	}
+	for h, c := range perHost {
 		if c == 0 {
 			t.Fatalf("host %d unused while others queued", h)
 		}
@@ -203,31 +209,6 @@ func TestExecuteRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := Execute(DefaultConfig(), w, m, workflow.Schedule{1}); err == nil {
 		t.Fatal("bad schedule accepted")
-	}
-}
-
-func TestDeploymentHelpers(t *testing.T) {
-	w, m, s := wrfSetup(t, 186.2)
-	dep, err := Execute(DefaultConfig(), w, m, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byType := dep.VMsByType()
-	total := 0
-	for _, c := range byType {
-		total += c
-	}
-	if total != len(dep.VMs) {
-		t.Fatalf("VMsByType total %d != %d VMs", total, len(dep.VMs))
-	}
-	tl := dep.Timeline()
-	if len(tl) != w.NumModules() {
-		t.Fatalf("timeline covers %d modules", len(tl))
-	}
-	for k := 1; k < len(tl); k++ {
-		if dep.Modules[tl[k-1]].Start > dep.Modules[tl[k]].Start {
-			t.Fatal("timeline not sorted by start")
-		}
 	}
 }
 

@@ -236,11 +236,6 @@ func (w *Workflow) Clone() *Workflow {
 	}
 }
 
-// ZeroTransfer is the intra-datacenter edge-weight function: all transfer
-// times are negligible (the paper's evaluation setting, CR = 0 and
-// high-bandwidth shared storage).
-func ZeroTransfer(u, v int) float64 { return 0 }
-
 // TransferByBandwidth builds a dag.EdgeWeight charging DS_uv/bandwidth +
 // delay on every edge, the uniform-fabric version of Eq. 5.
 func (w *Workflow) TransferByBandwidth(bandwidth, delay float64) dag.EdgeWeight {

@@ -275,12 +275,6 @@ func TestScheduleCloneEqual(t *testing.T) {
 	}
 }
 
-func TestZeroTransfer(t *testing.T) {
-	if ZeroTransfer(3, 4) != 0 {
-		t.Fatal("ZeroTransfer nonzero")
-	}
-}
-
 func TestNewPipeline(t *testing.T) {
 	p := NewPipeline([]float64{1, 2, 3})
 	if p.NumModules() != 3 || p.NumDependencies() != 2 {

@@ -33,11 +33,11 @@ func TestCriticalGreedyTied1000Allocs(t *testing.T) {
 }
 
 func TestGAIN3_100Allocs(t *testing.T) {
-	requireZeroSolveAllocs(t, &sched.GAIN{Variant: 3}, instance100)
+	requireZeroSolveAllocs(t, &sched.GAIN{Label: "gain3"}, instance100)
 }
 
 func TestGAIN3_500Allocs(t *testing.T) {
-	requireZeroSolveAllocs(t, &sched.GAIN{Variant: 3}, instance500)
+	requireZeroSolveAllocs(t, &sched.GAIN{Label: "gain3"}, instance500)
 }
 
 func TestGain3WRF100Allocs(t *testing.T) {
@@ -61,7 +61,7 @@ func TestCriticalGreedySweepAllocs(t *testing.T) {
 }
 
 func TestGAIN3SweepAllocs(t *testing.T) {
-	requireZeroSweepAllocs(t, &sched.GAIN{Variant: 3}, instance100)
+	requireZeroSweepAllocs(t, &sched.GAIN{Label: "gain3"}, instance100)
 }
 
 func requireZeroSweepAllocs(t *testing.T, sw sched.Sweeper, inst instance) {

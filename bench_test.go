@@ -273,11 +273,11 @@ func BenchmarkCriticalGreedyTied1000(b *testing.B) {
 }
 
 func BenchmarkGAIN3_100(b *testing.B) {
-	benchSolve(b, &sched.GAIN{Variant: 3}, instance100)
+	benchSolve(b, &sched.GAIN{Label: "gain3"}, instance100)
 }
 
 func BenchmarkGAIN3_500(b *testing.B) {
-	benchSolve(b, &sched.GAIN{Variant: 3}, instance500)
+	benchSolve(b, &sched.GAIN{Label: "gain3"}, instance500)
 }
 
 func BenchmarkGain3WRF100(b *testing.B) {
@@ -321,7 +321,7 @@ func BenchmarkSweepGridCriticalGreedy100(b *testing.B) {
 }
 
 func BenchmarkSweepGridGAIN3_100(b *testing.B) {
-	benchSweepGrid(b, &sched.GAIN{Variant: 3}, instance100)
+	benchSweepGrid(b, &sched.GAIN{Label: "gain3"}, instance100)
 }
 
 func BenchmarkTimingPass100(b *testing.B) {

@@ -38,9 +38,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("medcc", flag.ContinueOnError)
 	var (
-		wfPath   = fs.String("workflow", "", "workflow JSON file")
-		daxPath  = fs.String("dax", "", "Pegasus DAX XML workflow file (alternative to -workflow)")
-		wfcPath  = fs.String("wfcommons", "", "WfCommons JSON workflow instance (alternative to -workflow)")
+		wfPath   = fs.String("workflow", "", "workflow file: JSON, Pegasus DAX XML, WfCommons JSON or a binary container (format detected)")
 		refPower = fs.Float64("refpower", 1, "reference VM power reproducing DAX runtimes")
 		catPath  = fs.String("catalog", "", "VM catalog JSON file")
 		budget   = fs.Float64("budget", 0, "financial budget B")
@@ -65,21 +63,12 @@ func run(args []string) error {
 
 	var w *medcc.Workflow
 	var cat medcc.Catalog
-	// All three workflow flags route through the shared streaming ingest
-	// path (format auto-detected, no whole-file slurp); the dedicated
-	// -dax/-wfcommons flags remain as documentation of intent.
-	wfFile := *wfPath
-	if wfFile == "" {
-		wfFile = *daxPath
-	}
-	if wfFile == "" {
-		wfFile = *wfcPath
-	}
 	switch {
 	case *example:
 		w, cat = medcc.PaperExample()
-	case wfFile != "" && *catPath != "":
-		parsed, _, _, err := ingest.File(wfFile, ingest.Options{ReferencePower: *refPower})
+	case *wfPath != "" && *catPath != "":
+		// The shared streaming ingest path detects the format.
+		parsed, _, _, err := ingest.File(*wfPath, ingest.Options{ReferencePower: *refPower})
 		if err != nil {
 			return err
 		}
@@ -88,7 +77,7 @@ func run(args []string) error {
 			return err
 		}
 	default:
-		return fmt.Errorf("need -workflow (or -dax, -wfcommons) and -catalog, or -example (see -h)")
+		return fmt.Errorf("need -workflow and -catalog, or -example (see -h)")
 	}
 
 	var policy medcc.BillingPolicy

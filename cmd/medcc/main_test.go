@@ -85,10 +85,10 @@ func TestRunFromDAX(t *testing.T) {
 	if err := os.WriteFile(catPath, []byte(cat), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-dax", daxPath, "-catalog", catPath, "-budget", "1000", "-gantt"}); err != nil {
+	if err := run([]string{"-workflow", daxPath, "-catalog", catPath, "-budget", "1000", "-gantt"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-dax", "/nonexistent.xml", "-catalog", catPath, "-budget", "10"}); err == nil {
+	if err := run([]string{"-workflow", "/nonexistent.xml", "-catalog", catPath, "-budget", "10"}); err == nil {
 		t.Fatal("missing DAX accepted")
 	}
 }
@@ -108,10 +108,10 @@ func TestRunFromWfCommons(t *testing.T) {
 	if err := os.WriteFile(catPath, []byte(cat), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-wfcommons", wfcPath, "-catalog", catPath, "-budget", "1000"}); err != nil {
+	if err := run([]string{"-workflow", wfcPath, "-catalog", catPath, "-budget", "1000"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-wfcommons", "/nope.json", "-catalog", catPath, "-budget", "10"}); err == nil {
+	if err := run([]string{"-workflow", "/nope.json", "-catalog", catPath, "-budget", "10"}); err == nil {
 		t.Fatal("missing WfCommons file accepted")
 	}
 }

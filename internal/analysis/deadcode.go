@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
 // DeadCode reports every function and method of a non-main package
@@ -26,11 +27,10 @@ import (
 //
 // Edges are every function a body references (FuncNode.Refs): calls,
 // func values and method values, inside closures too. A method is also
-// live when its name is a method of any interface type in the loaded
-// packages or their imports, of the universe error, or one of the
-// Unwrap/Is/As methods package errors asserts through anonymous
-// interfaces. Matching by name alone over-approximates dynamic
-// dispatch: it may keep a dead method, but never reports a live one.
+// live when an interface call can reach it: its type, T or *T, implements
+// an interface that declares the method's name (dispatchedMethods).
+// Unwrap, Is and As stay live by name alone, since package errors
+// asserts them through anonymous interfaces of its own.
 type DeadCode struct{}
 
 func (*DeadCode) Name() string { return "deadcode" }
@@ -49,12 +49,12 @@ func (*DeadCode) Run(m *Module, report func(Diagnostic)) {
 		}
 	}
 
-	ifaceNames := interfaceMethodNames(m)
+	dispatched := dispatchedMethods(m)
 	for _, n := range g.Funcs() {
 		recv := n.Fn.Type().(*types.Signature).Recv()
 		switch {
 		case recv == nil && (n.Fn.Name() == "init" || n.Fn.Name() == "main" && n.Pkg.Types.Name() == "main"):
-		case recv != nil && ifaceNames[n.Fn.Name()]:
+		case recv != nil && dispatched[n.Fn]:
 		case n.HasMarker(MarkerTestOracle):
 		default:
 			continue
@@ -122,21 +122,80 @@ func rootExports(pkg *Package, mark func(*types.Func)) {
 	}
 }
 
-// interfaceMethodNames returns the name of every method of every
-// interface type the loaded packages declare or use, of every named
-// interface in their imports (transitively), of the universe error, and
-// the Unwrap/Is/As names package errors asserts without a named type.
-func interfaceMethodNames(m *Module) map[string]bool {
-	names := map[string]bool{"Unwrap": true, "Is": true, "As": true}
+// dispatchedMethods returns the methods an interface call can reach:
+// for every named type T of the loaded packages whose *T implements one
+// of the interfaces, the methods of *T's method set, promoted ones
+// included, that the interface declares. (*T implements every interface
+// T does.) The result of types.Implements is unspecified for
+// uninstantiated generic types, so their methods, and the methods named
+// by a generic interface, stay live by name, as do Unwrap, Is and As.
+func dispatchedMethods(m *Module) map[*types.Func]bool {
+	ifaces, byName := interfaces(m)
+	declared := maps.Clone(byName)
+	for _, it := range ifaces {
+		for i := 0; i < it.NumMethods(); i++ {
+			declared[it.Method(i).Name()] = true
+		}
+	}
+	live := map[*types.Func]bool{}
+	for _, pkg := range m.Packages {
+		// medcc:lint-ignore mapiter — fills a set; iteration order cannot reach the result.
+		for _, obj := range pkg.Info.Defs {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			ptr := types.NewPointer(named)
+			ms := types.NewMethodSet(ptr)
+			generic := named.TypeParams().Len() > 0
+			for i := 0; i < ms.Len(); i++ {
+				if fn := ms.At(i).Obj(); byName[fn.Name()] || generic && declared[fn.Name()] {
+					live[fn.(*types.Func).Origin()] = true
+				}
+			}
+			for _, it := range ifaces {
+				if generic || ms.Lookup(it.Method(0).Pkg(), it.Method(0).Name()) == nil || !types.Implements(ptr, it) {
+					continue
+				}
+				for i := 0; i < it.NumMethods(); i++ {
+					if sel := ms.Lookup(it.Method(i).Pkg(), it.Method(i).Name()); sel != nil {
+						live[sel.Obj().(*types.Func).Origin()] = true
+					}
+				}
+			}
+		}
+	}
+	return live
+}
+
+// interfaces returns every interface with methods that the loaded
+// packages declare or use, every named interface of their imports
+// (transitively), and the universe error, each once. A generic
+// interface is not returned; its method names join byName, with the
+// Unwrap/Is/As names package errors asserts without a named type.
+func interfaces(m *Module) (ifaces []*types.Interface, byName map[string]bool) {
+	byName = map[string]bool{"Unwrap": true, "Is": true, "As": true}
+	seenIface := map[*types.Interface]bool{}
 	add := func(t types.Type) {
 		if t == nil {
 			return
 		}
-		if it, ok := t.Underlying().(*types.Interface); ok {
-			for i := 0; i < it.NumMethods(); i++ {
-				names[it.Method(i).Name()] = true
-			}
+		it, ok := t.Underlying().(*types.Interface)
+		if !ok || it.NumMethods() == 0 || seenIface[it] {
+			return
 		}
+		seenIface[it] = true
+		if n, ok := t.(*types.Named); ok && n.TypeParams().Len() > 0 {
+			for i := 0; i < it.NumMethods(); i++ {
+				byName[it.Method(i).Name()] = true
+			}
+			return
+		}
+		ifaces = append(ifaces, it)
 	}
 	add(types.Universe.Lookup("error").Type())
 	seen := map[*types.Package]bool{}
@@ -163,5 +222,5 @@ func interfaceMethodNames(m *Module) map[string]bool {
 			add(tv.Type)
 		}
 	}
-	return names
+	return ifaces, byName
 }

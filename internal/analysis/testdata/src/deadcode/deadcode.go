@@ -1,11 +1,12 @@
 // Package deadcode is the fixture for the deadcode analyzer. init is
 // the only entry root; from it the live code reaches a func value in a
 // closure, a method value, a generic function and a generic type's
-// method. Besides init, a package-level initialiser, an interface
-// method name, the error and Unwrap names, and a medcc:testoracle
-// marker keep code live. unused, deadCaller with deadCallee, and
-// onlyTested (called from deadcode_test.go, which the loader skips) are
-// the findings. The imported module package stats is loaded too, and
+// method. Besides init, a package-level initialiser, an interface a
+// type implements, the error and Unwrap names, and a medcc:testoracle
+// marker keep code live. unused, deadCaller with deadCallee, onlyTested
+// (called from deadcode_test.go, which the loader skips), and a method
+// named like an interface method on a type that does not implement the
+// interface are the findings. The imported module package stats is loaded too, and
 // most of it is unreachable from here, but it is no target, so none of
 // its functions is reported.
 package deadcode
@@ -45,13 +46,35 @@ var table = map[string]func() int{"one": viaVar}
 
 func viaVar() int { return 4 }
 
-// shape's area keeps square.area live though nothing calls it: a value
-// could be converted to the interface anywhere.
+// shape's area keeps square.area live though nothing calls it: square
+// implements shape, and a value could be converted to it anywhere.
 type shape interface{ area() float64 }
 
 type square float64
 
 func (s square) area() float64 { return float64(s * s) }
+
+// polygon's perimeter and sides are live through measured, which only
+// *polygon implements. circle has a perimeter but no sides, so it
+// implements no interface that declares perimeter: the name alone keeps
+// nothing live.
+type measured interface {
+	perimeter() float64
+	sides() int
+}
+
+type polygon struct {
+	n    int
+	side float64
+}
+
+func (p polygon) perimeter() float64 { return float64(p.n) * p.side }
+
+func (p *polygon) sides() int { return p.n }
+
+type circle float64
+
+func (c circle) perimeter() float64 { return 6.283185307179586 * float64(c) } // want "deadcode.circle\).perimeter is unreachable"
 
 // wrapErr's Error is live through the universe error and its Unwrap
 // through the names package errors asserts without a named interface.

@@ -189,9 +189,6 @@ func (g *Graph) NumNodes() int { return len(g.names) }
 // NumEdges returns the edge count.
 func (g *Graph) NumEdges() int { return g.edges }
 
-// Name returns the display name of node i.
-func (g *Graph) Name(i int) string { return g.names[i] }
-
 // Succ returns the successor list of node i. The returned slice is shared
 // with the graph and must not be modified.
 func (g *Graph) Succ(i int) []int { return g.succ[i] }

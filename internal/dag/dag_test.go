@@ -40,8 +40,8 @@ func TestAddNodesNamesAndOffset(t *testing.T) {
 	}
 	want := []string{"custom", "w1", "w2", "w3"}
 	for i, w := range want {
-		if g.Name(i) != w {
-			t.Errorf("Name(%d) = %q, want %q", i, g.Name(i), w)
+		if g.names[i] != w {
+			t.Errorf("names[%d] = %q, want %q", i, g.names[i], w)
 		}
 	}
 }

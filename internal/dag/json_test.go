@@ -27,8 +27,8 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost structure: %d nodes %d edges", back.NumNodes(), back.NumEdges())
 	}
 	for i := 0; i < 3; i++ {
-		if back.Name(i) != g.Name(i) {
-			t.Fatalf("name %d changed: %q", i, back.Name(i))
+		if back.names[i] != g.names[i] {
+			t.Fatalf("name %d changed: %q", i, back.names[i])
 		}
 	}
 	for u := 0; u < 3; u++ {

@@ -234,28 +234,6 @@ func (d *Decoder) CatalogInto(r Record, i int, dst cloud.Catalog) (cloud.Catalog
 	return dst, nil
 }
 
-// ScheduleInto decodes chunk i (a ChunkSchedule) into dst's storage.
-//
-// medcc:allocfree
-func (d *Decoder) ScheduleInto(r Record, i int, dst workflow.Schedule) (workflow.Schedule, error) {
-	p, err := d.Payload(r, i)
-	if err != nil {
-		return dst, err
-	}
-	if len(p) < 4 {
-		return dst, fmt.Errorf("encoding: schedule payload truncated at %d bytes", len(p))
-	}
-	n := uint64(binary.LittleEndian.Uint32(p))
-	if 4+n*4 != uint64(len(p)) {
-		return dst, fmt.Errorf("encoding: schedule payload is %d bytes, layout needs %d", len(p), 4+n*4)
-	}
-	dst = dst[:0]
-	for j := 0; j < int(n); j++ {
-		dst = append(dst, int(int32(binary.LittleEndian.Uint32(p[4+4*j:]))))
-	}
-	return dst, nil
-}
-
 // InstanceInfo decodes chunk i (a ChunkInstanceInfo).
 //
 // medcc:allocfree

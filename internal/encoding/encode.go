@@ -108,19 +108,6 @@ func AppendCatalog(dst []byte, cat cloud.Catalog) ([]byte, error) {
 	return dst, nil
 }
 
-// AppendSchedule appends the ChunkSchedule payload for s to dst.
-//
-// Payload layout: len u32 | type i32 x len.
-//
-// medcc:allocfree
-func AppendSchedule(dst []byte, s workflow.Schedule) []byte {
-	dst = appendU32(dst, uint32(len(s)))
-	for _, j := range s {
-		dst = appendI32(dst, int32(j))
-	}
-	return dst
-}
-
 // InstanceInfo is the corpus bookkeeping attached to each instance
 // record: enough to tie a decoded instance back to the generator stream
 // that produced it (or the file it was converted from) and to skip
@@ -231,12 +218,6 @@ func (b *RecordBuilder) Catalog(cat cloud.Catalog) error {
 func (b *RecordBuilder) CatalogRef(index int) {
 	b.buf = appendU32(b.buf, uint32(index))
 	b.add(ChunkCatalogRef)
-}
-
-// Schedule adds a ChunkSchedule for s.
-func (b *RecordBuilder) Schedule(s workflow.Schedule) {
-	b.buf = AppendSchedule(b.buf, s)
-	b.add(ChunkSchedule)
 }
 
 // InstanceInfo adds a ChunkInstanceInfo.

@@ -9,18 +9,21 @@ import (
 
 	"medcc/internal/cloud"
 	"medcc/internal/gen"
-	"medcc/internal/sched"
 	"medcc/internal/workflow"
 )
 
-// reservedTrace is the payload goldenRecord stores under ChunkTrace, a
-// chunk type the package reserves but has no codec for: decoders must
-// hand it out unchanged as an opaque payload.
-var reservedTrace = []byte("reserved trace chunk: opaque to this package")
+// reservedSchedule and reservedTrace are the payloads goldenRecord
+// stores under ChunkSchedule and ChunkTrace, chunk types the package
+// reserves but has no codec for: decoders must hand them out unchanged
+// as opaque payloads.
+var (
+	reservedSchedule = []byte("reserved schedule chunk: opaque to this package")
+	reservedTrace    = []byte("reserved trace chunk: opaque to this package")
+)
 
-// goldenRecord encodes one full record (workflow + catalog + schedule +
-// reserved trace + instance info) for the given paper size; it is shared
-// with the fuzz seeds.
+// goldenRecord encodes one full record (workflow + catalog + reserved
+// schedule + reserved trace + instance info) for the given paper size;
+// it is shared with the fuzz seeds.
 func goldenRecord(t testing.TB, sizeIdx int, compress bool) ([]byte, *workflow.Workflow, cloud.Catalog) {
 	t.Helper()
 	sizes := gen.PaperProblemSizes()
@@ -30,16 +33,6 @@ func goldenRecord(t testing.TB, sizeIdx int, compress bool) ([]byte, *workflow.W
 	if err != nil {
 		t.Fatalf("gen: %v", err)
 	}
-	mt, err := wf.BuildMatrices(cat, nil)
-	if err != nil {
-		t.Fatalf("matrices: %v", err)
-	}
-	cmin, cmax := mt.BudgetRange(wf)
-	sc, err := sched.CriticalGreedy().Schedule(wf, mt, 0.5*(cmin+cmax))
-	if err != nil {
-		t.Fatalf("schedule: %v", err)
-	}
-
 	var b RecordBuilder
 	b.Begin()
 	if err := b.Workflow(wf); err != nil {
@@ -48,7 +41,8 @@ func goldenRecord(t testing.TB, sizeIdx int, compress bool) ([]byte, *workflow.W
 	if err := b.Catalog(cat); err != nil {
 		t.Fatalf("encode catalog: %v", err)
 	}
-	b.Schedule(sc)
+	b.buf = append(b.buf, reservedSchedule...)
+	b.add(ChunkSchedule)
 	b.buf = append(b.buf, reservedTrace...)
 	b.add(ChunkTrace)
 	b.InstanceInfo(InstanceInfo{Seed: 42, Index: int64(sizeIdx), Kind: KindGenerated,
@@ -117,7 +111,7 @@ func TestWorkflowRoundTrip(t *testing.T) {
 
 func TestCatalogScheduleTraceRoundTrip(t *testing.T) {
 	for _, compress := range []bool{false, true} {
-		data, wf, cat := goldenRecord(t, 7, compress)
+		data, _, cat := goldenRecord(t, 7, compress)
 		rec := parseOne(t, data)
 		var d Decoder
 
@@ -129,26 +123,12 @@ func TestCatalogScheduleTraceRoundTrip(t *testing.T) {
 			t.Fatalf("catalog differs: %+v != %+v", cat, gotCat)
 		}
 
-		mt, err := wf.BuildMatrices(cat, nil)
+		gotS, err := d.Payload(rec, rec.Find(ChunkSchedule))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cmin, cmax := mt.BudgetRange(wf)
-		want, err := sched.CriticalGreedy().Schedule(wf, mt, 0.5*(cmin+cmax))
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotS, err := d.ScheduleInto(rec, rec.Find(ChunkSchedule), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(gotS) != len(want) {
-			t.Fatalf("schedule length %d != %d", len(gotS), len(want))
-		}
-		for i := range gotS {
-			if gotS[i] != want[i] {
-				t.Fatalf("schedule[%d] = %d, want %d", i, gotS[i], want[i])
-			}
+		if !bytes.Equal(gotS, reservedSchedule) {
+			t.Fatalf("reserved schedule chunk = %q, want %q", gotS, reservedSchedule)
 		}
 
 		gotTr, err := d.Payload(rec, rec.Find(ChunkTrace))

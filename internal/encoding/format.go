@@ -77,12 +77,12 @@ const (
 	ChunkWorkflow ChunkType = 1
 	// ChunkCatalog is an ordered VM-type catalog.
 	ChunkCatalog ChunkType = 2
-	// ChunkSchedule is a module->VM-type mapping (-1 for fixed modules).
+	// ChunkSchedule is reserved for a module->VM-type mapping, and
+	// ChunkTrace for a simulated run's trace. The package has no codec
+	// for either; ParseRecord hands such a chunk out as an opaque
+	// payload like any other, so the format version is unchanged.
 	ChunkSchedule ChunkType = 3
-	// ChunkTrace is reserved for a simulated run's trace. The package
-	// has no codec for it; ParseRecord hands such a chunk out as an
-	// opaque payload like any other, so the format version is unchanged.
-	ChunkTrace ChunkType = 4
+	ChunkTrace    ChunkType = 4
 	// ChunkInstanceInfo carries corpus bookkeeping: the generator seed
 	// and index, the problem size, and the instance's budget range.
 	ChunkInstanceInfo ChunkType = 5
@@ -251,11 +251,6 @@ func appendU64(dst []byte, v uint64) []byte {
 // medcc:allocfree
 func appendF64(dst []byte, v float64) []byte {
 	return appendU64(dst, math.Float64bits(v))
-}
-
-// medcc:allocfree
-func appendI32(dst []byte, v int32) []byte {
-	return appendU32(dst, uint32(v))
 }
 
 // crcOf is the chunk checksum: CRC-32 (IEEE) over stored payload bytes.

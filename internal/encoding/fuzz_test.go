@@ -67,7 +67,6 @@ func FuzzDecodeRecord(f *testing.F) {
 		var (
 			d   Decoder
 			wf  = workflow.New()
-			sc  workflow.Schedule
 			cat cloud.Catalog
 		)
 		for i := 0; i < rec.NumChunks(); i++ {
@@ -81,8 +80,6 @@ func FuzzDecodeRecord(f *testing.F) {
 				}
 			case ChunkCatalog:
 				cat, _ = d.CatalogInto(rec, i, cat)
-			case ChunkSchedule:
-				sc, _ = d.ScheduleInto(rec, i, sc)
 			case ChunkInstanceInfo:
 				_, _ = d.InstanceInfo(rec, i)
 			case ChunkCatalogRef:

@@ -35,17 +35,14 @@ func Ablation(seed int64, size gen.ProblemSize, instances, levels int) ([]Ablati
 		{"gain-fixpoint", "all", "max-ratio"},
 		{"gain3", "all (once/task)", "max-ratio"},
 	}
-	results := make([][]float64, instances) // per item: levels x configs MEDs
+	results := make([][]float64, instances) // per item: configs x levels MEDs
 	err := sizePlan(seed, size, instances).run(nil, func(cs *campaignScratch, k int, cmin, cmax float64) error {
+		budgets := cs.budgetGrid(cmin, cmax, levels)
 		out := make([]float64, 0, len(configs)*levels)
-		for lv := 1; lv <= levels; lv++ {
-			b := budgetLevel(cmin, cmax, lv, levels)
-			for _, cfg := range configs {
-				med, err := cs.med(cfg.name, b)
-				if err != nil {
-					return err
-				}
-				out = append(out, med)
+		for _, cfg := range configs {
+			var err error
+			if out, err = cs.meds(cfg.name, budgets, out); err != nil {
+				return err
 			}
 		}
 		results[k] = out
@@ -56,12 +53,8 @@ func Ablation(seed int64, size gen.ProblemSize, instances, levels int) ([]Ablati
 	}
 	meds := make([][]float64, len(configs))
 	for k := 0; k < instances; k++ {
-		pos := 0
-		for lv := 0; lv < levels; lv++ {
-			for ci := range configs {
-				meds[ci] = append(meds[ci], results[k][pos])
-				pos++
-			}
+		for ci := range configs {
+			meds[ci] = append(meds[ci], results[k][ci*levels:(ci+1)*levels]...)
 		}
 	}
 	rows := make([]AblationRow, len(configs))
@@ -95,8 +88,8 @@ func sizePlan(seed int64, size gen.ProblemSize, instances int) plan {
 
 // SimValidation cross-checks analytic makespan/cost against event-driven
 // replay on `instances` random instances of the given size: each worker
-// schedules its instance with CG at a random budget and replays the
-// schedule on its scratch's pooled sim.Replayer.
+// schedules its instance with CG at a random budget through its runner and
+// replays the schedule on its scratch's pooled sim.Replayer.
 func SimValidation(seed int64, size gen.ProblemSize, instances int) ([]ValidationRow, error) {
 	return simValidation(seed, sizePlan(seed, size, instances), nil)
 }
@@ -121,20 +114,23 @@ func simValidation(seed int64, p plan, src io.Reader) ([]ValidationRow, error) {
 	err := p.run(src, func(cs *campaignScratch, k int, cmin, cmax float64) error {
 		// Separate stream for the budget draw (see TableIIIAt).
 		rng := newRNG(seed+1_000_000_007, k)
-		b := cmin + float64(rng.Float64()*(cmax-cmin))
-		res, err := sched.Run(sched.CriticalGreedy(), cs.w, cs.m, b)
+		s, err := cs.sched("critical-greedy", sched.BudgetAt(cmin, cmax, rng.Float64()))
 		if err != nil {
 			return err
 		}
-		replay, err := cs.replayer.Run(sim.Config{Workflow: cs.w, Matrices: cs.m, Schedule: res.Schedule})
+		med, err := cs.run.MED(cs.w, cs.m, s)
+		if err != nil {
+			return err
+		}
+		replay, err := cs.replayer.Run(sim.Config{Workflow: cs.w, Matrices: cs.m, Schedule: s})
 		if err != nil {
 			return err
 		}
 		rows[k] = ValidationRow{
 			Size:        p.item(k).size,
 			Instance:    k + 1,
-			MakespanErr: math.Abs(replay.Makespan - res.MED),
-			CostErr:     math.Abs(replay.Cost - res.Cost),
+			MakespanErr: math.Abs(replay.Makespan - med),
+			CostErr:     math.Abs(replay.Cost - cs.m.Cost(s)),
 		}
 		return nil
 	})

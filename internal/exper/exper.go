@@ -86,10 +86,3 @@ func lowestErr(errs []itemErr) error {
 	}
 	return first.err
 }
-
-// budgetLevel returns the paper's k-th of n budget levels over
-// [cmin, cmax]: Cmin + k*(Cmax-Cmin)/n for k in 1..n. The product is
-// rounded explicitly so FMA platforms compute the same levels.
-func budgetLevel(cmin, cmax float64, k, n int) float64 {
-	return cmin + float64(float64(k)/float64(n)*(cmax-cmin))
-}

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"medcc/internal/gen"
+	"medcc/internal/sched"
 )
 
 // TableIIIRow compares Critical-Greedy against the exhaustive optimum on
@@ -57,7 +58,7 @@ func TableIIIAt(seed int64, instancesPerSize int, sizes []gen.ProblemSize) ([]Ta
 		// would replay the instance generator's first draw and correlate
 		// the budget with the first module's workload.
 		rng := newRNG(seed+1_000_000_007, k)
-		budget := cmin + float64(rng.Float64()*(cmax-cmin))
+		budget := sched.BudgetAt(cmin, cmax, rng.Float64())
 		cg, err := cs.med("critical-greedy", budget)
 		if err != nil {
 			return err

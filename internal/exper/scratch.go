@@ -5,7 +5,6 @@ import (
 	"runtime"
 
 	"medcc/internal/cloud"
-	"medcc/internal/dag"
 	"medcc/internal/encoding"
 	"medcc/internal/gen"
 	"medcc/internal/sched"
@@ -14,40 +13,33 @@ import (
 )
 
 // campaignScratch is the per-worker state of the parallel campaign loops:
-// a pooled instance generator, matrices rebuilt in place, one reusable
-// scheduler per algorithm name, destination schedule buffers, and a DAG
-// timing that is refreshed instead of rebuilt for every schedule of the
-// current instance. One scratch serves one parallelForWorkers worker, so
-// no locking is needed; allocations fall to near zero once a worker has
-// warmed up on the largest problem size it will see.
+// a pooled instance generator, matrices rebuilt in place, the worker's
+// sched.Runner (one reusable scheduler per algorithm name and a MED
+// timing refreshed instead of rebuilt for every schedule of the current
+// instance), and destination schedule buffers. One scratch serves one
+// parallelForWorkers worker, so no locking is needed; allocations fall to
+// near zero once a worker has warmed up on the largest problem size it
+// will see.
 //
 // Determinism is untouched: instances are still seeded per item, and the
-// pooled generator/schedulers are bit-identical to their one-shot forms
+// pooled generator and runner are bit-identical to their one-shot forms
 // (pinned by the gen and sched differential tests), so campaign numbers do
 // not depend on which worker processed which item.
 //
 // medcc:scratch
 type campaignScratch struct {
 	b gen.Builder
+	// medcc:lint-ignore epochguard — owner: w and m are rebuilt in place for every instance; the only state derived from them across rebuilds is run's, which keys its MED timing on the graph and its version.
 	w *workflow.Workflow
-	// medcc:lint-ignore epochguard — w and m are rebuilt in place for every instance; the only derived state cached across rebuilds is t, guarded by tver below.
+	// medcc:lint-ignore epochguard — rebuilt with w, as above.
 	m        *workflow.Matrices
 	lc, fast workflow.Schedule
 
-	algs  map[string]sched.IntoScheduler
-	dst   map[string]workflow.Schedule
-	swDst map[string][]workflow.Schedule
+	run   sched.Runner
+	dst   workflow.Schedule
+	swDst []workflow.Schedule
 
 	budgets []float64
-
-	// t is the pooled timing, keyed on the graph it was built over and
-	// that graph's version: t aliases the graph's cache arrays, which an
-	// in-place rebuild overwrites, and the generator's and the corpus
-	// decoder's graphs keep independent version counters.
-	times []float64
-	t     *dag.Timing
-	tg    *dag.Graph
-	tver  uint64
 
 	// Corpus scratch: a per-worker binary decoder (its intern table warms
 	// up on the module/VM names of the stream) and the pooled workflow
@@ -55,18 +47,15 @@ type campaignScratch struct {
 	// generator's workflow — the builder owns that one, and clobbering it
 	// would corrupt the next generated instance.
 	dec encoding.Decoder
+	// medcc:lint-ignore epochguard — owner: records decode into cwf in place, as the generator rebuilds w.
 	cwf *workflow.Workflow
 
 	// replayer is the pooled discrete-event engine of the A2 validation.
 	replayer sim.Replayer
 
-	// Optimality-study scratch: the paper's fixed Table I catalog and a
-	// pooled exact solver. The solver keeps Workers at 1 because the
-	// campaign loop already owns one scratch (and one core) per worker;
-	// the branch-and-bound result is identical at any worker count.
+	// smallCat is the paper's fixed Table I catalog of the optimality
+	// studies.
 	smallCat cloud.Catalog
-	opt      *sched.Optimal
-	optDst   workflow.Schedule
 }
 
 // newScratchPool returns one campaignScratch per fan-out worker for a loop
@@ -133,64 +122,33 @@ func (cs *campaignScratch) smallInstance(seed int64, k int, size gen.ProblemSize
 	return cs.m.Cost(cs.lc), cs.m.Cost(cs.fast), nil
 }
 
-// optimalMED solves the current instance exactly with the pooled
-// branch-and-bound solver and returns the optimal MED. It errors if the
-// solver hit its node limit: a truncated incumbent is not a proven
-// optimum, and silently comparing heuristics against it would corrupt the
-// optimality studies.
+// optimalMED solves the current instance exactly through the runner and
+// returns the optimal MED. It errors if the search hit its node limit: a
+// truncated incumbent is not a proven optimum, and silently comparing
+// heuristics against it would corrupt the optimality studies.
 func (cs *campaignScratch) optimalMED(budget float64) (float64, error) {
-	if cs.opt == nil {
-		cs.opt = &sched.Optimal{Workers: 1}
-	}
-	s, err := cs.opt.ScheduleInto(cs.optDst, cs.w, cs.m, budget)
+	s, truncated, err := cs.run.Solve("optimal", cs.dst, cs.w, cs.m, budget, nil)
 	if err != nil {
 		return 0, fmt.Errorf("optimal: %w", err)
 	}
-	cs.optDst = s
-	if cs.opt.Truncated {
+	cs.dst = s
+	if truncated {
+		opt, _ := cs.run.Scheduler("optimal")
 		return 0, fmt.Errorf("optimal: node limit reached after %d nodes (m=%d): incumbent not proven optimal",
-			cs.opt.Expanded, cs.w.NumModules())
+			opt.(*sched.Optimal).Expanded, cs.w.NumModules())
 	}
-	return cs.makespan(s)
-}
-
-// alg returns the pooled scheduler instance for the named algorithm,
-// creating it on first use.
-func (cs *campaignScratch) alg(name string) (sched.IntoScheduler, error) {
-	if cs.algs == nil {
-		cs.algs = map[string]sched.IntoScheduler{}
-		cs.dst = map[string]workflow.Schedule{}
-		cs.swDst = map[string][]workflow.Schedule{}
-	}
-	alg, ok := cs.algs[name]
-	if !ok {
-		s, err := sched.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		into, isInto := s.(sched.IntoScheduler)
-		if !isInto {
-			return nil, fmt.Errorf("exper: %s does not support pooled scheduling", name)
-		}
-		cs.algs[name] = into
-		alg = into
-	}
-	return alg, nil
+	return cs.run.MED(cs.w, cs.m, s)
 }
 
 // sched runs the named algorithm at the budget on the current instance and
 // returns the resulting schedule (owned by the scratch, valid until the
-// next sched call for the same name).
+// next sched call).
 func (cs *campaignScratch) sched(name string, budget float64) (workflow.Schedule, error) {
-	alg, err := cs.alg(name)
-	if err != nil {
-		return nil, err
-	}
-	s, err := alg.ScheduleInto(cs.dst[name], cs.w, cs.m, budget)
+	s, _, err := cs.run.Solve(name, cs.dst, cs.w, cs.m, budget, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	cs.dst[name] = s
+	cs.dst = s
 	return s, nil
 }
 
@@ -200,15 +158,16 @@ func (cs *campaignScratch) med(name string, budget float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return cs.makespan(s)
+	return cs.run.MED(cs.w, cs.m, s)
 }
 
-// budgetGrid fills the scratch budget buffer with the campaign's ascending
-// budget levels over [cmin, cmax].
+// budgetGrid fills the scratch budget buffer with the paper's ascending
+// budget levels over [cmin, cmax]: level k of n is the fraction k/n of the
+// range, for k in 1..n.
 func (cs *campaignScratch) budgetGrid(cmin, cmax float64, levels int) []float64 {
 	cs.budgets = cs.budgets[:0]
 	for k := 1; k <= levels; k++ {
-		cs.budgets = append(cs.budgets, budgetLevel(cmin, cmax, k, levels))
+		cs.budgets = append(cs.budgets, sched.BudgetAt(cmin, cmax, float64(k)/float64(levels)))
 	}
 	return cs.budgets
 }
@@ -216,17 +175,17 @@ func (cs *campaignScratch) budgetGrid(cmin, cmax float64, levels int) []float64 
 // sweep runs the named algorithm across an ascending budget grid on the
 // current instance (sched.SweepSchedules: level k is the algorithm's
 // ScheduleInto at budgets[k]). The returned schedules are owned by the
-// scratch, valid until the next sweep call for the same name.
+// scratch, valid until the next sweep call.
 func (cs *campaignScratch) sweep(name string, budgets []float64) ([]workflow.Schedule, error) {
-	alg, err := cs.alg(name)
+	alg, err := cs.run.Scheduler(name)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := sched.SweepSchedules(alg, cs.swDst[name], cs.w, cs.m, budgets)
+	rows, err := sched.SweepSchedules(alg, cs.swDst, cs.w, cs.m, budgets)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	cs.swDst[name] = rows
+	cs.swDst = rows
 	return rows, nil
 }
 
@@ -238,35 +197,11 @@ func (cs *campaignScratch) meds(name string, budgets []float64, dst []float64) (
 		return nil, err
 	}
 	for _, s := range rows {
-		mk, err := cs.makespan(s)
+		mk, err := cs.run.MED(cs.w, cs.m, s)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		dst = append(dst, mk)
 	}
 	return dst, nil
-}
-
-// makespan evaluates a schedule of the current instance with the pooled
-// timing: the first schedule per instance pays one NewTiming (the graph
-// structure changed under the pooled builder, detected via its Version);
-// every further schedule is an in-place Update.
-func (cs *campaignScratch) makespan(s workflow.Schedule) (float64, error) {
-	if err := cs.w.ValidateSchedule(s, len(cs.m.Catalog)); err != nil {
-		return 0, err
-	}
-	cs.times = cs.m.TimesInto(s, cs.times)
-	g := cs.w.Graph()
-	if cs.t == nil || cs.tg != g || cs.tver != g.Version() {
-		t, err := dag.NewTiming(g, cs.times, nil)
-		if err != nil {
-			return 0, err
-		}
-		cs.t, cs.tg, cs.tver = t, g, g.Version()
-		return t.Makespan, nil
-	}
-	if err := cs.t.Update(cs.times); err != nil {
-		return 0, err
-	}
-	return cs.t.Makespan, nil
 }

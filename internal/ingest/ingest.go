@@ -183,8 +183,8 @@ func Workflow(r io.Reader, opts Options) (*workflow.Workflow, []string, Format, 
 }
 
 // containerWorkflow decodes the first record of a binary container into
-// a fresh workflow. A record without a workflow chunk — a trace- or
-// schedule-only container handed to a workflow entry point — yields
+// a fresh workflow. A record without a workflow chunk — say, an
+// instance-info-only container handed to a workflow entry point — yields
 // ErrNoWorkflowChunk naming the chunk types actually present.
 func containerWorkflow(br *bufio.Reader) (*workflow.Workflow, error) {
 	cr, err := encoding.NewCorpusReader(br)

@@ -130,7 +130,7 @@ func TestWorkflowContainer(t *testing.T) {
 func TestWorkflowContainerWrongChunk(t *testing.T) {
 	var rb encoding.RecordBuilder
 	rb.Begin()
-	rb.Schedule(workflow.Schedule{0, 1, 2})
+	rb.InstanceInfo(encoding.InstanceInfo{Seed: 1})
 	buf := encoding.AppendHeader(nil, 1)
 	buf, err := rb.AppendRecord(buf, false)
 	if err != nil {
@@ -138,9 +138,9 @@ func TestWorkflowContainerWrongChunk(t *testing.T) {
 	}
 	_, _, _, err = Workflow(bytes.NewReader(buf), Options{})
 	if !errors.Is(err, ErrNoWorkflowChunk) {
-		t.Fatalf("schedule-only container: err = %v, want ErrNoWorkflowChunk", err)
+		t.Fatalf("instance-info-only container: err = %v, want ErrNoWorkflowChunk", err)
 	}
-	if err == nil || !strings.Contains(err.Error(), "schedule") {
+	if err == nil || !strings.Contains(err.Error(), "instance-info") {
 		t.Fatalf("error should name the chunk types present, got %v", err)
 	}
 

@@ -539,7 +539,7 @@ func TestDifferentialPaperGrid(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotG3, err := (&GAIN{Variant: 3}).Schedule(w, m, budget)
+			gotG3, err := (&GAIN{Label: "gain3"}).Schedule(w, m, budget)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -611,10 +611,10 @@ func TestDifferentialSlowAlgorithms(t *testing.T) {
 			cases := []pair{
 				{"gain1",
 					func() (workflow.Schedule, error) { return refGainStatic(w, m, budget) },
-					func() (workflow.Schedule, error) { return (&GAIN{Variant: 1}).Schedule(w, m, budget) }},
+					func() (workflow.Schedule, error) { return (&GAIN{Label: "gain1"}).Schedule(w, m, budget) }},
 				{"gain2",
 					func() (workflow.Schedule, error) { return refGainOncePerTask(w, m, budget, true) },
-					func() (workflow.Schedule, error) { return (&GAIN{Variant: 2}).Schedule(w, m, budget) }},
+					func() (workflow.Schedule, error) { return (&GAIN2{}).Schedule(w, m, budget) }},
 				{"loss2",
 					func() (workflow.Schedule, error) { return refLoss(w, m, budget, true) },
 					func() (workflow.Schedule, error) { return (&LOSS{Variant: 2}).Schedule(w, m, budget) }},
@@ -660,7 +660,7 @@ func TestDifferentialSlowAlgorithms(t *testing.T) {
 func TestEngineRebind(t *testing.T) {
 	sizes := []gen.ProblemSize{{M: 10, E: 17, N: 4}, {M: 25, E: 201, N: 5}, {M: 15, E: 65, N: 5}}
 	g := CriticalGreedy()
-	g3 := &GAIN{Variant: 3}
+	g3 := &GAIN{Label: "gain3"}
 	for round := 0; round < 2; round++ {
 		for _, size := range sizes {
 			w, m, cmin, cmax := diffInstance(t, size.M, size)

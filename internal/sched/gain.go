@@ -26,7 +26,7 @@ import (
 //     leftover budget or touch an already-upgraded task.
 //   - GAIN2 measures the decrease of the whole-DAG makespan produced by a
 //     tentative reassignment instead of the task-local execution time
-//     (globally aware, quadratically slower).
+//     (globally aware, quadratically slower). It is its own type, GAIN2.
 //   - GAIN3 re-selects the globally best affordable (task, type) pair at
 //     every iteration using task-local weights. This is the variant the
 //     MED-CC paper compares against ("the modules with large GainWeight,
@@ -34,15 +34,16 @@ import (
 //     impact on the entire execution time"), reported as the best
 //     performer of the group.
 //
-// Under these readings gain1 and gain3 compute the same schedules. A task
-// leaves the pool after its one move, so GAIN3 scores every option
-// against the task's least-cost type: every cost increase is >= 0, the
-// leftover budget never grows, and an option once unaffordable stays so.
-// GAIN3's accepts are therefore one pass over all improving options in
-// its selection order, taking each affordable option of an unmoved task
-// until the budget is spent, which is GAIN1's definition. Single solves
-// of either run GAIN3's candidate heap; sweeps sort the list once and make
-// one pass per level (SweepInto).
+// Under these readings GAIN1 and GAIN3 are one algorithm, and GAIN is
+// registered under both names, "gain1" and "gain3". A task leaves the
+// pool after its one move, so GAIN3 scores every option against the
+// task's least-cost type: every cost increase is >= 0, the leftover
+// budget never grows, and an option once unaffordable stays so. GAIN3's
+// accepts are therefore one pass over all improving options in its
+// selection order, taking each affordable option of an unmoved task until
+// the budget is spent, which is GAIN1's definition. Single solves run
+// GAIN3's candidate heap; sweeps sort the list once and make one pass per
+// level (SweepInto).
 //
 // A fourth registry entry, "gain-fixpoint", lifts the once-per-task rule
 // and lets GAIN3 keep re-upgrading tasks until no affordable improving
@@ -50,7 +51,7 @@ import (
 // effectively a knapsack-style ratio greedy — and is included as an
 // ablation baseline (see DESIGN.md §5).
 type GAIN struct {
-	Variant int // 1, 2 or 3
+	Label string // the registry name it reports: "gain1" or "gain3"
 
 	eng engine
 	// pass is the sorted upgrade list of the engine binding counted by
@@ -61,28 +62,46 @@ type GAIN struct {
 }
 
 // Name implements Scheduler.
-func (g *GAIN) Name() string {
-	switch g.Variant {
-	case 1:
-		return "gain1"
-	case 2:
-		return "gain2"
-	default:
-		return "gain3"
-	}
-}
+func (g *GAIN) Name() string { return g.Label }
 
 // Schedule implements Scheduler.
 func (g *GAIN) Schedule(w *workflow.Workflow, m *workflow.Matrices, budget float64) (workflow.Schedule, error) {
 	return g.ScheduleInto(nil, w, m, budget)
 }
 
-// ScheduleInto implements IntoScheduler.
+// ScheduleInto implements IntoScheduler. GAIN3's task-local weights
+// depend only on the task's own assignment, so it runs off the candidate
+// heap: one option scan per module up front, then one pop per accepted
+// upgrade (its ranking rule is exactly candMaxRatio).
 //
 // medcc:allocfree
 // medcc:deterministic — replayed bit-identical by the differential tests
 func (g *GAIN) ScheduleInto(dst workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budget float64) (workflow.Schedule, error) {
-	return g.oncePerTask(dst, w, m, budget, g.Variant == 2)
+	s, ctmp, err := checkFeasibleInto(w, m, budget, dst)
+	if err != nil {
+		return nil, err
+	}
+	e := &g.eng
+	e.bind(w, m)
+	e.ct.start(e, candMaxRatio)
+	e.resetMoved()
+	if budget-ctmp <= 0 {
+		return s, nil
+	}
+	e.ct.rebuild(s, budget-ctmp, actUnmoved)
+	for budget-ctmp > 0 {
+		i, j, dc, ok := e.ct.popBest(s, budget-ctmp, actUnmoved)
+		if !ok {
+			break
+		}
+		s[i] = j
+		e.moved[i] = true
+		ctmp += dc
+		if dc < 0 {
+			e.ct.refreshGrown(s, budget-ctmp, actUnmoved)
+		}
+	}
+	return s, nil
 }
 
 // gainUpgrade is one improving (task, type) option scored against the
@@ -112,19 +131,15 @@ func byGainWeight(a, b gainUpgrade) int {
 }
 
 // SweepInto implements Sweeper: level k is exactly the schedule
-// ScheduleInto returns at budgets[k]. GAIN1 and GAIN3 build the improving
-// options of every task against the least-cost schedule, sort them
-// (byGainWeight), and make one pass per level (gainPass; see the type doc
-// for why one pass is GAIN3). The sorted list depends only on the bound
-// instance, so it is built once per engine binding and repeat sweeps of
-// the same instance reuse it. GAIN2's whole-DAG weights move with the
-// schedule, so it solves each level separately.
+// ScheduleInto returns at budgets[k]. It builds the improving options of
+// every task against the least-cost schedule, sorts them (byGainWeight),
+// and makes one pass per level (gainPass; see the type doc for why one
+// pass is GAIN3). The sorted list depends only on the bound instance, so
+// it is built once per engine binding and repeat sweeps of the same
+// instance reuse it.
 //
 // medcc:deterministic
 func (g *GAIN) SweepInto(dst []workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budgets []float64) ([]workflow.Schedule, error) {
-	if g.Variant == 2 {
-		return sweepEach(g, dst, w, m, budgets)
-	}
 	e := &g.eng
 	dst, cmin, err := e.startSweep(dst, w, m, budgets)
 	if err != nil || len(budgets) == 0 {
@@ -140,15 +155,15 @@ func (g *GAIN) SweepInto(dst []workflow.Schedule, w *workflow.Workflow, m *workf
 }
 
 // ResumeInto implements Sweeper: it returns exactly what ScheduleInto
-// returns at budget. A GAIN1/GAIN3 trail of the same (w, m) holds the
-// instance's sorted upgrade list, valid at every budget, so the solve is
-// one pass over it; any other trail, and every GAIN2 solve, runs cold.
+// returns at budget. A GAIN trail of the same (w, m) holds the instance's
+// sorted upgrade list, valid at every budget, so the solve is one pass
+// over it; any other trail runs cold.
 //
 // medcc:allocfree
 // medcc:deterministic — resumed solves are differential-tested against
 // ScheduleInto
 func (g *GAIN) ResumeInto(dst workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budget float64, tr *Trail) (workflow.Schedule, error) {
-	if g.Variant == 2 || !tr.resumable(gainTrail, w, m, budget) {
+	if !tr.resumable(gainTrail, w, m, budget) {
 		return g.ScheduleInto(dst, w, m, budget)
 	}
 	s, cmin, err := checkFeasibleInto(w, m, budget, dst)
@@ -212,28 +227,37 @@ func (g *GAIN) sortUpgrades() {
 	g.passBind = e.binds
 }
 
-// oncePerTask implements GAIN2 (makespanWeight true) and GAIN3: pick the
-// best affordable (task, type) pair each iteration, retiring each task
-// after its single reassignment. GAIN2's whole-DAG weights come from the
+// GAIN2 is the GAIN variant that weighs each (task, type) reassignment
+// by the decrease of the whole-DAG makespan over its cost increase (see
+// GAIN): pick the best affordable pair each iteration, retiring each task
+// after its single reassignment. Its weights move with the schedule, so
+// it keeps no trails and sweeps level by level. The weights come from the
 // incremental timing's WhatIfMakespan probe instead of a trial Timing per
 // candidate, turning its O(candidates x full-DAG-pass) iteration into
-// O(candidates x affected-suffix) with zero allocations. GAIN3's
-// task-local weights depend only on the task's own assignment, so it runs
-// off the candidate heap: one option scan per module up front, then one
-// pop per accepted upgrade (its ranking rule is exactly candMaxRatio).
-func (g *GAIN) oncePerTask(dst workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budget float64, makespanWeight bool) (workflow.Schedule, error) {
+// O(candidates x affected-suffix) with zero allocations.
+type GAIN2 struct {
+	eng engine
+}
+
+// Name implements Scheduler.
+func (g *GAIN2) Name() string { return "gain2" }
+
+// Schedule implements Scheduler.
+func (g *GAIN2) Schedule(w *workflow.Workflow, m *workflow.Matrices, budget float64) (workflow.Schedule, error) {
+	return g.ScheduleInto(nil, w, m, budget)
+}
+
+// ScheduleInto implements IntoScheduler.
+//
+// medcc:allocfree
+// medcc:deterministic — replayed bit-identical by the differential tests
+func (g *GAIN2) ScheduleInto(dst workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budget float64) (workflow.Schedule, error) {
 	s, ctmp, err := checkFeasibleInto(w, m, budget, dst)
 	if err != nil {
 		return nil, err
 	}
 	e := &g.eng
 	e.bind(w, m)
-	if !makespanWeight {
-		e.ct.start(e, candMaxRatio)
-		e.resetMoved()
-		g.runHeap(s, &ctmp, budget)
-		return s, nil
-	}
 	if err := e.resetTiming(s); err != nil {
 		return nil, err
 	}
@@ -282,39 +306,10 @@ func (g *GAIN) oncePerTask(dst workflow.Schedule, w *workflow.Workflow, m *workf
 	return s, nil
 }
 
-// runHeap drains the candidate heap under the once-per-task discipline at
-// the given budget.
-//
-// medcc:allocfree
-func (g *GAIN) runHeap(s workflow.Schedule, ctmp *float64, budget float64) {
-	e := &g.eng
-	cextra := budget - *ctmp
-	if cextra <= 0 {
-		return
-	}
-	e.ct.rebuild(s, cextra, actUnmoved)
-	for {
-		cextra = budget - *ctmp
-		if cextra <= 0 {
-			return
-		}
-		i, j, dc, ok := e.ct.popBest(s, cextra, actUnmoved)
-		if !ok {
-			return
-		}
-		s[i] = j
-		e.moved[i] = true
-		*ctmp += dc
-		if dc < 0 {
-			e.ct.refreshGrown(s, budget-*ctmp, actUnmoved)
-		}
-	}
-}
-
 func init() {
-	Register("gain1", func() Scheduler { return &GAIN{Variant: 1} })
-	Register("gain2", func() Scheduler { return &GAIN{Variant: 2} })
-	Register("gain3", func() Scheduler { return &GAIN{Variant: 3} })
+	Register("gain1", func() Scheduler { return &GAIN{Label: "gain1"} })
+	Register("gain2", func() Scheduler { return &GAIN2{} })
+	Register("gain3", func() Scheduler { return &GAIN{Label: "gain3"} })
 	Register("gain-fixpoint", func() Scheduler {
 		return &Greedy{Label: "gain-fixpoint", Candidates: AllModules, Rank: MaxRatio}
 	})

@@ -17,7 +17,7 @@ func TestGAIN3PaperExampleAtB57(t *testing.T) {
 	// at B=57, w2->VT3 (ratio 1/3) wins the w2/w5 tie by index. GAIN3
 	// ends at cost 56 with w5 and w1 unmoved.
 	w, m := paperSetup(t)
-	res, err := Run(&GAIN{Variant: 3}, w, m, 57)
+	res, err := Run(&GAIN{Label: "gain3"}, w, m, 57)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,9 +32,9 @@ func TestGAIN3PaperExampleAtB57(t *testing.T) {
 
 func TestGAINInfeasible(t *testing.T) {
 	w, m := paperSetup(t)
-	for v := 1; v <= 3; v++ {
-		if _, err := (&GAIN{Variant: v}).Schedule(w, m, 40); !errors.Is(err, ErrInfeasible) {
-			t.Fatalf("GAIN%d err = %v", v, err)
+	for _, g := range []Scheduler{&GAIN{Label: "gain1"}, &GAIN2{}, &GAIN{Label: "gain3"}} {
+		if _, err := g.Schedule(w, m, 40); !errors.Is(err, ErrInfeasible) {
+			t.Fatalf("%s err = %v", g.Name(), err)
 		}
 	}
 }
@@ -52,13 +52,13 @@ func TestGAINVariantsRespectBudget(t *testing.T) {
 		}
 		cmin, cmax := m.BudgetRange(wf)
 		b := cmin + rng.Float64()*(cmax-cmin)
-		for v := 1; v <= 3; v++ {
-			res, err := Run(&GAIN{Variant: v}, wf, m, b)
+		for _, g := range []Scheduler{&GAIN{Label: "gain1"}, &GAIN2{}, &GAIN{Label: "gain3"}} {
+			res, err := Run(g, wf, m, b)
 			if err != nil {
-				t.Fatalf("GAIN%d: %v", v, err)
+				t.Fatalf("%s: %v", g.Name(), err)
 			}
 			if res.Cost > b+1e-9 {
-				t.Fatalf("GAIN%d overspent: %v > %v", v, res.Cost, b)
+				t.Fatalf("%s overspent: %v > %v", g.Name(), res.Cost, b)
 			}
 		}
 	}
@@ -76,7 +76,7 @@ func TestGAIN2NeverWorseThanLeastCostMakespan(t *testing.T) {
 		m, _ := wf.BuildMatrices(cat, cloud.HourlyRoundUp)
 		cmin, cmax := m.BudgetRange(wf)
 		lcEv, _ := wf.Evaluate(m, m.LeastCost(wf), nil)
-		res, err := Run(&GAIN{Variant: 2}, wf, m, (cmin+cmax)/2)
+		res, err := Run(&GAIN2{}, wf, m, (cmin+cmax)/2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestGAIN2NeverWorseThanLeastCostMakespan(t *testing.T) {
 func TestGAIN1SinglePassUpgradesAtMostOncePerModule(t *testing.T) {
 	w, m := paperSetup(t)
 	lc := m.LeastCost(w)
-	s, err := (&GAIN{Variant: 1}).Schedule(w, m, 64)
+	s, err := (&GAIN{Label: "gain1"}).Schedule(w, m, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestCGBeatsGAIN3OnBranchTrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g3Res, err := Run(&GAIN{Variant: 3}, w, m, budget)
+	g3Res, err := Run(&GAIN{Label: "gain3"}, w, m, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestCGvsGAIN3Statistical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g3, err := Run(&GAIN{Variant: 3}, wf, m, b)
+			g3, err := Run(&GAIN{Label: "gain3"}, wf, m, b)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -27,7 +27,7 @@ func ParetoFront(s Scheduler, w *workflow.Workflow, m *workflow.Matrices, points
 	cmin, cmax := m.BudgetRange(w)
 	var raw []ParetoPoint
 	for k := 0; k < points; k++ {
-		b := cmin + float64(float64(k)/float64(points-1)*(cmax-cmin))
+		b := BudgetAt(cmin, cmax, float64(k)/float64(points-1))
 		res, err := Run(s, w, m, b)
 		if err != nil {
 			return nil, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -101,28 +100,20 @@ func requireResumeMatches(t *testing.T, label string, sw Sweeper, dst workflow.S
 // TestTrailsMatchScheduleInto is the resume pin. For every scheduler
 // that keeps trails it builds the instance's staircase and resumes each
 // pin budget from every level at or below it, and from the level just
-// above it, where ResumeInto must solve cold. gain2 keeps no trails and
-// is resumed from gain3's, which it must ignore. Each answer must equal
-// a fresh ScheduleInto. (The name leaves out "Resume": CI repeats the
+// above it, where ResumeInto must solve cold. Each answer must equal a
+// fresh ScheduleInto. (The name leaves out "Resume": CI repeats the
 // concurrent resume tests under -race by that name, and this pin is
 // too slow to repeat.)
 func TestTrailsMatchScheduleInto(t *testing.T) {
 	inputs := resumeInputs(t)
-	for a, name := range append(slices.Clone(trailAlgs), "gain2") {
+	for a, name := range trailAlgs {
 		seed := int64(40 + a)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			sw, one := mustInto(t, name).(Sweeper), mustInto(t, name)
-			grid := mustInto(t, name)
-			if name == "gain2" {
-				grid = mustInto(t, "gain3")
-			}
+			sw, one, grid := mustInto(t, name).(Sweeper), mustInto(t, name), mustInto(t, name)
 			rng := rand.New(rand.NewSource(seed))
 			var dst workflow.Schedule
 			for _, in := range inputs {
-				if name == "gain2" && in.w.NumModules() > 32 {
-					continue
-				}
 				st, err := SweepGrid(grid, in.w, in.m, in.cmin, in.cmax, GridOptions{})
 				if err != nil {
 					t.Fatalf("%s on %s: %v", name, in.name, err)
@@ -130,10 +121,7 @@ func TestTrailsMatchScheduleInto(t *testing.T) {
 				if st.Trails == nil {
 					t.Fatalf("%s on %s: staircase kept no trails", name, in.name)
 				}
-				var boundary []float64
-				if name != "gain2" {
-					boundary = boundarySweepBudgets(in.w, in.m, in.cmin)
-				}
+				boundary := boundarySweepBudgets(in.w, in.m, in.cmin)
 				for _, b := range resumeBudgets(rng, st, boundary) {
 					want, werr := one.ScheduleInto(nil, in.w, in.m, b)
 					below, hit := st.Lookup(b)
@@ -291,8 +279,8 @@ func TestStaircaseTrailsShareSteps(t *testing.T) {
 		s := m.LeastCost(w)
 		_, n := tr.runs.held(st.Budgets[k])
 		tr.runs.replay(s, n-1)
-		if !s.Equal(st.Schedule(k)) {
-			t.Fatalf("level %d: trail replays to %v, level holds %v", k, s, st.Schedule(k))
+		if want := st.Scheds[st.Level[k]]; !s.Equal(want) {
+			t.Fatalf("level %d: trail replays to %v, level holds %v", k, s, want)
 		}
 		total += n
 		if !seen[tr] {

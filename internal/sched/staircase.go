@@ -84,10 +84,6 @@ func (st *Staircase) Levels() int { return len(st.Budgets) }
 // Steps returns the number of distinct schedules.
 func (st *Staircase) Steps() int { return len(st.Scheds) }
 
-// Schedule returns level k's schedule. The returned slice is shared —
-// callers must treat it as read-only.
-func (st *Staircase) Schedule(k int) workflow.Schedule { return st.Scheds[st.Level[k]] }
-
 // SweepGrid solves (sch, w, m) at every level of an adaptively refined
 // fraction grid over the budget range [lo, hi] and extracts the
 // staircase. The initial grid is uniform; then, while the level count

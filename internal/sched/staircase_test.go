@@ -168,7 +168,7 @@ func TestGAINSweepRebindInPlace(t *testing.T) {
 		}
 		return w, budgets
 	}
-	g := &GAIN{Variant: 3}
+	g := &GAIN{Label: "gain3"}
 	wA, budgetsA := build(1)
 	mA := m
 	if _, err := g.SweepInto(nil, wA, mA, budgetsA); err != nil {
@@ -182,7 +182,7 @@ func TestGAINSweepRebindInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := (&GAIN{Variant: 3}).SweepInto(nil, wB, m, budgetsB)
+	want, err := (&GAIN{Label: "gain3"}).SweepInto(nil, wB, m, budgetsB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestSweepGridInvariants(t *testing.T) {
 			if st.Budgets[k] <= st.Budgets[k-1] {
 				t.Fatalf("budgets not strictly ascending at %d: %v then %v", k, st.Budgets[k-1], st.Budgets[k])
 			}
-			same := st.Schedule(k).Equal(st.Schedule(k - 1))
+			same := st.Scheds[st.Level[k]].Equal(st.Scheds[st.Level[k-1]])
 			shared := st.Level[k] == st.Level[k-1]
 			if same != shared {
 				t.Fatalf("level %d: equal schedules=%v but shared entry=%v — dedup broken", k, same, shared)

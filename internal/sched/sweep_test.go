@@ -32,7 +32,7 @@ func TestSweepIntoReusesDst(t *testing.T) {
 	size := gen.ProblemSize{M: 25, E: 201, N: 5}
 	w, m, cmin, cmax := diffInstance(t, size.M, size)
 	budgets := sweepBudgets(cmin, cmax)
-	for _, sw := range []Sweeper{CriticalGreedy(), &GAIN{Variant: 3}} {
+	for _, sw := range []Sweeper{CriticalGreedy(), &GAIN{Label: "gain3"}} {
 		dst, err := sw.SweepInto(nil, w, m, budgets)
 		if err != nil {
 			t.Fatal(err)

@@ -189,15 +189,13 @@ func (e *engine) newTrail(kind trailKind, budget float64) *Trail {
 // at budget from the trail of a smaller budget (nil: cold) and return
 // the level's schedule and trail. live reports that sch's engine still
 // holds from's end state, as between the levels of one ascending sweep.
-// Schedulers that keep no trails (gain2, non-Sweepers, wrappers) get nil.
+// Schedulers that keep no trails (non-Sweepers, wrappers) get nil.
 func trailResumer(sch IntoScheduler) func(dst workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budget float64, from *Trail, live bool) (workflow.Schedule, *Trail, error) {
 	switch s := sch.(type) {
 	case *Greedy:
 		return s.resumeTrail
 	case *GAIN:
-		if s.Variant != 2 {
-			return s.resumeTrail
-		}
+		return s.resumeTrail
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,7 +24,7 @@ import (
 // snapshot itself.
 //
 // Hit path: one map read, one atomic.Pointer Load, one exact-match
-// binary search, one SoA row copy — no locks, no engine, 0 allocs/op.
+// binary search, one schedule copy — no locks, no engine, 0 allocs/op.
 // Only bit-exact budget matches hit (every grid level equals a direct
 // ScheduleInto at its budget), so cached responses are bit-identical to
 // direct sched.Run.
@@ -62,7 +63,7 @@ type CacheConfig struct {
 // version is deliberately absent: the cache lives inside its snapshot.
 type cacheKey struct{ alg, wf, cat string }
 
-// cacheSlot is the per-key state. stair flips nil → frozen staircase
+// cacheSlot is the per-key state. stair flips nil → installed staircase
 // exactly once per build; building is the singleflight latch; lastUse
 // is a logical-clock stamp for LRU eviction.
 type cacheSlot struct {
@@ -71,69 +72,49 @@ type cacheSlot struct {
 	lastUse  atomic.Int64
 }
 
-// staircase is the frozen, immutable result of one grid sweep in SoA
-// layout: per-level budgets/MEDs/costs/truncation/trails plus distinct
-// schedules flattened into one backing array (level[k] selects row
-// flat[level[k]*nm : ...]). Readers share it freely; nothing is ever
-// written after freeze.
+// staircase is one installed grid sweep: the sched.Staircase that
+// SweepGrid returned, plus the MED and cost of each of its distinct
+// schedules. Readers share it freely; nothing is written after install.
 type staircase struct {
-	budgets []float64
-	meds    []float64
-	costs   []float64
-	trunc   []bool
-	trails  []*sched.Trail // nil when the algorithm keeps none
-	level   []int32
-	flat    []int
-	nm      int
-	bytes   int64
+	st          *sched.Staircase
+	meds, costs []float64 // per distinct schedule
+	bytes       int64
 }
 
 // lookup binary-searches for a bit-exact budget match. On a miss it
 // returns the index of the first level above budget, so the level at or
-// below budget is one less.
-//
-// medcc:floateq-exact — grid membership is bit-exact by construction:
-// request budgets and grid budgets both come from sched.BudgetAt over
-// identical (cmin, cmax, fraction) inputs.
+// below budget is one less. Grid membership is bit-exact by
+// construction: request budgets and grid budgets both come from
+// sched.BudgetAt over identical (cmin, cmax, fraction) inputs.
 //
 // medcc:allocfree
-func (st *staircase) lookup(budget float64) (int, bool) {
-	lo, hi := 0, len(st.budgets)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if st.budgets[mid] < budget {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(st.budgets) && st.budgets[lo] == budget
+func (sc *staircase) lookup(budget float64) (int, bool) {
+	return slices.BinarySearch(sc.st.Budgets, budget)
 }
 
 // trailBelow returns the trail of the level at or below the budget
 // lookup placed at (k, hit), or nil when there is none.
 //
 // medcc:allocfree
-func (st *staircase) trailBelow(k int, hit bool) *sched.Trail {
+func (sc *staircase) trailBelow(k int, hit bool) *sched.Trail {
 	if !hit {
 		k--
 	}
-	if k < 0 || st.trails == nil {
+	if k < 0 || sc.st.Trails == nil {
 		return nil
 	}
-	return st.trails[k]
+	return sc.st.Trails[k]
 }
 
 // fill copies level k into the job's pooled result fields — the entire
 // work of a cache hit.
 //
 // medcc:allocfree
-func (st *staircase) fill(j *job, k int) {
-	row := int(st.level[k]) * st.nm
-	j.sched = append(j.sched[:0], st.flat[row:row+st.nm]...)
-	j.makespan = st.meds[k]
-	j.cost = st.costs[k]
-	j.truncated = st.trunc != nil && st.trunc[k]
+func (sc *staircase) fill(j *job, k int) {
+	d := sc.st.Level[k]
+	j.sched = append(j.sched[:0], sc.st.Scheds[d]...)
+	j.makespan, j.cost = sc.meds[d], sc.costs[d]
+	j.truncated = sc.st.Trunc != nil && sc.st.Trunc[k]
 }
 
 // scheduleCache is one snapshot's cache. slots is immutable after
@@ -242,29 +223,36 @@ func (s *Server) dispatch(j *job) error {
 		c.misses.Add(1)
 	}
 	err := s.submit(j)
-	if err != nil && j.buildSlot != nil {
-		// The job never reached a worker (full queue, closing server):
-		// release the latch so a later miss can claim the build. A job a
-		// worker did serve always has buildSlot cleared (captureBuild)
-		// before the done signal, whatever its j.err.
-		j.buildSlot.building.Store(false)
-		j.buildSlot, j.buildCache = nil, nil
+	if err != nil {
+		// The job never reached a worker (full queue, closing server). A
+		// job a worker did serve always has buildSlot cleared
+		// (captureBuild) before the done signal, whatever its j.err.
+		j.releaseBuild()
 	}
 	return err
 }
 
-// install publishes a frozen staircase and applies the memory cap.
+// releaseBuild drops the build the job's miss armed and releases its
+// latch, so a later miss can claim the build.
+func (j *job) releaseBuild() {
+	if j.buildSlot != nil {
+		j.buildSlot.building.Store(false)
+		j.buildSlot, j.buildCache = nil, nil
+	}
+}
+
+// install publishes a staircase and applies the memory cap.
 // Runs on a worker after the triggering request was answered — the cold
 // path by construction.
 //
 // medcc:coldpath
-func (c *scheduleCache) install(slot *cacheSlot, fz *staircase) {
+func (c *scheduleCache) install(slot *cacheSlot, sc *staircase) {
 	defer slot.building.Store(false)
 	c.evictMu.Lock()
 	defer c.evictMu.Unlock()
-	slot.stair.Store(fz)
+	slot.stair.Store(sc)
 	slot.lastUse.Store(c.clock.Add(1))
-	c.bytes.Add(fz.bytes)
+	c.bytes.Add(sc.bytes)
 	c.builds.Add(1)
 	if c.maxBytes > 0 {
 		c.evictLocked(slot)
@@ -292,8 +280,8 @@ func (c *scheduleCache) evictLocked(keep *cacheSlot) {
 		if victim == nil {
 			return
 		}
-		if fz := victim.stair.Swap(nil); fz != nil {
-			c.bytes.Add(-fz.bytes)
+		if sc := victim.stair.Swap(nil); sc != nil {
+			c.bytes.Add(-sc.bytes)
 			c.evictions.Add(1)
 		}
 	}
@@ -348,15 +336,16 @@ func captureBuild(j *job) buildReq {
 	return br
 }
 
-// buildStaircase runs the grid sweep for one slot and installs the
-// frozen result. Any failure just releases the singleflight latch — a
-// later miss retries; requests were never waiting on this.
+// buildStaircase runs the grid sweep for one slot with the worker's
+// runner and installs the result. Any failure just releases the
+// singleflight latch — a later miss retries; requests were never
+// waiting on this.
 //
 // medcc:coldpath — once per (snapshot, workflow, catalog, algorithm).
 func (w *worker) buildStaircase(br buildReq) {
-	alg := w.algs[br.alg]
+	alg, err := w.run.Scheduler(br.alg)
 	m, cmin, cmax, ok := br.snap.Pair(br.wfRef, br.catRef)
-	if alg == nil || !ok {
+	if err != nil || !ok {
 		br.slot.building.Store(false)
 		return
 	}
@@ -365,72 +354,41 @@ func (w *worker) buildStaircase(br buildReq) {
 		br.slot.building.Store(false)
 		return
 	}
-	fz, err := w.freezeStaircase(st, br.w, m)
+	sc, err := newStaircase(&w.run, st, br.w, m)
 	if err != nil {
 		br.slot.building.Store(false)
 		return
 	}
-	br.cache.install(br.slot, fz)
+	br.cache.install(br.slot, sc)
 }
 
-// freezeStaircase evaluates and flattens a sweep into the immutable SoA
-// form. MED and cost are computed once per distinct schedule through
-// the worker's own pooled timing — the exact code path the direct serve
-// response uses — then broadcast across the levels sharing it, so a hit
+// newStaircase evaluates each distinct schedule of a sweep once, with
+// the runner's MED — the path the direct response takes — so a hit
 // reproduces the direct response bit for bit.
 //
 // medcc:coldpath
-func (w *worker) freezeStaircase(st *sched.Staircase, wf *workflow.Workflow, m *workflow.Matrices) (*staircase, error) {
-	nLev, nDis := st.Levels(), st.Steps()
-	nm := len(st.Scheds[0])
-	fz := &staircase{
-		budgets: make([]float64, nLev),
-		meds:    make([]float64, nLev),
-		costs:   make([]float64, nLev),
-		level:   make([]int32, nLev),
-		flat:    make([]int, nDis*nm),
-		nm:      nm,
-	}
-	copy(fz.budgets, st.Budgets)
-	copy(fz.level, st.Level)
-	if st.Trunc != nil {
-		fz.trunc = make([]bool, nLev)
-		copy(fz.trunc, st.Trunc)
-	}
-	if st.Trails != nil {
-		fz.trails = make([]*sched.Trail, nLev)
-		copy(fz.trails, st.Trails)
-	}
-	disMED := make([]float64, nDis)
-	disCost := make([]float64, nDis)
+func newStaircase(r *sched.Runner, st *sched.Staircase, wf *workflow.Workflow, m *workflow.Matrices) (*staircase, error) {
+	sc := &staircase{st: st, meds: make([]float64, st.Steps()), costs: make([]float64, st.Steps())}
 	for d, s := range st.Scheds {
-		copy(fz.flat[d*nm:(d+1)*nm], s)
-		med, err := w.evalMED(wf, m, s)
+		med, err := r.MED(wf, m, s)
 		if err != nil {
 			return nil, err
 		}
-		disMED[d] = med
-		disCost[d] = m.Cost(s)
+		sc.meds[d], sc.costs[d] = med, m.Cost(s)
 	}
-	for k := 0; k < nLev; k++ {
-		fz.meds[k] = disMED[fz.level[k]]
-		fz.costs[k] = disCost[fz.level[k]]
-	}
-	fz.bytes = staircaseBytes(nLev, nDis, nm, fz.trunc != nil, fz.trails != nil, st.TrailBytes())
-	return fz, nil
+	sc.bytes = staircaseBytes(st)
+	return sc, nil
 }
 
 // staircaseBytes is the resident-size model used for the memory cap:
-// the SoA backing arrays, the trails (each recorded step and sorted
-// list counted once, sched.Staircase.TrailBytes) plus the struct header.
-func staircaseBytes(nLev, nDis, nm int, hasTrunc, hasTrails bool, trailBytes int64) int64 {
-	b := int64(nLev) * (8 + 8 + 8 + 4) // budgets, meds, costs, level
-	b += int64(nDis) * int64(nm) * 8   // flat schedules
-	if hasTrunc {
-		b += int64(nLev)
+// the sweep's per-level fractions, budgets, levels, flags and trail
+// pointers, each distinct schedule with its MED and cost, the trails
+// (each recorded step and sorted list counted once,
+// sched.Staircase.TrailBytes), plus the headers.
+func staircaseBytes(st *sched.Staircase) int64 {
+	b := int64(st.Levels())*(8+8+4) + int64(len(st.Trunc)) + int64(len(st.Trails))*8
+	for _, s := range st.Scheds {
+		b += 24 + 16 + int64(len(s))*8 // slice header, MED and cost, types
 	}
-	if hasTrails {
-		b += int64(nLev) * 8
-	}
-	return b + trailBytes + 128
+	return b + st.TrailBytes() + 128
 }

@@ -109,7 +109,7 @@ func TestCacheThreeWayDifferential(t *testing.T) {
 				t.Fatalf("%s/%s prime: status %d: %s", wfName, alg, rw.Code, rw.Body.Bytes())
 			}
 			st := waitStaircase(t, cached, alg, wfName, "paper")
-			if st.trails == nil {
+			if st.st.Trails == nil {
 				t.Fatalf("%s/%s: staircase kept no trails", wfName, alg)
 			}
 
@@ -597,38 +597,39 @@ func TestStaircaseLookup(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(99))
-	for _, st := range []*staircase{served, {budgets: zw.Budgets}} {
-		n := len(st.budgets)
+	for _, st := range []*staircase{served, {st: zw}} {
+		budgets := st.st.Budgets
+		n := len(budgets)
 		miss := func(b float64, want int) {
 			t.Helper()
 			if k, hit := st.lookup(b); hit || k != want {
 				t.Fatalf("%d levels: lookup(%v) = (%d, %v), want (%d, false)", n, b, k, hit, want)
 			}
 		}
-		for k, b := range st.budgets {
+		for k, b := range budgets {
 			if got, hit := st.lookup(b); !hit || got != k {
 				t.Fatalf("%d levels: lookup(budgets[%d]) = (%d, %v), want (%d, true)", n, k, got, hit, k)
 			}
 			miss(math.Nextafter(b, math.Inf(-1)), k)
 			miss(math.Nextafter(b, math.Inf(1)), k+1)
 		}
-		miss(st.budgets[0]-1, 0)
-		miss(st.budgets[n-1]+1, n)
+		miss(budgets[0]-1, 0)
+		miss(budgets[n-1]+1, n)
 		for trial := 0; trial < 100; trial++ {
 			b := cmin + rng.Float64()*(cmax-cmin)
 			k, hit := st.lookup(b)
 			if hit {
-				if st.budgets[k] != b {
-					t.Fatalf("lookup(%v) claimed a hit on budgets[%d] = %v", b, k, st.budgets[k])
+				if budgets[k] != b {
+					t.Fatalf("lookup(%v) claimed a hit on budgets[%d] = %v", b, k, budgets[k])
 				}
 				continue
 			}
-			if (k > 0 && st.budgets[k-1] >= b) || (k < n && st.budgets[k] <= b) {
+			if (k > 0 && budgets[k-1] >= b) || (k < n && budgets[k] <= b) {
 				t.Fatalf("lookup(%v) missed at %d, not the first level above it", b, k)
 			}
 		}
 	}
-	if tr := served.trailBelow(served.lookup(served.budgets[0] - 1)); tr != nil {
+	if tr := served.trailBelow(served.lookup(served.st.Budgets[0] - 1)); tr != nil {
 		t.Fatal("a budget below the grid resumed from a trail")
 	}
 }

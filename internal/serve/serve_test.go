@@ -201,7 +201,7 @@ func TestScheduleErrorStatuses(t *testing.T) {
 		{"malformed JSON", "POST", "/schedule", []byte(`{"workflow_ref":`), 400},
 		{"bad inline workflow", "POST", "/schedule?budget=100", []byte(`{"workflow":{"modules":[]},"catalog_ref":"paper"}`), 400},
 		{"truncated magic", "POST", "/schedule?budget=100", []byte("MED"), 400},
-		{"container wrong chunk", "POST", "/schedule?catalog=paper&budget=100", scheduleOnlyContainer(t), 400},
+		{"container wrong chunk", "POST", "/schedule?catalog=paper&budget=100", infoOnlyContainer(t), 400},
 		{"infeasible budget", "POST", fmt.Sprintf("/schedule?workflow=example&catalog=paper&budget=%g", cmin/2), nil, 422},
 		{"method not allowed", "GET", "/schedule?workflow=example&catalog=paper&budget=100", nil, 405},
 	}
@@ -221,13 +221,13 @@ func TestScheduleErrorStatuses(t *testing.T) {
 	}
 }
 
-// scheduleOnlyContainer builds a container whose only record carries a
-// schedule chunk and no workflow.
-func scheduleOnlyContainer(t *testing.T) []byte {
+// infoOnlyContainer builds a container whose only record carries an
+// instance-info chunk and no workflow.
+func infoOnlyContainer(t *testing.T) []byte {
 	t.Helper()
 	var b encoding.RecordBuilder
 	b.Begin()
-	b.Schedule(workflow.Schedule{0, 1, 2})
+	b.InstanceInfo(encoding.InstanceInfo{Seed: 1})
 	out := encoding.AppendHeader(nil, 1)
 	out, err := b.AppendRecord(out, false)
 	if err != nil {
@@ -535,14 +535,13 @@ func TestWorkerOptimalRunsSequentially(t *testing.T) {
 	if err := s.Schedule(p, &res); err != nil {
 		t.Fatal(err)
 	}
-	s.Close() // the workers have exited, so their engines can be read
+	s.Close() // the workers have exited, so their runners can be read
 	served := 0
 	for k := range s.workers {
-		alg, ok := s.workers[k].algs["optimal"]
-		if !ok {
-			continue
+		alg, err := s.workers[k].run.Scheduler("optimal")
+		if err != nil {
+			t.Fatal(err)
 		}
-		served++
 		opt, ok := alg.(*sched.Optimal)
 		if !ok {
 			t.Fatalf("worker %d serves optimal with %T", k, alg)
@@ -550,9 +549,12 @@ func TestWorkerOptimalRunsSequentially(t *testing.T) {
 		if opt.Workers != 1 {
 			t.Errorf("worker %d: optimal Workers = %d, want 1", k, opt.Workers)
 		}
+		if opt.Expanded > 0 {
+			served++
+		}
 	}
 	if served != 1 {
-		t.Fatalf("%d workers built an optimal engine, want 1", served)
+		t.Fatalf("%d workers ran an optimal search, want 1", served)
 	}
 }
 
@@ -589,7 +591,8 @@ func TestWorkerPanicAnswers500(t *testing.T) {
 
 	// The build path, on a worker of the test's own.
 	var w worker
-	if _, err := w.algFor(defaultAlgorithm); err != nil {
+	before, err := w.run.Scheduler(defaultAlgorithm)
+	if err != nil {
 		t.Fatal(err)
 	}
 	slot.building.Store(true)
@@ -598,7 +601,7 @@ func TestWorkerPanicAnswers500(t *testing.T) {
 	if slot.building.Load() || slot.stair.Load() != nil {
 		t.Fatal("the panicking build kept its latch or installed a staircase")
 	}
-	if w.algs != nil {
+	if after, _ := w.run.Scheduler(defaultAlgorithm); after == before {
 		t.Fatal("the worker kept its scheduler engines after a panic")
 	}
 	if got := s.panics.Load(); got != 2 {

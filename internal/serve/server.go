@@ -112,15 +112,12 @@ func New(cfg Config) (*Server, error) {
 }
 
 // intoSchedulers maps the registry names usable by the pool: every
-// registered scheduler that supports pooled (ScheduleInto) scheduling.
+// registered scheduler a sched.Runner can solve with.
 func intoSchedulers() map[string]bool {
 	ok := map[string]bool{}
+	var r sched.Runner
 	for _, name := range sched.Names() {
-		sc, err := sched.Get(name)
-		if err != nil {
-			continue
-		}
-		if _, isInto := sc.(sched.IntoScheduler); isInto {
+		if _, err := r.Scheduler(name); err == nil {
 			ok[name] = true
 		}
 	}

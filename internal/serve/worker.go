@@ -3,35 +3,22 @@ package serve
 import (
 	"fmt"
 
-	"medcc/internal/dag"
 	"medcc/internal/sched"
 	"medcc/internal/sim"
-	"medcc/internal/workflow"
 )
 
-// worker is the per-goroutine serving scratch: scheduler engines (one
-// per algorithm, lazily instantiated), the pooled timing used for
-// makespan evaluation, a Replayer for simulated traces, and the batch
-// buffer. Each worker goroutine owns exactly one worker by index into
-// the server's pool — workers never cross goroutines, so every piece of
-// scratch is reused from request to request without synchronization.
+// worker is the per-goroutine serving scratch: the pooled solver that
+// schedules, resumes, evaluates MED and builds staircases, a Replayer
+// for simulated traces, and the batch buffer. Each worker goroutine owns
+// exactly one worker by index into the server's pool — workers never
+// cross goroutines, so every piece of scratch is reused from request to
+// request without synchronization.
 //
 // medcc:scratch
 type worker struct {
-	algs  map[string]sched.IntoScheduler
+	run   sched.Runner
 	batch []*job
-
-	// Pooled makespan evaluation, the campaign-scratch idiom: rebuild
-	// the Timing when the (graph, version) binding changes, refresh it
-	// in place otherwise. tg tracks graph identity because jobs from
-	// different workflows carry distinct graphs whose version counters
-	// are unrelated.
-	times []float64
-	t     *dag.Timing
-	tg    *dag.Graph
-	tver  uint64
-
-	rep sim.Replayer
+	rep   sim.Replayer
 }
 
 // runWorker is one pool goroutine: take a job (blocking), opportunistically
@@ -76,10 +63,12 @@ func (s *Server) serveJob(w *worker, j *job) {
 }
 
 // recoverJob is serveJob's deferred recovery (recover only stops a panic
-// when the deferred function calls it itself).
+// when the deferred function calls it itself). A job that panicked
+// builds no staircase: the instance it would sweep just broke a solve.
 func (s *Server) recoverJob(w *worker, j *job) {
 	if r := recover(); r != nil {
 		j.err = s.recovered(w, r)
+		j.releaseBuild()
 	}
 }
 
@@ -101,15 +90,14 @@ func (s *Server) recoverBuild(w *worker, slot *cacheSlot) {
 }
 
 // recovered handles a panic recovered on a worker: it counts it
-// (worker_panics in /stats), drops the worker's scheduler engines,
-// timing and replayer, whose state is whatever the panic left, so the
-// next job starts clean, and returns the error the job answers with.
+// (worker_panics in /stats), drops the worker's runner and replayer,
+// whose state is whatever the panic left, so the next job starts clean,
+// and returns the error the job answers with.
 //
 // medcc:coldpath — a panic is a bug, not a steady state.
 func (s *Server) recovered(w *worker, r any) error {
 	s.panics.Add(1)
-	w.algs = nil
-	w.times, w.t, w.tg, w.tver = nil, nil, nil, 0
+	w.run = sched.Runner{}
 	w.rep = sim.Replayer{}
 	return fmt.Errorf("%w: %v", ErrWorkerPanic, r)
 }
@@ -177,32 +165,13 @@ func batchLess(a, b *job) bool {
 // medcc:deterministic — served schedules are differential-tested
 // bit-identical to direct sched.Run
 func (w *worker) serve(j *job) error {
-	alg := w.algs[j.alg]
-	if alg == nil {
-		var err error
-		if alg, err = w.algFor(j.alg); err != nil {
-			return err
-		}
-	}
-	var sc workflow.Schedule
-	var err error
-	if sw, ok := alg.(sched.Sweeper); ok && j.trail != nil {
-		sc, err = sw.ResumeInto(j.sched, j.w, j.m, j.budget, j.trail)
-	} else {
-		sc, err = alg.ScheduleInto(j.sched, j.w, j.m, j.budget)
-	}
+	sc, truncated, err := w.run.Solve(j.alg, j.sched, j.w, j.m, j.budget, j.trail)
 	if err != nil {
 		return err
 	}
-	j.sched = sc
-	j.cost = j.m.Cost(sc)
-	if j.makespan, err = w.makespan(j); err != nil {
+	j.sched, j.truncated, j.cost = sc, truncated, j.m.Cost(sc)
+	if j.makespan, err = w.run.MED(j.w, j.m, sc); err != nil {
 		return err
-	}
-	if tr, ok := alg.(sched.TruncationReporter); ok {
-		j.truncated = tr.WasTruncated()
-	} else {
-		j.truncated = false
 	}
 	if !j.simulate {
 		return nil
@@ -212,79 +181,4 @@ func (w *worker) serve(j *job) error {
 		BootTime: j.boot, Bandwidth: j.bw, Delay: j.delay,
 		TransferSlots: j.slots,
 	}, &j.trace)
-}
-
-// makespan evaluates the schedule's end-to-end delay with the pooled
-// timing (zero transfer time, the paper's evaluation setting — matches
-// sched.Run's MED).
-//
-// medcc:allocfree
-func (w *worker) makespan(j *job) (float64, error) {
-	if err := j.w.ValidateSchedule(j.sched, len(j.m.Catalog)); err != nil {
-		return 0, err
-	}
-	return w.evalMED(j.w, j.m, j.sched)
-}
-
-// evalMED is the pooled-timing MED evaluation shared by the direct
-// request path (makespan) and the staircase freeze — one code path, so
-// cached MEDs are bit-identical to direct responses by construction.
-//
-// medcc:allocfree
-func (w *worker) evalMED(wf *workflow.Workflow, m *workflow.Matrices, s workflow.Schedule) (float64, error) {
-	w.times = m.TimesInto(s, w.times)
-	g := wf.Graph()
-	if w.t == nil || w.tg != g || w.tver != g.Version() {
-		return w.freshTiming(g)
-	}
-	if err := w.t.Update(w.times); err != nil {
-		return 0, err
-	}
-	return w.t.Makespan, nil
-}
-
-// freshTiming rebinds the pooled timing to a new graph, rebuilding it in
-// its existing capacity (dag.Timing.Reset), so inline requests of
-// changing sizes allocate only past the largest instance seen.
-//
-// medcc:coldpath — runs on instance switch within a batch, not per
-// request; only the first timing and size growth allocate.
-func (w *worker) freshTiming(g *dag.Graph) (float64, error) {
-	w.tg = nil // a failed rebuild leaves no binding
-	if w.t == nil {
-		t, err := dag.NewTiming(g, w.times, nil)
-		if err != nil {
-			return 0, err
-		}
-		w.t = t
-	} else if err := w.t.Reset(g, w.times, nil); err != nil {
-		return 0, err
-	}
-	w.tg, w.tver = g, g.Version()
-	return w.t.Makespan, nil
-}
-
-// algFor instantiates and caches a per-worker scheduler engine. The
-// exact solver runs its branch and bound on one goroutine: the pool
-// already runs one worker per core, and a truncated search, which the
-// staircase cache stores, is reproducible only with Workers = 1.
-//
-// medcc:coldpath — once per (worker, algorithm).
-func (w *worker) algFor(name string) (sched.IntoScheduler, error) {
-	if w.algs == nil {
-		w.algs = map[string]sched.IntoScheduler{}
-	}
-	sc, err := sched.Get(name)
-	if err != nil {
-		return nil, err
-	}
-	into, ok := sc.(sched.IntoScheduler)
-	if !ok {
-		return nil, fmt.Errorf("serve: %s does not support pooled scheduling", name)
-	}
-	if opt, ok := into.(*sched.Optimal); ok {
-		opt.Workers = 1
-	}
-	w.algs[name] = into
-	return into, nil
 }

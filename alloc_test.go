@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"medcc/internal/sched"
+	"medcc/internal/workflow"
 )
 
 // The solvers' zero-allocation contract: once ScheduleInto has grown its
@@ -70,11 +71,7 @@ func requireZeroSweepAllocs(t *testing.T, sw sched.Sweeper, inst instance) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	w, m, _ := inst(t)
-	cmin, cmax := m.BudgetRange(w)
-	budgets := make([]float64, 20)
-	for k := range budgets {
-		budgets[k] = sched.BudgetAt(cmin, cmax, float64(k+1)/20)
-	}
+	budgets := sweepLevels(w, m)
 	dst, err := sw.SweepInto(nil, w, m, budgets)
 	if err != nil {
 		t.Fatal(err)
@@ -86,6 +83,41 @@ func requireZeroSweepAllocs(t *testing.T, sw sched.Sweeper, inst instance) {
 	})
 	if avg != 0 {
 		t.Errorf("repeat %T.SweepInto allocates %v allocs/op, want 0", sw, avg)
+	}
+}
+
+// TestRunnerMEDAllocs pins the campaign's MED evaluation: once a Runner
+// has evaluated the larger instance, MED allocates nothing, even when
+// consecutive calls alternate between instances of different sizes.
+func TestRunnerMEDAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	type eval struct {
+		w *workflow.Workflow
+		m *workflow.Matrices
+		s workflow.Schedule
+	}
+	var evals []eval
+	for _, inst := range []instance{instance20, instance100} {
+		w, m, budget := inst(t)
+		s, err := sched.CriticalGreedy().Schedule(w, m, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evals = append(evals, eval{w, m, s})
+	}
+	var r sched.Runner
+	medAll := func() {
+		for _, e := range evals {
+			if _, err := r.MED(e.w, e.m, e.s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	medAll()
+	if avg := testing.AllocsPerRun(10, medAll); avg != 0 {
+		t.Errorf("warm Runner.MED allocates %v allocs/op, want 0", avg)
 	}
 }
 

@@ -324,6 +324,67 @@ func BenchmarkSweepGridGAIN3_100(b *testing.B) {
 	benchSweepGrid(b, &sched.GAIN{Label: "gain3"}, instance100)
 }
 
+// sweepLevels is the campaign's budget grid over an instance: 20
+// ascending levels, level k at fraction k/20 of [Cmin, Cmax].
+func sweepLevels(w *workflow.Workflow, m *workflow.Matrices) []float64 {
+	cmin, cmax := m.BudgetRange(w)
+	budgets := make([]float64, 20)
+	for k := range budgets {
+		budgets[k] = sched.BudgetAt(cmin, cmax, float64(k+1)/20)
+	}
+	return budgets
+}
+
+// benchSweep times one campaign sweep stage: SweepInto over 20 levels of
+// the instance's budget range into reused destinations, as a campaign
+// worker runs each algorithm on each instance. The pins in alloc_test.go
+// hold it at 0 allocs/op.
+func benchSweep(b *testing.B, sw sched.Sweeper, inst instance) {
+	b.Helper()
+	w, m, _ := inst(b)
+	budgets := sweepLevels(w, m)
+	dst, err := sw.SweepInto(nil, w, m, budgets)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sw.SweepInto(dst, w, m, budgets); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCriticalGreedySweep100(b *testing.B) {
+	benchSweep(b, sched.CriticalGreedy(), instance100)
+}
+
+func BenchmarkGAIN3Sweep100(b *testing.B) {
+	benchSweep(b, &sched.GAIN{Label: "gain3"}, instance100)
+}
+
+// BenchmarkRunnerMED100 times the campaign's reduction stage: one
+// Runner.MED per level of Critical-Greedy's 20-level sweep of
+// instance100.
+func BenchmarkRunnerMED100(b *testing.B) {
+	w, m, _ := instance100(b)
+	rows, err := sched.SweepSchedules(sched.CriticalGreedy(), nil, w, m, sweepLevels(w, m))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var r sched.Runner
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range rows {
+			if _, err := r.MED(w, m, s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 func BenchmarkTimingPass100(b *testing.B) {
 	w, m, _ := instance100(b)
 	s := m.LeastCost(w)

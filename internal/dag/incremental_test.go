@@ -1,6 +1,8 @@
 package dag
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -269,4 +271,106 @@ func TestTopoOrderCacheInvalidation(t *testing.T) {
 	if len(o4) != 4 {
 		t.Fatalf("order after AddNode = %v, want 4 nodes", o4)
 	}
+}
+
+// TestGraphMakespanMatchesTiming pins Graph.Makespan, the forward pass
+// alone, to the makespan of a fresh Timing, bit for bit, and that
+// makespan to the largest finish time. It covers random DAGs with several
+// sinks, one graph rebuilt in place at a smaller and then a larger size
+// under one reused eft scratch, tie-heavy fork-joins with small integer
+// weights, and NewTiming's errors: a cycle, a short weight slice and a
+// NaN weight.
+func TestGraphMakespanMatchesTiming(t *testing.T) {
+	var eft []float64
+	check := func(g *Graph, weights []float64, ctx string) {
+		t.Helper()
+		fresh, err := NewTiming(g, weights, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxEFT := 0.0
+		for _, f := range fresh.EFT {
+			maxEFT = math.Max(maxEFT, f)
+		}
+		if math.Float64bits(fresh.Makespan) != math.Float64bits(maxEFT) {
+			t.Fatalf("%s: Timing makespan %v, largest finish time %v", ctx, fresh.Makespan, maxEFT)
+		}
+		var got float64
+		got, eft, err = g.Makespan(weights, eft)
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		if math.Float64bits(got) != math.Float64bits(fresh.Makespan) {
+			t.Fatalf("%s: Graph.Makespan %v, Timing makespan %v", ctx, got, fresh.Makespan)
+		}
+	}
+	rng := rand.New(rand.NewSource(17))
+	multiSink := 0
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(40)
+		g := randomProbDAG(rng, n, 0.1+0.2*rng.Float64())
+		if sinks(g) > 1 {
+			multiSink++
+		}
+		check(g, randomWeights(rng, n), fmt.Sprintf("random n=%d", n))
+	}
+	if multiSink < 30 {
+		t.Fatalf("only %d of 60 random DAGs have several sinks", multiSink)
+	}
+	var g Graph
+	for _, n := range []int{30, 12, 45} {
+		fillRandom(rng, &g, n, 0.15)
+		check(&g, randomWeights(rng, n), fmt.Sprintf("rebuilt in place n=%d", n))
+	}
+	for trial := 0; trial < 40; trial++ {
+		width := 1 + rng.Intn(12)
+		f := New()
+		fork := f.AddNode("fork")
+		join := f.AddNode("join")
+		for b := 0; b < width; b++ {
+			prev := fork
+			for d := 0; d <= rng.Intn(3); d++ {
+				v := f.AddNode(fmt.Sprintf("b%d_%d", b, d))
+				f.MustEdge(prev, v)
+				prev = v
+			}
+			f.MustEdge(prev, join)
+		}
+		weights := make([]float64, f.NumNodes())
+		for i := range weights {
+			weights[i] = float64(rng.Intn(3))
+		}
+		check(f, weights, fmt.Sprintf("fork-join width %d", width))
+	}
+	cyc := New()
+	cyc.AddNodes(3)
+	cyc.MustEdge(0, 1)
+	cyc.MustEdge(1, 2)
+	cyc.MustEdge(2, 0)
+	for _, c := range []struct {
+		name    string
+		g       *Graph
+		weights []float64
+	}{
+		{"cycle", cyc, []float64{1, 2, 3}},
+		{"short weights", randomProbDAG(rng, 5, 0.3), []float64{1, 2}},
+		{"NaN weight", randomProbDAG(rng, 3, 0.5), []float64{1, math.NaN(), 2}},
+	} {
+		_, want := NewTiming(c.g, c.weights, nil)
+		_, _, got := c.g.Makespan(c.weights, eft)
+		if want == nil || got == nil || got.Error() != want.Error() {
+			t.Fatalf("%s: Graph.Makespan error %v, NewTiming error %v", c.name, got, want)
+		}
+	}
+}
+
+// sinks counts the nodes of g without successors.
+func sinks(g *Graph) int {
+	n := 0
+	for u := 0; u < g.NumNodes(); u++ {
+		if g.OutDegree(u) == 0 {
+			n++
+		}
+	}
+	return n
 }

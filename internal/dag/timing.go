@@ -336,25 +336,13 @@ func (t *Timing) relaxTail(hi int) {
 // run executes the full forward and backward passes.
 func (t *Timing) run() {
 	g := t.g
-	t.Makespan = 0
 	// Forward pass: a module cannot start until all input data arrive,
 	// and a dependency edge cannot start transfer until its source
 	// finishes (the paper's precedence constraints).
 	if t.edgeW == nil {
-		for _, u := range t.order {
-			start := 0.0
-			for _, p := range t.predAdj[t.predOff[u]:t.predOff[u+1]] {
-				if a := t.EFT[p]; a > start {
-					start = a
-				}
-			}
-			t.EST[u] = start
-			t.EFT[u] = start + t.nodeW[u]
-			if t.EFT[u] > t.Makespan {
-				t.Makespan = t.EFT[u]
-			}
-		}
+		t.Makespan = forwardZero(t.order, t.predOff, t.predAdj, t.nodeW, t.EST, t.EFT)
 	} else {
+		t.Makespan = 0
 		for _, u := range t.order {
 			start := 0.0
 			for _, p := range g.pred[u] {
@@ -370,6 +358,70 @@ func (t *Timing) run() {
 		}
 	}
 	t.tailDense()
+}
+
+// forwardZero is the forward pass with zero edge weights over a
+// topological order: each node starts when the last of its predecessors
+// in the CSR (po, pa) finishes. It fills eft, and est unless est is nil,
+// and returns the makespan, the largest finish time. Timing.run and
+// Graph.Makespan share it, so their makespans agree bit for bit.
+func forwardZero(order []int, po, pa []int32, nodeW, est, eft []float64) float64 {
+	mk := 0.0
+	for _, u := range order {
+		start := 0.0
+		for _, q := range pa[po[u]:po[u+1]] {
+			if a := eft[q]; a > start {
+				start = a
+			}
+		}
+		if est != nil {
+			est[u] = start
+		}
+		f := start + nodeW[u]
+		eft[u] = f
+		if f > mk {
+			mk = f
+		}
+	}
+	return mk
+}
+
+// Makespan returns the end-to-end delay of g under node weights nodeW and
+// zero edge weights. It runs only the forward pass of NewTiming(g, nodeW,
+// nil), over the same cached topological order and reduced CSR and with
+// the same loop, so the result is bit-identical to that Timing's
+// Makespan; nothing derived from g outlives the call. eft is scratch for
+// the finish times, grown when shorter than the node count and returned
+// for reuse. Makespan fails like NewTiming: on a cycle, on a weight slice
+// of the wrong length, and on a negative or non-finite weight.
+//
+// medcc:allocfree — the cache rebuild of a mutated graph and the growth
+// of eft run in makespanScratch.
+func (g *Graph) Makespan(nodeW, eft []float64) (float64, []float64, error) {
+	n := len(g.names)
+	if err := checkWeights(nodeW, n); err != nil {
+		return 0, eft, err
+	}
+	if !g.fresh || cap(eft) < n {
+		var err error
+		if eft, err = g.makespanScratch(eft); err != nil {
+			return 0, eft, err
+		}
+	}
+	eft = eft[:n]
+	return forwardZero(g.topo, g.redPredOff, g.redPredAdj, nodeW, nil, eft), eft, nil
+}
+
+// makespanScratch rebuilds a stale topo/CSR cache and grows eft to the
+// node count.
+//
+// medcc:coldpath — runs once per structural change and per new
+// high-water node count.
+func (g *Graph) makespanScratch(eft []float64) ([]float64, error) {
+	if _, _, err := g.topoShared(); err != nil {
+		return eft, err
+	}
+	return resize(eft, len(g.names)), nil
 }
 
 // tailDense runs the dense backward pass filling Tail for every node.

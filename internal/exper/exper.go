@@ -32,7 +32,11 @@ const DefaultSeed int64 = 2013
 // worker count or scheduling. The work channel is buffered to n items:
 // the producer enqueues the whole range up front and never blocks on
 // goroutine handoff, which removes the synchronous rendezvous per item
-// that dominated fan-out overhead for cheap work items.
+// that dominated fan-out overhead for cheap work items. Items are
+// enqueued from the highest index down: every campaign plan lists its
+// sizes ascending, so the largest items start first and the small ones
+// fill the tail, where a large item started last would leave the other
+// workers idle.
 func parallelForWorkers(n int, fn func(worker, i int) error) error {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -46,7 +50,7 @@ func parallelForWorkers(n int, fn func(worker, i int) error) error {
 		return first.err
 	}
 	next := make(chan int, n)
-	for i := 0; i < n; i++ {
+	for i := n - 1; i >= 0; i-- {
 		next <- i
 	}
 	close(next)

@@ -77,8 +77,8 @@ type candTab struct {
 	gen  []uint32
 	// minx is the cheapest cost increase among the module's improving
 	// rows that failed the affordability test at evaluation time (+Inf
-	// if none; candMaxTime/candMaxRatio only). rebuild folds it into the
-	// certificate Greedy.SweepInto replays against.
+	// if none; candMaxTime/candMaxRatio only). rebuild and scanCritical
+	// fold it into the certificate Greedy.SweepInto replays against.
 	minx []float64
 
 	heap []candEnt
@@ -256,10 +256,7 @@ func (c *candTab) ensure(i int, s workflow.Schedule, cextra float64) {
 // medcc:allocfree — the append stays within capacity once the heap has
 // grown to its high-water mark.
 func (c *candTab) push(i int) {
-	c.heap = append(c.heap, candEnt{
-		key1: c.bdt[i], key2: c.bdc[i],
-		mod: int32(i), gen: c.gen[i],
-	})
+	c.heap = append(c.heap, c.entry(i))
 	c.siftUp(len(c.heap) - 1)
 }
 
@@ -286,10 +283,7 @@ func (c *candTab) rebuild(s workflow.Schedule, cextra float64, act activeSet) (c
 			cert = c.minx[i]
 		}
 		if c.bj[i] >= 0 {
-			c.heap = append(c.heap, candEnt{
-				key1: c.bdt[i], key2: c.bdc[i],
-				mod: int32(i), gen: c.gen[i],
-			})
+			c.heap = append(c.heap, c.entry(i))
 		}
 	}
 	for k := len(c.heap)/2 - 1; k >= 0; k-- {
@@ -318,6 +312,40 @@ func (c *candTab) refreshGrown(s workflow.Schedule, cextra float64, act activeSe
 			c.push(i)
 		}
 	}
+}
+
+// scanCritical is rebuild(actCritical) followed by popBest without the
+// heap: one pass over the critical modules in the engine's module order
+// that ensures each one's cache for cextra, folds its minx into the
+// returned certificate and keeps the before-best winner. A later module
+// wins only with a strictly preferred key, the first-wins incumbent rule
+// the heap reproduces through mpos.
+//
+// medcc:allocfree
+func (c *candTab) scanCritical(s workflow.Schedule, cextra float64) (mod, typ int, dc, cert float64, ok bool) {
+	cert = math.Inf(1)
+	best := -1
+	for _, i := range c.e.mods {
+		if !c.e.t.IsCritical(i) {
+			continue
+		}
+		c.ensure(i, s, cextra)
+		if c.minx[i] < cert {
+			cert = c.minx[i]
+		}
+		if c.bj[i] >= 0 && (best < 0 || c.prefer(c.entry(i), c.entry(best))) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return -1, -1, 0, cert, false
+	}
+	return best, int(c.bj[best]), c.bdc[best], cert, true
+}
+
+// entry is the heap entry of module i's current cached winner.
+func (c *candTab) entry(i int) candEnt {
+	return candEnt{key1: c.bdt[i], key2: c.bdc[i], mod: int32(i), gen: c.gen[i]}
 }
 
 // popBest pops entries until one survives validation and returns its

@@ -68,11 +68,11 @@ func (g *Greedy) Schedule(w *workflow.Workflow, m *workflow.Matrices, budget flo
 
 // ScheduleInto implements IntoScheduler. Instead of rescanning every
 // (module, type) pair per iteration, the engine maintains a per-module
-// best-upgrade cache with a lazy-deletion heap on top (see candTab): each
-// iteration pops the globally best affordable upgrade, applies it, and
-// repairs only the caches the accept invalidated. For CriticalOnly the
-// candidate pool is only rebuilt when the accept moved the makespan (see
-// run for why a stable makespan needs no rebuild).
+// best-upgrade cache (see candTab) and re-evaluates only the caches an
+// accept invalidated. Each step pops the globally best affordable
+// upgrade from a lazy-deletion heap on top of the caches or, for
+// CriticalOnly after the makespan moved, takes it from one pass over the
+// critical modules' caches (see run).
 //
 // medcc:allocfree
 // medcc:deterministic — replayed bit-identical by the differential tests
@@ -110,23 +110,36 @@ func (g *Greedy) candMode() candMode {
 	return candMaxTime
 }
 
-// run drains the candidate heap at the given budget from s, whose cost is
-// *ctmp. With record set it appends each step to g.steps: the accepts,
-// then the terminal step that ended the run.
+// run applies the best affordable upgrade at the given budget from s,
+// whose cost is *ctmp, until none is left. With record set it appends
+// each step to g.steps: the accepts, then the terminal step that ended
+// the run.
+//
+// AllModules drains the candidate heap, built once. CriticalOnly selects
+// a step by one scan over the critical modules (candTab.scanCritical)
+// whenever the critical set may have changed: at the start and after an
+// accept that moved the makespan, which on random instances is every
+// accept. An accept that keeps the makespan leaves every other critical
+// module critical (monotone slack, DESIGN.md §7), so on tied critical
+// paths the heap is filled once and drained while the makespan holds.
+// A scan and a heap fill yield the next step's certificate; any other
+// step records -Inf, which never holds.
 //
 // medcc:allocfree
 func (g *Greedy) run(s workflow.Schedule, ctmp *float64, budget float64, record bool) {
 	e := &g.eng
-	needTiming := g.Candidates == CriticalOnly
+	critical := g.Candidates == CriticalOnly
 	act := actAll
-	if needTiming {
+	if critical {
 		act = actCritical
 	}
-	// cert is the current step's certificate, valid only straight after
-	// a rebuild; any other step gets -Inf, which never holds.
+	// heap reports that the candidate heap holds a live entry for every
+	// active module.
+	heap := false
 	cert := math.Inf(-1)
-	if budget-*ctmp > 0 {
+	if !critical && budget-*ctmp > 0 {
 		cert = e.ct.rebuild(s, budget-*ctmp, act)
+		heap = true
 	}
 	for {
 		cextra := budget - *ctmp
@@ -136,7 +149,14 @@ func (g *Greedy) run(s workflow.Schedule, ctmp *float64, budget float64, record 
 			}
 			return
 		}
-		i, j, dc, ok := e.ct.popBest(s, cextra, act)
+		var i, j int
+		var dc float64
+		var ok bool
+		if heap {
+			i, j, dc, ok = e.ct.popBest(s, cextra, act)
+		} else {
+			i, j, dc, cert, ok = e.ct.scanCritical(s, cextra)
+		}
 		if record {
 			g.steps = append(g.steps, sweepStep{cost: *ctmp, cert: cert, mod: int32(i), typ: int32(j)})
 		}
@@ -147,28 +167,33 @@ func (g *Greedy) run(s workflow.Schedule, ctmp *float64, budget float64, record 
 		*ctmp += dc
 		cert = math.Inf(-1)
 		next := budget - *ctmp
-		mkChanged := needTiming && e.updateNode(i, j)
 		// The accepted module's own cache is stale under its new type in
 		// every mode.
 		e.ct.evalModule(i, s, next)
+		if critical && e.updateNode(i, j) {
+			// The makespan anchor moved, so the critical set may have
+			// changed arbitrarily: the next step scans.
+			heap = false
+			continue
+		}
+		if !heap {
+			// The first makespan-preserving accept since a scan: fill
+			// the heap, which the next steps drain while the makespan
+			// holds.
+			cert = e.ct.rebuild(s, next, act)
+			heap = true
+			continue
+		}
 		if dc < 0 {
 			// A cost-saving upgrade grew the leftover budget: winners
 			// cached under less budget may now lose to newly affordable
 			// options.
 			e.ct.refreshGrown(s, next, act)
 		}
-		if mkChanged {
-			// The makespan anchor moved, so the critical set may have
-			// changed arbitrarily: rebuild the pool (cache reuse makes
-			// this an O(mods) scan, not an option rescan).
-			cert = e.ct.rebuild(s, next, act)
-		} else if e.ct.bj[i] >= 0 && e.ct.active(i, act) {
+		if e.ct.bj[i] >= 0 && e.ct.active(i, act) {
 			// evalModule orphaned the accepted module's entries; every
-			// other pool member still has a live one. For CriticalOnly
-			// that rests on the makespan being bit-unchanged: an accept
-			// strictly lowers one weight, so EFT and Tail can only fall,
-			// no slack shrinks and no module turns critical (modules that
-			// stop being critical drop out on pop).
+			// other pool member still has a live one (modules that stop
+			// being critical drop out on pop).
 			e.ct.push(i)
 		}
 	}

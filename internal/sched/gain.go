@@ -132,11 +132,11 @@ func byGainWeight(a, b gainUpgrade) int {
 
 // SweepInto implements Sweeper: level k is exactly the schedule
 // ScheduleInto returns at budgets[k]. It builds the improving options of
-// every task against the least-cost schedule, sorts them (byGainWeight),
-// and makes one pass per level (gainPass; see the type doc for why one
-// pass is GAIN3). The sorted list depends only on the bound instance, so
-// it is built once per engine binding and repeat sweeps of the same
-// instance reuse it.
+// every task against the least-cost schedule, keeps each task's cost
+// frontier, sorts them (byGainWeight), and makes one pass per level
+// (gainPass; see the type doc for why one pass is GAIN3). The sorted
+// list depends only on the bound instance, so it is built once per
+// engine binding and repeat sweeps of the same instance reuse it.
 //
 // medcc:deterministic
 func (g *GAIN) SweepInto(dst []workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budgets []float64) ([]workflow.Schedule, error) {
@@ -199,7 +199,10 @@ func (g *GAIN) resumeTrail(dst workflow.Schedule, w *workflow.Workflow, m *workf
 
 // sortUpgrades builds the sorted upgrade list of the bound instance from
 // its least-cost schedule e.lc, unless the list of this binding is
-// already built.
+// already built. The list holds each task's cost frontier (costFrontier)
+// in byGainWeight order: an order-preserving part of the full sorted
+// list of improving options on which gainPass takes the same moves at
+// every budget.
 func (g *GAIN) sortUpgrades() {
 	e := &g.eng
 	if g.passBind == e.binds {
@@ -207,17 +210,21 @@ func (g *GAIN) sortUpgrades() {
 	}
 	lc := e.lc
 	g.ups = g.ups[:0]
+	pos := int32(0)
 	for _, i := range e.mods {
 		typ, te, ce := e.m.OptionTable(i)
 		told, cold := e.m.TE[i][lc[i]], e.m.CE[i][lc[i]]
+		first := len(g.ups)
 		for k := range te {
 			dt := told - te[k]
 			if dt <= dag.Eps {
 				break // te is ascending: nothing further improves
 			}
 			dc := ce[k] - cold
-			g.ups = append(g.ups, gainUpgrade{w: ratio(dt, dc), dt: dt, dc: dc, mod: int32(i), typ: typ[k], pos: int32(len(g.ups))})
+			g.ups = append(g.ups, gainUpgrade{w: ratio(dt, dc), dt: dt, dc: dc, mod: int32(i), typ: typ[k], pos: pos})
+			pos++
 		}
+		g.ups = g.ups[:first+costFrontier(g.ups[first:])]
 	}
 	slices.SortFunc(g.ups, byGainWeight)
 	g.pass = g.pass[:0]
@@ -225,6 +232,26 @@ func (g *GAIN) sortUpgrades() {
 		g.pass = append(g.pass, gainMove{dc: u.dc, mod: u.mod, typ: u.typ})
 	}
 	g.passBind = e.binds
+}
+
+// costFrontier sorts one task's improving options by byGainWeight and
+// keeps, in place and in that order, those whose cost increase is
+// strictly below that of every earlier option; it returns how many it
+// kept. A dropped option can never be taken by gainPass: an earlier
+// option of its task costs no more, and when the pass reaches that one
+// it either takes it, retiring the task, or finds it unaffordable, and
+// since every cost increase is >= 0 the leftover budget only shrinks
+// from there, so the dropped option is unaffordable too.
+func costFrontier(opts []gainUpgrade) int {
+	slices.SortFunc(opts, byGainWeight)
+	kept := 0
+	for _, u := range opts {
+		if kept == 0 || u.dc < opts[kept-1].dc {
+			opts[kept] = u
+			kept++
+		}
+	}
+	return kept
 }
 
 // GAIN2 is the GAIN variant that weighs each (task, type) reassignment

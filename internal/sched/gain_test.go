@@ -2,11 +2,14 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"medcc/internal/cloud"
+	"medcc/internal/dag"
 	"medcc/internal/gen"
 	"medcc/internal/workflow"
 )
@@ -208,4 +211,159 @@ func TestCGvsGAIN3Statistical(t *testing.T) {
 		t.Fatalf("CG wins %d vs losses %d across 100 runs", wins, losses)
 	}
 	t.Logf("CG avg %.2f vs GAIN3 avg %.2f (wins %d, losses %d)", cgSum/100, g3Sum/100, wins, losses)
+}
+
+// fullGainList is the GAIN1/GAIN3 upgrade list as it was built before
+// the cost-frontier pruning: every improving option of every task,
+// scored against the least-cost schedule lc and sorted by byGainWeight.
+func fullGainList(w *workflow.Workflow, m *workflow.Matrices, lc workflow.Schedule) []gainMove {
+	var ups []gainUpgrade
+	for _, i := range w.Schedulable() {
+		typ, te, ce := m.OptionTable(i)
+		told, cold := m.TE[i][lc[i]], m.CE[i][lc[i]]
+		for k := range te {
+			dt := told - te[k]
+			if dt <= dag.Eps {
+				break
+			}
+			dc := ce[k] - cold
+			ups = append(ups, gainUpgrade{w: ratio(dt, dc), dt: dt, dc: dc, mod: int32(i), typ: typ[k], pos: int32(len(ups))})
+		}
+	}
+	slices.SortFunc(ups, byGainWeight)
+	pass := make([]gainMove, len(ups))
+	for k, u := range ups {
+		pass[k] = gainMove{dc: u.dc, mod: u.mod, typ: u.typ}
+	}
+	return pass
+}
+
+// gainListInstance is one input of TestGAINListKeepsTakeableOptions.
+type gainListInstance struct {
+	name string
+	w    *workflow.Workflow
+	m    *workflow.Matrices
+}
+
+// gainListInstances returns the 20 paper sizes (three seeds each), the
+// tied fork-joins and chains, and instances of four six-type catalogs.
+// Three tie on cost: equal rates, rate steps far below costEps, and
+// every rate zero. In the fourth, concave, a faster type costs more but
+// gains more time per unit of cost, so a task's cost frontier holds
+// several options; on the generator's catalog it almost always holds one.
+func gainListInstances(t *testing.T) []gainListInstance {
+	t.Helper()
+	var out []gainListInstance
+	for _, size := range gen.PaperProblemSizes() {
+		for k := 0; k < 3; k++ {
+			w, m, _, _ := diffInstance(t, 300+k, size)
+			out = append(out, gainListInstance{fmt.Sprintf("%v seed %d", size, k), w, m})
+		}
+	}
+	for _, ti := range tiedInstances(t) {
+		out = append(out, gainListInstance{ti.name, ti.w, ti.m})
+	}
+	const types = 6
+	catalogs := []struct {
+		name string
+		vt   func(j int) (power, rate float64)
+	}{
+		{"equal rates", func(j int) (float64, float64) { return 3 * float64(j+1), float64(j/3 + 1) }},
+		{"sub-costEps rates", func(j int) (float64, float64) { return 3 * float64(j+1), 1 + float64(j)*1e-13 }},
+		{"zero rates", func(j int) (float64, float64) { return 3 * float64(j+1), 0 }},
+		{"concave", func(j int) (float64, float64) {
+			// Time per unit of work 1-0.15j, cost per unit of work
+			// 1+0.3*sqrt(j): the GainWeight against type 1 grows with j.
+			tw := 1 - 0.15*float64(j)
+			return 3 / tw, (1 + 0.3*math.Sqrt(float64(j))) / tw
+		}},
+	}
+	rng := rand.New(rand.NewSource(31))
+	for _, c := range catalogs {
+		cat := make(cloud.Catalog, types)
+		for j := range cat {
+			p, r := c.vt(j)
+			cat[j] = cloud.VMType{Name: fmt.Sprintf("VT%d", j+1), Power: p, Rate: r}
+		}
+		for _, size := range []gen.ProblemSize{{M: 20, E: 80, N: 6}, {M: 60, E: 842, N: 6}} {
+			w, _, err := gen.Instance(rng, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := w.BuildMatrices(cat, cloud.HourlyRoundUp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, gainListInstance{fmt.Sprintf("%s %v", c.name, size), w, m})
+		}
+	}
+	return out
+}
+
+// TestGAINListKeepsTakeableOptions pins GAIN's cost-frontier list to the
+// full sorted list of improving options it replaced (fullGainList): the
+// kept list is an order-preserving part of the full one, and gainPass
+// over either takes the same moves at Cmin, Cmax, above Cmax, at 40
+// random budgets and one ulp either side of each kept option's cost
+// boundaries (Cmin plus its cost increase, with and without costEps).
+func TestGAINListKeepsTakeableOptions(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	kept, full, extra := 0, 0, 0
+	for _, in := range gainListInstances(t) {
+		cmin, cmax := in.m.BudgetRange(in.w)
+		lc := in.m.LeastCost(in.w)
+		want := fullGainList(in.w, in.m, lc)
+		g := &GAIN{Label: "gain3"}
+		if _, err := g.SweepInto(nil, in.w, in.m, []float64{cmin}); err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		got := g.pass
+		kept += len(got)
+		full += len(want)
+		seen := make([]bool, in.w.NumModules())
+		for _, u := range got {
+			if seen[u.mod] {
+				extra++ // a second option on the task's frontier
+			}
+			seen[u.mod] = true
+		}
+		k := 0
+		for p, u := range got {
+			for k < len(want) && (want[k].mod != u.mod || want[k].typ != u.typ) {
+				k++
+			}
+			if k == len(want) || math.Float64bits(want[k].dc) != math.Float64bits(u.dc) {
+				t.Fatalf("%s: kept option %d (module %d, type %d, dc %v) is not next in the full list", in.name, p, u.mod, u.typ, u.dc)
+			}
+			k++
+		}
+		budgets := []float64{cmin, cmax, cmax + 1}
+		for r := 0; r < 40; r++ {
+			budgets = append(budgets, cmin+rng.Float64()*(cmax-cmin))
+		}
+		for _, u := range got {
+			for _, b := range []float64{cmin + u.dc, (cmin + u.dc) - costEps} {
+				budgets = append(budgets, math.Nextafter(b, math.Inf(-1)), b, math.Nextafter(b, math.Inf(1)))
+			}
+		}
+		moved := make([]bool, in.w.NumModules())
+		for _, b := range budgets {
+			sWant := slices.Clone(lc)
+			clear(moved)
+			gainPass(sWant, cmin, want, b, moved)
+			sGot := slices.Clone(lc)
+			clear(moved)
+			gainPass(sGot, cmin, got, b, moved)
+			if !sGot.Equal(sWant) {
+				t.Fatalf("%s at budget %v (%#x): pruned list gives %v, full list %v", in.name, b, math.Float64bits(b), sGot, sWant)
+			}
+		}
+	}
+	t.Logf("kept %d of %d options, %d beyond the first of their task", kept, full, extra)
+	if kept >= full {
+		t.Errorf("the cost frontier kept all %d options", full)
+	}
+	if extra < 100 {
+		t.Errorf("only %d kept options follow another of their task: too few frontiers of several options to tell a wrong pruning rule", extra)
+	}
 }

@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 
-	"medcc/internal/dag"
 	"medcc/internal/workflow"
 )
 
@@ -11,22 +10,18 @@ import (
 // caller (a serve worker, its staircase builds, a campaign worker)
 // answers "algorithm X at budget B". It keeps one instance of each
 // registry algorithm it was asked for, rebound in place by every later
-// solve, and one timing for MED evaluation. Every answer is bit-identical
-// to a fresh Run's (TestRunnerMatchesRun). The zero value is ready; a
-// Runner must not be shared between goroutines.
+// solve, and the scratch of MED's forward pass. Every answer is
+// bit-identical to a fresh Run's (TestRunnerMatchesRun). The zero value
+// is ready; a Runner must not be shared between goroutines.
 //
 // medcc:scratch
 type Runner struct {
 	algs map[string]IntoScheduler
 
-	// The MED timing is keyed on the graph it was built over and that
-	// graph's version: it aliases the graph's cache arrays, which an
-	// in-place rebuild overwrites, and the graphs of different workflows
-	// keep unrelated version counters.
-	times []float64
-	t     dag.Timing
-	tg    *dag.Graph
-	tver  uint64
+	// MED's scratch: the schedule's execution times and the finish times
+	// of dag.Graph.Makespan. Neither is derived from a graph, so a
+	// workflow rebuilt in place needs no keying.
+	times, eft []float64
 }
 
 // Scheduler returns the runner's instance of the named registry
@@ -85,12 +80,10 @@ func (r *Runner) Solve(name string, dst workflow.Schedule, w *workflow.Workflow,
 }
 
 // MED validates s and returns its end-to-end delay with zero transfer
-// times, the paper's evaluation setting and Run's MED. On a graph or
-// graph version other than the last call's, the timing is rebuilt in its
-// existing capacity (dag.Timing.Reset), so instances of changing sizes
-// allocate only past the largest one seen; otherwise it is refreshed
-// with Update. NewTiming is Reset on a fresh value, so every MED is
-// bit-identical to a fresh evaluation.
+// times, the paper's evaluation setting and Run's MED. It runs only the
+// forward pass (dag.Graph.Makespan), bit-identical to a fresh
+// dag.Timing's makespan, into scratch that grows only past the largest
+// instance seen.
 //
 // medcc:allocfree
 func (r *Runner) MED(w *workflow.Workflow, m *workflow.Matrices, s workflow.Schedule) (float64, error) {
@@ -98,17 +91,7 @@ func (r *Runner) MED(w *workflow.Workflow, m *workflow.Matrices, s workflow.Sche
 		return 0, err
 	}
 	r.times = m.TimesInto(s, r.times)
-	g := w.Graph()
-	if r.tg == g && r.tver == g.Version() {
-		if err := r.t.Update(r.times); err != nil {
-			return 0, err
-		}
-		return r.t.Makespan, nil
-	}
-	r.tg = nil // a failed rebuild leaves no binding
-	if err := r.t.Reset(g, r.times, nil); err != nil {
-		return 0, err
-	}
-	r.tg, r.tver = g, g.Version()
-	return r.t.Makespan, nil
+	mk, eft, err := w.Graph().Makespan(r.times, r.eft)
+	r.eft = eft
+	return mk, err
 }

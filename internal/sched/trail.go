@@ -8,7 +8,8 @@ import (
 
 // Trail is the record a Sweeper's run leaves at one budget. For the
 // Greedy family it is each step's cost, accept and certificate
-// (sweepStep); for GAIN1/GAIN3 it is the instance's sorted upgrade list.
+// (sweepStep); for GAIN1/GAIN3 it is the instance's sorted upgrade list,
+// each task's cost frontier (costFrontier).
 // Sweeper.ResumeInto replays the part of a trail that still holds at a
 // larger budget and runs the rest, so a solve resumed from the trail of a
 // smaller budget returns exactly what ScheduleInto does.
@@ -31,7 +32,9 @@ type Trail struct {
 	// runs holds a Greedy trail's steps in order. A trail resumed from
 	// another shares the held prefix with it and owns only its last run.
 	runs stepRuns
-	// pass is GAIN1/GAIN3's sorted upgrade list.
+	// pass is GAIN1/GAIN3's sorted upgrade list: the options of each
+	// task's cost frontier, the only ones a pass can take, in selection
+	// order.
 	pass []gainMove
 }
 

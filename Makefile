@@ -28,7 +28,7 @@ experiments-quick:
 	$(GO) run ./cmd/experiments -quick
 
 # Short fuzz sessions over the input parsers, the incremental timing,
-# the binary container, and the serving API.
+# the binary container, the serving API, and the event queue.
 fuzz:
 	$(GO) test -fuzz=FuzzWorkflowJSON -fuzztime=30s ./internal/workflow/
 	$(GO) test -fuzz=FuzzGraphJSON -fuzztime=30s ./internal/dag/
@@ -37,6 +37,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeCorpus -fuzztime=30s ./internal/encoding/
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=30s ./internal/encoding/
 	$(GO) test -fuzz=FuzzServeRequest -fuzztime=30s ./internal/serve/
+	$(GO) test -fuzz=FuzzQueueLane -fuzztime=30s ./internal/sim/
 
 # End-to-end smoke of the serving stack (race-built binaries).
 serve-smoke:

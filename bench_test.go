@@ -420,6 +420,30 @@ func BenchmarkSimulatorReplay100(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulatorReplayFree500 replays the serve-churn simulate
+// shape: no boot time and free transfers, so every event but a module's
+// finish is scheduled with zero delay and takes the queue's lane.
+// BenchmarkSimulatorReplay100's positive delays never reach it.
+func BenchmarkSimulatorReplayFree500(b *testing.B) {
+	w, m, budget := instance500(b)
+	res, err := sched.Run(sched.CriticalGreedy(), w, m, budget)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := sim.Config{Workflow: w, Matrices: m, Schedule: res.Schedule}
+	var r sim.Replayer
+	if _, err := r.Run(cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkTestbedWRF(b *testing.B) {
 	w := wrf.Grouped()
 	m := wrf.Matrices(w)

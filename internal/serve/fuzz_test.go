@@ -38,7 +38,7 @@ func fuzzHandlers(f *testing.F) (cached, uncached http.Handler) {
 
 // FuzzServeRequest feeds arbitrary bodies and query strings through the
 // /schedule endpoint: malformed input must map to a 4xx status, never a
-// panic or a 5xx.
+// panic or a 5xx, and every 200 must carry a body that decodes.
 func FuzzServeRequest(f *testing.F) {
 	w, cat := workflow.PaperExample()
 	golden, err := json.Marshal(map[string]any{
@@ -74,6 +74,8 @@ func FuzzServeRequest(f *testing.F) {
 	f.Add("workflow=example&catalog=paper&budget=0", []byte{})
 	f.Add("workflow=example&catalog=paper&budget_fraction=-0.5", []byte{})
 	f.Add("workflow=example&catalog=paper&budget_fraction=0.5&algorithm=gain1", []byte{})
+	// A result JSON cannot carry: the makespan overflows to +Inf.
+	f.Add("", []byte(overflowBody))
 
 	ch, uh := fuzzHandlers(f)
 	f.Fuzz(func(t *testing.T, query string, body []byte) {
@@ -86,6 +88,12 @@ func FuzzServeRequest(f *testing.F) {
 		ch.ServeHTTP(rw, req) // must not panic
 		if rw.Code >= 500 {
 			t.Fatalf("query %q body %q: status %d: %s", query, body, rw.Code, rw.Body.Bytes())
+		}
+		if rw.Code == http.StatusOK {
+			var resp scheduleResponse
+			if err := json.Unmarshal(rw.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("query %q body %q: 200 body does not decode: %v\n%q", query, body, err, rw.Body.Bytes())
+			}
 		}
 
 		// Replay on the cache-disabled twin: whether the cached server

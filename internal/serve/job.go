@@ -77,6 +77,9 @@ type job struct {
 	trace     sim.Result
 	err       error
 
+	// resp is the HTTP frontend's response body, pooled with the job.
+	resp responseBuf
+
 	done chan struct{} // 1-buffered completion signal
 }
 
@@ -249,8 +252,9 @@ func (s *Server) prepare(j *job, p Params) error {
 // schedule is the request hot path: cache dispatch (a staircase hit
 // returns here without touching a worker), admission, the cross-worker
 // round trip, and the response struct fill. Everything from here to the
-// worker's schedule computation is allocation-free; only the HTTP
-// frontend's JSON marshaling (deliberately outside this root) allocates.
+// worker's schedule computation is allocation-free; so is the HTTP
+// frontend's response body, from its own root
+// (responseBuf.appendScheduleResponse).
 //
 // medcc:allocfree
 func (s *Server) schedule(j *job, res *Result) error {

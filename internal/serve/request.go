@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"strconv"
+	"unicode/utf8"
 
 	"medcc/internal/encoding"
 	"medcc/internal/ingest"
@@ -272,7 +274,10 @@ func (ds *decodeScratch) containerInstance(j *job, p *Params) error {
 const maxRequestBody = 8 << 20
 
 // handleSchedule admits one HTTP scheduling request. A body over
-// maxRequestBody answers 413 without reaching a worker.
+// maxRequestBody answers 413 without reaching a worker. The response
+// body is appended whole before any header goes out, so a result JSON
+// cannot carry (a NaN or infinite value) answers 422, not a 200 with a
+// broken body.
 //
 // medcc:onesnapshot — a request must never mix two library versions:
 // the snapshot is Loaded once at admission and pinned on the job.
@@ -291,10 +296,19 @@ func (s *Server) handleSchedule(rw http.ResponseWriter, req *http.Request) {
 	if err == nil {
 		err = s.dispatch(j)
 	}
+	if err == nil {
+		err = j.resp.appendScheduleResponse(j)
+	}
 	if err != nil {
 		writeError(rw, statusOf(err), err)
 	} else {
-		writeScheduleResponse(rw, j)
+		h := rw.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(len(j.resp.b)))
+		rw.WriteHeader(http.StatusOK)
+		// A failed write means the client went away; there is no one
+		// left to answer.
+		_, _ = rw.Write(j.resp.b)
 	}
 	j.release()
 	s.jobs.Put(j)
@@ -376,7 +390,7 @@ func statusOf(err error) int {
 		return http.StatusRequestEntityTooLarge
 	case errors.As(err, &reqErr):
 		return http.StatusBadRequest
-	case errors.Is(err, sched.ErrInfeasible):
+	case errors.Is(err, sched.ErrInfeasible), errors.Is(err, errUnencodable):
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, ErrBusy):
 		return http.StatusTooManyRequests
@@ -386,41 +400,257 @@ func statusOf(err error) int {
 	return http.StatusInternalServerError
 }
 
-// --- response marshaling (the deliberate cold path) ---
+// --- responses ---
+//
+// A /schedule success body is appended by hand into a buffer pooled with
+// the job (responseBuf). Its bytes are exactly what encoding/json writes
+// for the scheduleResponse structs of response_test.go, which check it.
+// The other endpoints and every error body stay on encoding/json.
 
-type scheduleResponse struct {
-	Algorithm       string     `json:"algorithm"`
-	SnapshotVersion uint64     `json:"snapshot_version"`
-	Budget          float64    `json:"budget"`
-	Schedule        []int      `json:"schedule"`
-	Makespan        float64    `json:"makespan"`
-	Cost            float64    `json:"cost"`
-	Truncated       bool       `json:"truncated,omitempty"`
-	Trace           *traceJSON `json:"trace,omitempty"`
+// errUnencodable fails a result holding a value JSON cannot carry (NaN
+// or ±Inf, say a makespan that overflowed); it answers 422.
+var errUnencodable = errors.New("serve: result value not representable in JSON")
+
+// Float memo geometry: 2,048 entries, each probed from its hash slot
+// through at most memoProbes slots.
+const (
+	memoBits   = 11
+	memoProbes = 8
+)
+
+// memoEntry records that the float with these bits was formatted into
+// the response at b[off : off+n]. Entries of earlier responses carry an
+// older gen and count as empty. A value first formatted past the body's
+// first 4 GiB, where off would overflow, is not recorded.
+type memoEntry struct {
+	bits uint64
+	off  uint32
+	n    uint16
+	gen  uint16
 }
 
-type traceJSON struct {
-	Makespan float64           `json:"makespan"`
-	Cost     float64           `json:"cost"`
-	Events   int64             `json:"events"`
-	Modules  []moduleTraceJSON `json:"modules"`
-	VMs      []vmTraceJSON     `json:"vms"`
+// responseBuf is a job's /schedule response body and the memo that
+// fills it. Once a job has encoded a trace, each distinct float of a
+// response is formatted once, unless the memo has no free slot left near
+// its hash: a 500-module trace holds about 3,500 floats but about 700
+// distinct values, since with zero boot time a module's ready and start
+// times and its VM's boot and ready times coincide, and its finish time
+// is its VM's stop time. The memo is keyed on the value's bits, never on
+// ==, which would print -0 as 0.
+type responseBuf struct {
+	b    []byte
+	memo []memoEntry // allocated by the first trace
+	gen  uint16
+	// bad records the first NaN or infinite value appended.
+	bad    bool
+	badVal float64
 }
 
-type moduleTraceJSON struct {
-	Ready  float64 `json:"ready"`
-	Start  float64 `json:"start"`
-	Finish float64 `json:"finish"`
-	VM     int     `json:"vm"`
+// appendScheduleResponse appends the JSON body of j's successful
+// /schedule response to the emptied buffer. It matches
+// json.NewEncoder(w).Encode(&scheduleResponse{...}) byte for byte:
+// field order, omitempty on truncated and trace, HTML-escaped strings,
+// null for nil slices and the trailing newline. Like encoding/json it
+// refuses NaN and ±Inf, with errUnencodable.
+//
+// medcc:allocfree
+func (r *responseBuf) appendScheduleResponse(j *job) error {
+	r.b, r.bad = r.b[:0], false
+	if r.gen++; r.gen == 0 {
+		clear(r.memo)
+		r.gen = 1
+	}
+	r.b = append(r.b, `{"algorithm":`...)
+	r.b = appendJSONString(r.b, j.alg)
+	r.b = append(r.b, `,"snapshot_version":`...)
+	r.b = strconv.AppendUint(r.b, j.snap.Version, 10)
+	r.float(`,"budget":`, j.budget)
+	r.b = append(r.b, `,"schedule":`...)
+	r.b = appendJSONInts(r.b, j.sched)
+	r.float(`,"makespan":`, j.makespan)
+	r.float(`,"cost":`, j.cost)
+	if j.truncated {
+		r.b = append(r.b, `,"truncated":true`...)
+	}
+	if j.simulate {
+		r.trace(&j.trace)
+	}
+	r.b = append(r.b, "}\n"...)
+	if r.bad {
+		return fmt.Errorf("%w: %v", errUnencodable, r.badVal)
+	}
+	return nil
 }
 
-type vmTraceJSON struct {
-	Type      int     `json:"type"`
-	BootAt    float64 `json:"boot_at"`
-	ReadyAt   float64 `json:"ready_at"`
-	StoppedAt float64 `json:"stopped_at"`
-	Cost      float64 `json:"cost"`
-	Modules   []int   `json:"modules"`
+// trace appends the "trace" member of a simulated response.
+func (r *responseBuf) trace(t *sim.Result) {
+	if r.memo == nil {
+		r.memo = newMemo()
+	}
+	r.float(`,"trace":{"makespan":`, t.Makespan)
+	r.float(`,"cost":`, t.Cost)
+	r.b = append(r.b, `,"events":`...)
+	r.b = strconv.AppendInt(r.b, t.Events, 10)
+	r.b = append(r.b, `,"modules":[`...)
+	for i := range t.Modules {
+		m := &t.Modules[i]
+		if i > 0 {
+			r.b = append(r.b, ',')
+		}
+		r.float(`{"ready":`, m.Ready)
+		r.float(`,"start":`, m.Start)
+		r.float(`,"finish":`, m.Finish)
+		r.b = append(r.b, `,"vm":`...)
+		r.b = strconv.AppendInt(r.b, int64(m.VM), 10)
+		r.b = append(r.b, '}')
+	}
+	r.b = append(r.b, `],"vms":[`...)
+	for i := range t.VMs {
+		v := &t.VMs[i]
+		if i > 0 {
+			r.b = append(r.b, ',')
+		}
+		r.b = append(r.b, `{"type":`...)
+		r.b = strconv.AppendInt(r.b, int64(v.Type), 10)
+		r.float(`,"boot_at":`, v.BootAt)
+		r.float(`,"ready_at":`, v.ReadyAt)
+		r.float(`,"stopped_at":`, v.StoppedAt)
+		r.float(`,"cost":`, v.Cost)
+		r.b = append(r.b, `,"modules":`...)
+		r.b = appendJSONInts(r.b, v.Modules)
+		r.b = append(r.b, '}')
+	}
+	r.b = append(r.b, "]}"...)
+}
+
+// medcc:coldpath — once per pooled job, on its first trace.
+func newMemo() []memoEntry { return make([]memoEntry, 1<<memoBits) }
+
+// float appends key and then f as encoding/json formats it, copying the
+// bytes of an earlier occurrence when the memo holds one. A NaN or
+// infinite f appends nothing and fails the response.
+func (r *responseBuf) float(key string, f float64) {
+	r.b = append(r.b, key...)
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		if !r.bad {
+			r.bad, r.badVal = true, f
+		}
+		return
+	}
+	if r.memo == nil {
+		r.b = appendJSONFloat(r.b, f)
+		return
+	}
+	// The hash drops the sign bit: x and -x, 0 and -0 among them, share
+	// a probe sequence, and only the comparison of bits keeps them apart.
+	bits := math.Float64bits(f)
+	h := (bits << 1) * 0x9e3779b97f4a7c15 >> (64 - memoBits)
+	for k := uint64(0); k < memoProbes; k++ {
+		e := &r.memo[(h+k)&(1<<memoBits-1)]
+		if e.gen != r.gen {
+			off := len(r.b)
+			r.b = appendJSONFloat(r.b, f)
+			if uint64(off) < 1<<32 {
+				*e = memoEntry{bits: bits, off: uint32(off), n: uint16(len(r.b) - off), gen: r.gen}
+			}
+			return
+		}
+		if e.bits == bits {
+			r.b = append(r.b, r.b[e.off:e.off+uint32(e.n)]...)
+			return
+		}
+	}
+	r.b = appendJSONFloat(r.b, f)
+}
+
+// appendJSONFloat appends a finite f as encoding/json does: strconv's
+// shortest 'f' format, or 'e' below 1e-6 and from 1e21 up, with a
+// two-digit negative exponent shortened (1e-07 becomes 1e-7).
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// appendJSONInts appends s as a JSON array, or null when s is nil.
+func appendJSONInts(b []byte, s []int) []byte {
+	if s == nil {
+		b = append(b, "null"...)
+		return b
+	}
+	b = append(b, '[')
+	for i, v := range s {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	b = append(b, ']')
+	return b
+}
+
+// appendJSONString appends s as a JSON string the way encoding/json
+// escapes it by default: quote, backslash and control characters, the
+// HTML-sensitive <, > and &, U+2028 and U+2029, and each byte of invalid
+// UTF-8 as U+FFFD.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	b = append(b, '"')
+	return b
 }
 
 type healthResponse struct {
@@ -457,40 +687,6 @@ type statsResponse struct {
 
 type errorResponse struct {
 	Error string `json:"error"`
-}
-
-func writeScheduleResponse(rw http.ResponseWriter, j *job) {
-	resp := scheduleResponse{
-		Algorithm:       j.alg,
-		SnapshotVersion: j.snap.Version,
-		Budget:          j.budget,
-		Schedule:        j.sched,
-		Makespan:        j.makespan,
-		Cost:            j.cost,
-		Truncated:       j.truncated,
-	}
-	if j.simulate {
-		resp.Trace = traceOf(&j.trace)
-	}
-	writeJSON(rw, http.StatusOK, &resp)
-}
-
-func traceOf(r *sim.Result) *traceJSON {
-	t := &traceJSON{
-		Makespan: r.Makespan,
-		Cost:     r.Cost,
-		Events:   r.Events,
-		Modules:  make([]moduleTraceJSON, len(r.Modules)),
-		VMs:      make([]vmTraceJSON, len(r.VMs)),
-	}
-	for i, m := range r.Modules {
-		t.Modules[i] = moduleTraceJSON{Ready: m.Ready, Start: m.Start, Finish: m.Finish, VM: m.VM}
-	}
-	for i, v := range r.VMs {
-		t.VMs[i] = vmTraceJSON{Type: v.Type, BootAt: v.BootAt, ReadyAt: v.ReadyAt,
-			StoppedAt: v.StoppedAt, Cost: v.Cost, Modules: v.Modules}
-	}
-	return t
 }
 
 func writeError(rw http.ResponseWriter, status int, err error) {

@@ -10,8 +10,9 @@
 // queue (a full queue is 429 backpressure, not a wait). A worker drains
 // a batch, sorts it so same-instance requests are adjacent (one engine
 // bind amortizes across the run), schedules each job in its own pooled
-// scratch, and signals completion. The frontend then marshals the
-// response — the only allocating step of a warm request.
+// scratch, and signals completion. The frontend then appends the JSON
+// response into a buffer pooled with the job, without allocating once
+// warm, and writes it with its Content-Length in one Write.
 package serve
 
 import (

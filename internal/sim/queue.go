@@ -26,11 +26,22 @@ type Event struct {
 // and popping move records, never pointers, so a queue reused across
 // runs allocates nothing once its heap has grown to the high-water mark.
 //
+// Events scheduled with zero delay skip the heap: they join a FIFO lane,
+// and Next pops the lesser of the lane's head and the heap's top by
+// (time, seq). The order is the heap-only order. A lane event is due at
+// the clock's time when it is scheduled, the clock never runs backwards
+// and seq only grows, so the lane is sorted by (time, seq) on its own,
+// and the lesser of two sorted heads is the least pending event.
+//
 // The zero value is an empty queue at time 0.
 //
 // medcc:scratch
 type Queue struct {
-	heap      []Event
+	heap []Event
+	// lane holds the zero-delay events, FIFO from laneHead; every one
+	// is due at the current time.
+	lane      []Event
+	laneHead  int
 	seq       int64
 	processed int64
 	now       float64
@@ -42,9 +53,10 @@ type Queue struct {
 }
 
 // Reset empties the queue and rewinds the clock to 0, keeping the heap's
-// storage.
+// and the lane's storage.
 func (q *Queue) Reset() {
 	q.heap = q.heap[:0]
+	q.lane, q.laneHead = q.lane[:0], 0
 	q.seq, q.processed, q.now = 0, 0, 0
 	q.badDelay, q.bad = 0, false
 }
@@ -68,7 +80,12 @@ func (q *Queue) Schedule(delay float64, kind uint8, arg int32) {
 		return
 	}
 	q.seq++
-	q.push(Event{Time: q.now + delay, seq: q.seq, Kind: kind, Arg: arg})
+	e := Event{Time: q.now + delay, seq: q.seq, Kind: kind, Arg: arg}
+	if delay == 0 {
+		q.pushLane(e)
+		return
+	}
+	q.push(e)
 }
 
 // Next pops the earliest pending event and advances the clock to it. ok
@@ -80,19 +97,42 @@ func (q *Queue) Next() (e Event, ok bool, err error) {
 	if q.bad {
 		return Event{}, false, fmt.Errorf("sim: invalid delay %v", q.badDelay)
 	}
-	if len(q.heap) == 0 {
+	laneLen := len(q.lane) - q.laneHead
+	if len(q.heap) == 0 && laneLen == 0 {
 		return Event{}, false, nil
 	}
 	if q.processed >= maxEvents {
 		return Event{}, false, fmt.Errorf("sim: event budget %d exhausted at t=%v", int64(maxEvents), q.now)
 	}
-	e = q.pop()
+	if laneLen > 0 && (len(q.heap) == 0 || !eventLess(q.heap[0], q.lane[q.laneHead])) {
+		e = q.popLane()
+	} else {
+		e = q.pop()
+	}
 	if e.Time < q.now {
 		return Event{}, false, fmt.Errorf("sim: time went backwards: %v -> %v", q.now, e.Time)
 	}
 	q.now = e.Time
 	q.processed++
 	return e, true, nil
+}
+
+// pushLane appends e to the zero-delay lane. Once the popped prefix is
+// at least half the slice, the pending events move down first, so a
+// lane that never empties still holds at most twice its pending events.
+func (q *Queue) pushLane(e Event) {
+	if q.laneHead > 0 && 2*q.laneHead >= len(q.lane) {
+		n := copy(q.lane, q.lane[q.laneHead:])
+		q.lane, q.laneHead = q.lane[:n], 0
+	}
+	q.lane = append(q.lane, e)
+}
+
+// popLane removes and returns the lane's head.
+func (q *Queue) popLane() Event {
+	e := q.lane[q.laneHead]
+	q.laneHead++
+	return e
 }
 
 // push adds e to the heap and sifts it up.

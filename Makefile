@@ -34,6 +34,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzGraphJSON -fuzztime=30s ./internal/dag/
 	$(GO) test -fuzz=FuzzIncrementalTiming -fuzztime=30s ./internal/dag/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/dax/
+	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/wfcommons/
 	$(GO) test -fuzz=FuzzDecodeCorpus -fuzztime=30s ./internal/encoding/
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=30s ./internal/encoding/
 	$(GO) test -fuzz=FuzzServeRequest -fuzztime=30s ./internal/serve/

@@ -10,8 +10,7 @@ import (
 // The solvers' zero-allocation contract: once ScheduleInto has grown its
 // scratch on an instance, every further solve of it into the same
 // destination allocates nothing. Each pin solves the instance of the
-// benchmark it is named after (bench_test.go). Optimal runs at Workers: 1
-// because its goroutine fan-out allocates.
+// benchmark it is named after (bench_test.go).
 
 func TestCriticalGreedy20Allocs(t *testing.T) {
 	requireZeroSolveAllocs(t, sched.CriticalGreedy(), instance20)
@@ -46,11 +45,11 @@ func TestGain3WRF100Allocs(t *testing.T) {
 }
 
 func TestOptimal8Allocs(t *testing.T) {
-	requireZeroSolveAllocs(t, &sched.Optimal{Workers: 1}, instanceOpt8)
+	requireZeroSolveAllocs(t, &sched.Optimal{}, instanceOpt8)
 }
 
 func TestOptimal10Allocs(t *testing.T) {
-	requireZeroSolveAllocs(t, &sched.Optimal{Workers: 1}, instanceOpt10)
+	requireZeroSolveAllocs(t, &sched.Optimal{}, instanceOpt10)
 }
 
 // The sweeps hold the same contract: once SweepInto has grown its scratch,

@@ -292,13 +292,6 @@ func BenchmarkOptimal10(b *testing.B) {
 	benchSolve(b, &sched.Optimal{}, instanceOpt10)
 }
 
-// BenchmarkOptimalParallel8 pins the branch-and-bound fan-out at eight
-// workers regardless of GOMAXPROCS, exercising the frontier-split path the
-// auto setting only takes on large machines.
-func BenchmarkOptimalParallel8(b *testing.B) {
-	benchSolve(b, &sched.Optimal{Workers: 8}, instanceOpt8)
-}
-
 // benchSweepGrid times one staircase build: sched.SweepGrid with the
 // service's default grid over the instance's whole budget range, on one
 // reused scheduler as a serve worker builds them. Every build allocates

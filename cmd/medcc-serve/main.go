@@ -122,6 +122,12 @@ func run(args []string, ready chan<- string) error {
 	}
 	httpSrv := newHTTPServer(s.Handler())
 
+	// Catch the stop signals before announcing the address: a signal sent
+	// once the daemon is reachable must shut it down gracefully.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
+
 	snap := s.Snapshot()
 	fmt.Fprintf(os.Stderr, "medcc-serve: listening on %s (%d workflows, %d catalogs, snapshot v%d)\n",
 		ln.Addr(), len(snap.WorkflowNames()), len(snap.CatalogNames()), snap.Version)
@@ -131,10 +137,6 @@ func run(args []string, ready chan<- string) error {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
 
 	select {
 	case err := <-errc:

@@ -103,6 +103,9 @@ func run(args []string) error {
 		return err
 	}
 	fmt.Printf("algorithm: %s\nbudget:    %.4g\nMED:       %.6g\ncost:      %.6g\n", *alg, *budget, res.MED, res.Cost)
+	if res.Truncated {
+		fmt.Println("note:      the search hit its node limit; this schedule is not proven optimal")
+	}
 	for i := 0; i < w.NumModules(); i++ {
 		if res.Schedule[i] < 0 {
 			fmt.Printf("  %-12s fixed (%.4g time units)\n", w.Module(i).Name, w.Module(i).FixedTime)

@@ -21,11 +21,11 @@ func TableIIISizes() []gen.ProblemSize {
 	return []gen.ProblemSize{{M: 5, E: 6, N: 3}, {M: 6, E: 11, N: 3}, {M: 7, E: 14, N: 3}}
 }
 
-// ExtendedOptimalitySizes are the larger exact-baseline sizes unlocked by
-// the parallel branch-and-bound solver: still three VM types, but 10 to 14
-// modules, roughly doubling the assignment-space exponent of the paper's
-// largest optimality instance. They back the opt-in extended runs of the
-// optimality studies (cmd/experiments -optext).
+// ExtendedOptimalitySizes are the larger exact-baseline sizes that the
+// branch-and-bound solver's bounds prove optimal: still three VM types,
+// but 10 to 14 modules, roughly doubling the assignment-space exponent of
+// the paper's largest optimality instance. They back the opt-in extended
+// runs of the optimality studies (cmd/experiments -optext).
 func ExtendedOptimalitySizes() []gen.ProblemSize {
 	return []gen.ProblemSize{{M: 10, E: 22, N: 3}, {M: 12, E: 27, N: 3}, {M: 14, E: 33, N: 3}}
 }

@@ -80,8 +80,9 @@ func DeadlineLoss(w *workflow.Workflow, m *workflow.Matrices, deadline float64) 
 
 // OptimalDeadline solves the dual exactly by branch and bound: the
 // minimum-cost schedule whose makespan is within the deadline. Practical
-// for the same instance sizes as Optimal. MaxNodes semantics match
-// Optimal (0 means 50 million; exceeding it returns the incumbent).
+// for the same instance sizes as Optimal. maxNodes bounds the search
+// nodes expanded (0 means 50 million); a search that needs more returns
+// the incumbent, feasible but not proven cheapest, with Truncated set.
 func OptimalDeadline(w *workflow.Workflow, m *workflow.Matrices, deadline float64, maxNodes int64) (*Result, error) {
 	fastest := m.Fastest(w)
 	evFast, err := w.Evaluate(m, fastest, nil)
@@ -169,5 +170,5 @@ func OptimalDeadline(w *workflow.Workflow, m *workflow.Matrices, deadline float6
 		t.UpdateNode(i, m.TE[i][fastest[i]])
 	}
 	dfs(0, 0)
-	return &Result{Schedule: bestS, MED: bestMED, Cost: bestCost}, nil
+	return &Result{Schedule: bestS, MED: bestMED, Cost: bestCost, Truncated: expanded > limit}, nil
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -119,6 +120,12 @@ func TestOptimalNeverWorseThanHeuristics(t *testing.T) {
 	}
 }
 
+// TestOptimalTieBreaksTowardLowerCost pins the cost clause of the leaf
+// rule: at equal MED the optimum is the cheaper schedule. The two-type
+// case is the claim in its plainest form, but dominance pruning drops the
+// pricier twin before the search runs, so the random instances on the
+// paper's Table I catalog carry the pin: wherever several schedules reach
+// the optimal MED, the solver's cost must be brute force's cheapest.
 func TestOptimalTieBreaksTowardLowerCost(t *testing.T) {
 	// Two types, identical times, different costs: the optimum must
 	// pick the cheap one even with budget to spare.
@@ -138,6 +145,34 @@ func TestOptimalTieBreaksTowardLowerCost(t *testing.T) {
 	}
 	if res.Schedule[0] != 0 {
 		t.Fatalf("optimal chose pricey type at equal makespan: %v", res.Schedule)
+	}
+
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 200; trial++ {
+		wf, err := gen.Random(rng, gen.Params{
+			Modules: 4 + trial%3, Edges: 3 + trial%3 + trial%4, WorkloadMin: 10, WorkloadMax: 100,
+			DataSizeMax: 10, AddEntryExit: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := wf.BuildMatrices(cloud.PaperExampleCatalog(), cloud.HourlyRoundUp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmin, cmax := m.BudgetRange(wf)
+		for lv := 0; lv < 4; lv++ {
+			b := BudgetAt(cmin, cmax, rng.Float64())
+			res, err := Run(&Optimal{}, wf, m, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantMED, wantCost := bruteForce(t, wf, m, b)
+			if math.Abs(res.MED-wantMED) > 1e-9 || math.Abs(res.Cost-wantCost) > 1e-9 {
+				t.Fatalf("trial %d B=%v: optimal (MED, cost) = (%v, %v), brute force (%v, %v)",
+					trial, b, res.MED, res.Cost, wantMED, wantCost)
+			}
+		}
 	}
 }
 
@@ -161,5 +196,258 @@ func TestOptimalMaxNodesGuardStillFeasible(t *testing.T) {
 	}
 	if !res.Truncated {
 		t.Fatal("starved search did not report truncation")
+	}
+}
+
+// TestOptimalPooledResolveIsStable re-solves the same instance with the
+// same pooled solver: the steady-state scratch path (bound tables,
+// timing, partial schedule all reused) must reproduce the cold result
+// exactly.
+func TestOptimalPooledResolveIsStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	wf, cat, err := gen.Instance(rng, gen.ProblemSize{M: 8, E: 18, N: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := wf.BuildMatrices(cat, cloud.HourlyRoundUp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmin, cmax := m.BudgetRange(wf)
+	b := (cmin + cmax) / 2
+	o := &Optimal{}
+	first, err := o.Schedule(wf, m, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := append(workflow.Schedule(nil), first...)
+	for rep := 0; rep < 3; rep++ {
+		again, err := o.Schedule(wf, m, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range cold {
+			if again[i] != cold[i] {
+				t.Fatalf("repeat %d: schedule[%d] = %d, first solve %d", rep, i, again[i], cold[i])
+			}
+		}
+	}
+}
+
+// TestOptimalTruncationReporting pins the Truncated/Expanded contract: a
+// starved node budget must set the flag (and propagate it through
+// sched.Run), a defaulted one must clear it and report the node count.
+// OptimalDeadline's Result.Truncated follows the same rule.
+func TestOptimalTruncationReporting(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	wf, cat, err := gen.Instance(rng, gen.ProblemSize{M: 8, E: 18, N: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := wf.BuildMatrices(cat, cloud.HourlyRoundUp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmin, cmax := m.BudgetRange(wf)
+	b := (cmin + cmax) / 2
+
+	starved := &Optimal{MaxNodes: 10}
+	res, err := Run(starved, wf, m, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Truncated || !starved.WasTruncated() {
+		t.Fatalf("MaxNodes=10: Truncated = %v, WasTruncated = %v, want true, true",
+			res.Truncated, starved.WasTruncated())
+	}
+
+	full := &Optimal{}
+	res, err = Run(full, wf, m, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Truncated || full.WasTruncated() {
+		t.Fatal("default node limit reported truncation on an m=8 instance")
+	}
+	if full.Expanded <= 0 {
+		t.Fatalf("Expanded = %d after a completed solve", full.Expanded)
+	}
+
+	// The deadline dual's exact search reports its node limit the same
+	// way.
+	fast, err := wf.Evaluate(m, m.Fastest(wf), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cheap, err := wf.Evaluate(m, m.LeastCost(wf), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := (fast.Makespan + cheap.Makespan) / 2
+	for _, tc := range []struct {
+		maxNodes int64
+		want     bool
+	}{{10, true}, {0, false}} {
+		res, err := OptimalDeadline(wf, m, d, tc.maxNodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Truncated != tc.want {
+			t.Fatalf("OptimalDeadline maxNodes=%d: Truncated = %v, want %v", tc.maxNodes, res.Truncated, tc.want)
+		}
+	}
+}
+
+// TestOptimalTruncationIsReproducible pins the node limit: a search cut
+// short stops with exactly MaxNodes expanded, so what it returns depends
+// only on the instance, the budget and MaxNodes. A fresh solver, one
+// reused across budgets and instances, and a Runner must return the same
+// schedule, Float64bits-equal MED and cost, and the truncated flag.
+func TestOptimalTruncationIsReproducible(t *testing.T) {
+	type instance struct {
+		w          *workflow.Workflow
+		m          *workflow.Matrices
+		cmin, cmax float64
+	}
+	var insts []instance
+	rng := rand.New(rand.NewSource(25))
+	for _, size := range []gen.ProblemSize{{M: 20, E: 80, N: 5}, {M: 25, E: 201, N: 5}} {
+		for trial := 0; trial < 2; trial++ {
+			w, cat, err := gen.Instance(rng, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := w.BuildMatrices(cat, cloud.HourlyRoundUp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cmin, cmax := m.BudgetRange(w)
+			insts = append(insts, instance{w, m, cmin, cmax})
+		}
+	}
+	for _, maxNodes := range []int64{10, 1_000, 5_000} {
+		reused := &Optimal{MaxNodes: maxNodes}
+		var r Runner
+		alg, err := r.Scheduler("optimal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooled := alg.(*Optimal)
+		pooled.MaxNodes = maxNodes
+		var dst, rdst workflow.Schedule
+		for k, in := range insts {
+			for _, frac := range []float64{0.5, 0.75} {
+				b := BudgetAt(in.cmin, in.cmax, frac)
+				label := fmt.Sprintf("MaxNodes %d instance %d budget %v", maxNodes, k, b)
+				fresh := &Optimal{MaxNodes: maxNodes}
+				want, err := Run(fresh, in.w, in.m, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !want.Truncated || fresh.Expanded != maxNodes {
+					t.Fatalf("%s: fresh solve Truncated %v after %d nodes, want true after %d",
+						label, want.Truncated, fresh.Expanded, maxNodes)
+				}
+				same := func(who string, s workflow.Schedule, trunc bool, expanded int64) {
+					t.Helper()
+					ev, err := in.w.Evaluate(in.m, s, nil)
+					if err != nil {
+						t.Fatalf("%s: %s: %v", label, who, err)
+					}
+					if !s.Equal(want.Schedule) || !trunc || expanded != maxNodes ||
+						math.Float64bits(ev.Makespan) != math.Float64bits(want.MED) ||
+						math.Float64bits(ev.Cost) != math.Float64bits(want.Cost) {
+						t.Fatalf("%s: %s got %v MED %v cost %v truncated %v after %d nodes, fresh %v MED %v cost %v",
+							label, who, s, ev.Makespan, ev.Cost, trunc, expanded, want.Schedule, want.MED, want.Cost)
+					}
+				}
+				if dst, err = reused.ScheduleInto(dst, in.w, in.m, b); err != nil {
+					t.Fatal(err)
+				}
+				same("reused", dst, reused.Truncated, reused.Expanded)
+				s, trunc, err := r.Solve("optimal", rdst, in.w, in.m, b, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rdst = s
+				same("runner", s, trunc, pooled.Expanded)
+			}
+		}
+	}
+}
+
+// TestOptimalDominancePruningKeepsOptimum feeds the solver a catalog full
+// of dominated and exactly-tied types — strictly worse (slower and at
+// least as expensive), strictly redundant (identical power and rate), and
+// merely overpriced — and checks against the unpruned brute-force oracle
+// that dropping them never drops the optimum.
+func TestOptimalDominancePruningKeepsOptimum(t *testing.T) {
+	cat := cloud.Catalog{
+		{Name: "slow", Power: 3, Rate: 1},
+		{Name: "slow-overpriced", Power: 3, Rate: 5}, // dominated by slow
+		{Name: "mid", Power: 15, Rate: 4},
+		{Name: "mid-twin", Power: 15, Rate: 4}, // exact tie with mid
+		{Name: "fast", Power: 30, Rate: 8},
+		{Name: "slowest-priciest", Power: 2, Rate: 9}, // dominated by all
+	}
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 6; trial++ {
+		wf, err := gen.Random(rng, gen.Params{
+			Modules: 5, Edges: 6, WorkloadMin: 10, WorkloadMax: 100,
+			DataSizeMax: 10, AddEntryExit: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := wf.BuildMatrices(cat, cloud.HourlyRoundUp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmin, cmax := m.BudgetRange(wf)
+		for lv := 1; lv <= 3; lv++ {
+			b := cmin + float64(lv)/4*(cmax-cmin)
+			res, err := Run(&Optimal{}, wf, m, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantMED, wantCost := bruteForce(t, wf, m, b)
+			if math.Abs(res.MED-wantMED) > 1e-9 {
+				t.Fatalf("trial %d B=%v: optimal MED %v, brute force %v", trial, b, res.MED, wantMED)
+			}
+			if math.Abs(res.Cost-wantCost) > 1e-9 {
+				t.Fatalf("trial %d B=%v: optimal cost %v, brute force %v", trial, b, res.Cost, wantCost)
+			}
+		}
+	}
+}
+
+// TestOptimalProvesM10UnderDefaultLimit pins the acceptance bar for the
+// extended optimality studies: m=10 instances must solve to proven
+// optimality (no truncation) under the default node limit, with plenty of
+// headroom.
+func TestOptimalProvesM10UnderDefaultLimit(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 5; trial++ {
+		wf, cat, err := gen.Instance(rng, gen.ProblemSize{M: 10, E: 22, N: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := wf.BuildMatrices(cat, cloud.HourlyRoundUp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmin, cmax := m.BudgetRange(wf)
+		for lv := 1; lv <= 3; lv++ {
+			o := &Optimal{}
+			if _, err := Run(o, wf, m, cmin+float64(lv)/4*(cmax-cmin)); err != nil {
+				t.Fatal(err)
+			}
+			if o.Truncated {
+				t.Fatalf("trial %d level %d: m=10 solve truncated at default node limit", trial, lv)
+			}
+			if o.Expanded >= defaultMaxNodes/100 {
+				t.Fatalf("trial %d level %d: %d nodes leaves too little headroom", trial, lv, o.Expanded)
+			}
+		}
 	}
 }

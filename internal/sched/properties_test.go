@@ -186,13 +186,11 @@ func TestIntoSchedulersReusableAcrossInstances(t *testing.T) {
 		}
 		if into, ok := sc.(IntoScheduler); ok {
 			// Cap the exhaustive search's node budget so the M=25 trials
-			// stay quick. A truncated parallel search stops at a point
-			// that depends on worker interleaving, so the search also
-			// runs sequentially. The fresh comparison instances below get
-			// the same settings, so the reused-vs-fresh differential
-			// remains exact.
+			// stay quick. The fresh comparison instances below get the
+			// same cap, and a truncated search stops at the same node,
+			// so the reused-vs-fresh differential remains exact.
 			if o, isOpt := sc.(*Optimal); isOpt {
-				o.MaxNodes, o.Workers = optTestNodeCap, 1
+				o.MaxNodes = optTestNodeCap
 			}
 			reused[name] = into
 		}
@@ -221,7 +219,7 @@ func TestIntoSchedulersReusableAcrossInstances(t *testing.T) {
 				t.Fatal(err)
 			}
 			if o, isOpt := fresh.(*Optimal); isOpt {
-				o.MaxNodes, o.Workers = optTestNodeCap, 1
+				o.MaxNodes = optTestNodeCap
 			}
 			want, err := fresh.Schedule(wf, m, b)
 			if err != nil {

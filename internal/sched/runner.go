@@ -26,9 +26,7 @@ type Runner struct {
 
 // Scheduler returns the runner's instance of the named registry
 // algorithm, made on first use. It errors on an algorithm without
-// ScheduleInto. The exact solver runs its branch and bound on one
-// goroutine: pooled callers already run one Runner per core, and a
-// truncated search is reproducible only with Workers = 1.
+// ScheduleInto.
 //
 // medcc:coldpath — makes an instance once per (runner, algorithm).
 func (r *Runner) Scheduler(name string) (IntoScheduler, error) {
@@ -42,9 +40,6 @@ func (r *Runner) Scheduler(name string) (IntoScheduler, error) {
 	alg, ok := sc.(IntoScheduler)
 	if !ok {
 		return nil, fmt.Errorf("sched: %s does not support pooled scheduling", name)
-	}
-	if o, ok := alg.(*Optimal); ok {
-		o.Workers = 1
 	}
 	if r.algs == nil {
 		r.algs = map[string]IntoScheduler{}

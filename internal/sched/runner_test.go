@@ -44,9 +44,6 @@ func TestRunnerMatchesRun(t *testing.T) {
 			continue
 		}
 		if o, ok := alg.(*Optimal); ok {
-			if o.Workers != 1 {
-				t.Fatalf("Scheduler(%q).Workers = %d, want 1", name, o.Workers)
-			}
 			o.MaxNodes = runnerNodeCap
 		}
 		names = append(names, name)
@@ -54,7 +51,7 @@ func TestRunnerMatchesRun(t *testing.T) {
 	fresh := func(name string) Scheduler {
 		s, _ := Get(name)
 		if o, ok := s.(*Optimal); ok {
-			o.MaxNodes, o.Workers = runnerNodeCap, 1
+			o.MaxNodes = runnerNodeCap
 		}
 		return s
 	}

@@ -70,7 +70,6 @@ func (o GridOptions) withDefaults() GridOptions {
 // resume (Sweeper.ResumeInto).
 type Staircase struct {
 	Lo, Hi  float64
-	Fracs   []float64
 	Budgets []float64
 	Level   []int32
 	Scheds  []workflow.Schedule
@@ -209,7 +208,6 @@ func extractStaircase(lo, hi float64, grid []gridLevel) *Staircase {
 			lev = int32(len(st.Scheds))
 			st.Scheds = append(st.Scheds, l.sched)
 		}
-		st.Fracs = append(st.Fracs, l.frac)
 		st.Budgets = append(st.Budgets, b)
 		st.Level = append(st.Level, lev)
 		if anyTrunc {

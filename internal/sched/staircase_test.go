@@ -55,8 +55,8 @@ func refSweepGrid(sch IntoScheduler, w *workflow.Workflow, m *workflow.Matrices,
 }
 
 // requireSameStaircase fails unless got and want hold the same levels:
-// fractions and budgets bit for bit, level indices, distinct schedules
-// and truncation flags.
+// budgets bit for bit, level indices, distinct schedules and truncation
+// flags.
 func requireSameStaircase(t *testing.T, label string, got, want *Staircase) {
 	t.Helper()
 	bits := func(fs []float64) []uint64 {
@@ -67,8 +67,6 @@ func requireSameStaircase(t *testing.T, label string, got, want *Staircase) {
 		return out
 	}
 	switch {
-	case !slices.Equal(bits(got.Fracs), bits(want.Fracs)):
-		t.Fatalf("%s: fractions %v, want %v", label, got.Fracs, want.Fracs)
 	case !slices.Equal(bits(got.Budgets), bits(want.Budgets)):
 		t.Fatalf("%s: budgets %v, want %v", label, got.Budgets, want.Budgets)
 	case !slices.Equal(got.Level, want.Level):
@@ -193,9 +191,20 @@ func TestGAINSweepRebindInPlace(t *testing.T) {
 	}
 }
 
+// gridStep returns the j for which BudgetAt(lo, hi, j/4096) is bit-equal
+// to b, or -1 when no fraction on the 1/4096 dyadic grid maps onto b.
+func gridStep(lo, hi, b float64) int {
+	for j := 0; j <= 4096; j++ {
+		if BudgetAt(lo, hi, float64(j)/4096) == b {
+			return j
+		}
+	}
+	return -1
+}
+
 // TestSweepGridInvariants checks the structural contract of the
-// extracted staircase: strictly ascending budgets recomputed through
-// BudgetAt, valid level indices, no two adjacent levels sharing a
+// extracted staircase: strictly ascending budgets, each bit-equal to
+// BudgetAt at a fraction on the 1/4096 dyadic grid, valid level indices, no two adjacent levels sharing a
 // distinct-schedule entry AND differing in schedule, dedup actually
 // collapsing runs, and the endpoints of the range present.
 func TestSweepGridInvariants(t *testing.T) {
@@ -213,8 +222,8 @@ func TestSweepGridInvariants(t *testing.T) {
 			st.Budgets[0], st.Budgets[st.Levels()-1], cmin, cmax)
 	}
 	for k := 0; k < st.Levels(); k++ {
-		if got := BudgetAt(st.Lo, st.Hi, st.Fracs[k]); got != st.Budgets[k] {
-			t.Fatalf("level %d: BudgetAt(frac) = %v, stored budget %v — not bit-equal", k, got, st.Budgets[k])
+		if gridStep(st.Lo, st.Hi, st.Budgets[k]) < 0 {
+			t.Fatalf("level %d: budget %v is BudgetAt of no fraction j/4096", k, st.Budgets[k])
 		}
 		if int(st.Level[k]) >= st.Steps() {
 			t.Fatalf("level %d: distinct index %d out of range (%d steps)", k, st.Level[k], st.Steps())
@@ -238,8 +247,8 @@ func TestSweepGridInvariants(t *testing.T) {
 // TestSweepGridRefinement checks that adaptive refinement (a) adds
 // levels beyond the initial grid when the curve has steps between
 // coarse points, (b) respects MaxLevels and its defaulting, and (c) keeps
-// every fraction a dyadic so midpoint budgets land bit-exactly via
-// BudgetAt.
+// every fraction a dyadic, so every budget is BudgetAt of some j/4096
+// bit for bit.
 func TestSweepGridRefinement(t *testing.T) {
 	size := gen.ProblemSize{M: 40, E: 453, N: 7}
 	w, m, cmin, cmax := diffInstance(t, size.M, size)
@@ -269,19 +278,18 @@ func TestSweepGridRefinement(t *testing.T) {
 			t.Errorf("MaxLevels=%d: %d levels, want %d", tc.max, st.Levels(), tc.want)
 		}
 	}
-	for k, f := range fine.Fracs {
-		scaled := f * 4096
-		if scaled != math.Trunc(scaled) {
-			t.Fatalf("frac[%d] = %v is not a multiple of 1/4096 — refinement left the dyadic grid", k, f)
+	for k, b := range fine.Budgets {
+		if gridStep(fine.Lo, fine.Hi, b) < 0 {
+			t.Fatalf("budget[%d] = %v is BudgetAt of no fraction j/4096 — refinement left the dyadic grid", k, b)
 		}
 	}
-	// Coarse grid fractions must survive into the refined grid with the
-	// same bit-exact budgets (refinement only inserts, never perturbs).
-	for k, f := range coarse.Fracs {
-		if lev, ok := fine.Lookup(coarse.Budgets[k]); !ok {
-			t.Fatalf("coarse budget %v (frac %v) missing from refined grid", coarse.Budgets[k], f)
-		} else if fine.Budgets[lev] != coarse.Budgets[k] {
-			t.Fatalf("lookup returned wrong level for coarse budget %v", coarse.Budgets[k])
+	// Coarse grid budgets must survive into the refined grid bit for bit
+	// (refinement only inserts, never perturbs).
+	for _, b := range coarse.Budgets {
+		if lev, ok := fine.Lookup(b); !ok {
+			t.Fatalf("coarse budget %v missing from refined grid", b)
+		} else if fine.Budgets[lev] != b {
+			t.Fatalf("lookup returned wrong level for coarse budget %v", b)
 		}
 	}
 }

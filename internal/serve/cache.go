@@ -381,12 +381,12 @@ func newStaircase(r *sched.Runner, st *sched.Staircase, wf *workflow.Workflow, m
 }
 
 // staircaseBytes is the resident-size model used for the memory cap:
-// the sweep's per-level fractions, budgets, levels, flags and trail
-// pointers, each distinct schedule with its MED and cost, the trails
-// (each recorded step and sorted list counted once,
-// sched.Staircase.TrailBytes), plus the headers.
+// the sweep's per-level budgets, levels, flags and trail pointers, each
+// distinct schedule with its MED and cost, the trails (each recorded
+// step and sorted list counted once, sched.Staircase.TrailBytes), plus
+// the headers.
 func staircaseBytes(st *sched.Staircase) int64 {
-	b := int64(st.Levels())*(8+8+4) + int64(len(st.Trunc)) + int64(len(st.Trails))*8
+	b := int64(st.Levels())*(8+4) + int64(len(st.Trunc)) + int64(len(st.Trails))*8
 	for _, s := range st.Scheds {
 		b += 24 + 16 + int64(len(s))*8 // slice header, MED and cost, types
 	}

@@ -76,6 +76,8 @@ func FuzzServeRequest(f *testing.F) {
 	f.Add("workflow=example&catalog=paper&budget_fraction=0.5&algorithm=gain1", []byte{})
 	// A result JSON cannot carry: the makespan overflows to +Inf.
 	f.Add("", []byte(overflowBody))
+	// An instance whose cost overflows to NaN.
+	f.Add("", []byte(nanCostBody))
 
 	ch, uh := fuzzHandlers(f)
 	f.Fuzz(func(t *testing.T, query string, body []byte) {

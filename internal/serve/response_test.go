@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 
 	"medcc/internal/cloud"
@@ -358,5 +359,31 @@ func TestScheduleUnencodableAnswers422(t *testing.T) {
 	}
 	if cl := rw.Header().Get("Content-Length"); cl != strconv.Itoa(rw.Body.Len()) {
 		t.Errorf("Content-Length %q for a %d-byte body", cl, rw.Body.Len())
+	}
+}
+
+// nanCostBody and infCostBody hold a workflow and a catalog that each pass
+// validation while their product overflows: workload 1e308 on a
+// power-0.5 type takes +Inf time, which rate 0 prices at NaN and rate 1
+// at +Inf.
+const (
+	nanCostBody = `{"workflow":{"modules":[{"name":"a","workload":1e308}],"edges":[]},"catalog":[{"name":"t","power":0.5,"rate":0}],"budget":10}`
+	infCostBody = `{"workflow":{"modules":[{"name":"a","workload":1e308}],"edges":[]},"catalog":[{"name":"t","power":0.5,"rate":1}],"budget":10}`
+)
+
+// TestNonFiniteInstanceAnswers400 requires an instance whose execution
+// times or costs overflow to answer 400 naming the type, not a budget
+// error: the instance, not the budget, is what the client must fix.
+func TestNonFiniteInstanceAnswers400(t *testing.T) {
+	s := testServer(t, Config{Workers: 1})
+	for _, body := range []string{nanCostBody, infCostBody} {
+		req := httptest.NewRequest(http.MethodPost, "/schedule", strings.NewReader(body))
+		rw := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rw, req)
+		var e errorResponse
+		if err := json.Unmarshal(rw.Body.Bytes(), &e); err != nil || rw.Code != http.StatusBadRequest ||
+			!strings.Contains(e.Error, `type "t"`) {
+			t.Fatalf("%s: status %d body %q, want 400 naming type \"t\"", body, rw.Code, rw.Body.Bytes())
+		}
 	}
 }

@@ -524,40 +524,6 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	}
 }
 
-// TestWorkerOptimalRunsSequentially pins the exact solver a pool worker
-// serves with to one branch-and-bound goroutine: the pool already runs a
-// worker per core, and a truncated search is reproducible only with
-// Workers = 1.
-func TestWorkerOptimalRunsSequentially(t *testing.T) {
-	s := testServer(t, Config{Workers: 2, Cache: CacheConfig{Disable: true}})
-	var res Result
-	p := Params{WorkflowRef: "example", CatalogRef: "paper", UseFraction: true, Fraction: 0.5, Algorithm: "optimal"}
-	if err := s.Schedule(p, &res); err != nil {
-		t.Fatal(err)
-	}
-	s.Close() // the workers have exited, so their runners can be read
-	served := 0
-	for k := range s.workers {
-		alg, err := s.workers[k].run.Scheduler("optimal")
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt, ok := alg.(*sched.Optimal)
-		if !ok {
-			t.Fatalf("worker %d serves optimal with %T", k, alg)
-		}
-		if opt.Workers != 1 {
-			t.Errorf("worker %d: optimal Workers = %d, want 1", k, opt.Workers)
-		}
-		if opt.Expanded > 0 {
-			served++
-		}
-	}
-	if served != 1 {
-		t.Fatalf("%d workers ran an optimal search, want 1", served)
-	}
-}
-
 // TestWorkerPanicAnswers500 crafts a job whose workflow is smaller than
 // its matrices, so the solver indexes past the workflow and panics
 // inside the worker. The job answers 500 with ErrWorkerPanic and the

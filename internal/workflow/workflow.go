@@ -413,7 +413,9 @@ func (w *Workflow) BuildMatrices(cat cloud.Catalog, billing cloud.BillingPolicy)
 // wherever the shapes match, so a pooled builder recomputing matrices for
 // a stream of same-sized instances allocates nothing in steady state. The
 // returned Matrices is dst when provided (refilled in place, with a fresh
-// Epoch) and newly allocated otherwise.
+// Epoch) and newly allocated otherwise. It errors when an execution time
+// or cost is not finite; dst is then partly refilled and must be rebuilt
+// before use.
 func (w *Workflow) BuildMatricesInto(cat cloud.Catalog, billing cloud.BillingPolicy, dst *Matrices) (*Matrices, error) {
 	if err := cat.Validate(); err != nil {
 		return nil, err
@@ -441,8 +443,17 @@ func (w *Workflow) BuildMatricesInto(cat cloud.Catalog, billing cloud.BillingPol
 				mt.CE[i][j] = 0
 				continue
 			}
-			mt.TE[i][j] = cat[j].ExecTime(w.mods[i].Workload)
-			mt.CE[i][j] = cloud.ExecCost(billing, cat[j], w.mods[i].Workload)
+			te := cat[j].ExecTime(w.mods[i].Workload)
+			ce := cloud.ExecCost(billing, cat[j], w.mods[i].Workload)
+			// The workflow and the catalog each passed validation, but
+			// their quotient and its price can still overflow: workload
+			// 1e308 on a power-0.5 type takes +Inf, and at rate 0 costs
+			// NaN.
+			if math.IsInf(te, 0) || math.IsNaN(te) || math.IsInf(ce, 0) || math.IsNaN(ce) {
+				return nil, fmt.Errorf("workflow: module %d (%q) on type %q: execution time %v and cost %v must be finite",
+					i, w.mods[i].Name, cat[j].Name, te, ce)
+			}
+			mt.TE[i][j], mt.CE[i][j] = te, ce
 		}
 	}
 	mt.BuildOptions()

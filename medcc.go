@@ -94,6 +94,10 @@ type Result struct {
 	MED float64
 	// Cost is the total billed execution cost, <= the budget.
 	Cost float64
+	// Truncated is set when an exact search ("optimal", or SolveDeadline
+	// with exact) hit its node limit: Schedule is feasible but not
+	// proven optimal.
+	Truncated bool
 	// Matrices are the time/cost tables the schedule was computed
 	// against, reusable for further evaluation or simulation.
 	Matrices *Matrices
@@ -117,7 +121,12 @@ func Solve(w *Workflow, types Catalog, billing BillingPolicy, budget float64, al
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Schedule: res.Schedule, MED: res.MED, Cost: res.Cost, Matrices: m}, nil
+	return newResult(res, m), nil
+}
+
+// newResult is the facade's copy of a sched result solved against m.
+func newResult(res *sched.Result, m *Matrices) *Result {
+	return &Result{Schedule: res.Schedule, MED: res.MED, Cost: res.Cost, Truncated: res.Truncated, Matrices: m}
 }
 
 // BudgetRange returns [Cmin, Cmax] for the workflow over the catalog: the
@@ -229,5 +238,5 @@ func SolveDeadline(w *Workflow, types Catalog, billing BillingPolicy, deadline f
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Schedule: res.Schedule, MED: res.MED, Cost: res.Cost, Matrices: m}, nil
+	return newResult(res, m), nil
 }

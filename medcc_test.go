@@ -127,6 +127,48 @@ func TestNewPipelineFacade(t *testing.T) {
 	}
 }
 
+// TestResultReportsTruncation requires the facade's Truncated to be
+// sched's: the result Solve and SolveDeadline build from a node-limited
+// exact search is flagged, from a completed one it is not, and Solve's
+// "optimal" equals a fresh sched.Run field for field.
+func TestResultReportsTruncation(t *testing.T) {
+	w, cat := PaperExample()
+	m, err := w.BuildMatrices(cat, HourlyBilling)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		maxNodes int64
+		want     bool
+	}{{2, true}, {0, false}} {
+		res, err := sched.Run(&sched.Optimal{MaxNodes: tc.maxNodes}, w, m, 57)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := newResult(res, m); res.Truncated != tc.want || got.Truncated != tc.want {
+			t.Fatalf("MaxNodes %d: sched Truncated %v, facade %v, want %v", tc.maxNodes, res.Truncated, got.Truncated, tc.want)
+		}
+		dres, err := sched.OptimalDeadline(w, m, 12, tc.maxNodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := newResult(dres, m); dres.Truncated != tc.want || got.Truncated != tc.want {
+			t.Fatalf("deadline maxNodes %d: sched Truncated %v, facade %v, want %v", tc.maxNodes, dres.Truncated, got.Truncated, tc.want)
+		}
+	}
+	got, err := Solve(w, cat, HourlyBilling, 57, "optimal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sched.Run(&sched.Optimal{}, w, m, 57)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Schedule.Equal(want.Schedule) || got.MED != want.MED || got.Cost != want.Cost || got.Truncated != want.Truncated {
+		t.Fatalf("Solve = %+v, sched.Run = %+v", got, want)
+	}
+}
+
 func TestSolveDeadlineFacade(t *testing.T) {
 	w, cat := PaperExample()
 	// Fastest makespan is 4.6; least-cost makespan 17.33.

@@ -27,11 +27,13 @@ experiments:
 experiments-quick:
 	$(GO) run ./cmd/experiments -quick
 
-# Short fuzz sessions over the input parsers, the incremental timing,
-# the binary container, the serving API, and the event queue.
+# Short fuzz sessions over the input parsers, graph construction, the
+# incremental timing, the binary container, the serving API, and the
+# event queue.
 fuzz:
 	$(GO) test -fuzz=FuzzWorkflowJSON -fuzztime=30s ./internal/workflow/
 	$(GO) test -fuzz=FuzzGraphJSON -fuzztime=30s ./internal/dag/
+	$(GO) test -fuzz=FuzzGraphBuild -fuzztime=30s ./internal/dag/
 	$(GO) test -fuzz=FuzzIncrementalTiming -fuzztime=30s ./internal/dag/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/dax/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/wfcommons/

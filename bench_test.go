@@ -9,6 +9,7 @@ package medcc
 // `-benchtime 1x`, for that check alone).
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -542,6 +543,81 @@ func BenchmarkCorpusIngest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sweep()
+	}
+}
+
+// BenchmarkInlineIngest is the ingest stage of an inline /schedule
+// request, one container body per op: the calls serve makes before a
+// worker solves (CorpusReader.NextRaw on a buffered reader,
+// Decoder.WorkflowInto, the catalog copy, BuildMatricesInto and
+// BudgetRange) into pooled storage, cycling 64 bodies of the paper's
+// sizes 11-20 (m = 55..100), the serve-cold workload's instance mix.
+// Steady state is 0 allocs/op, pinned by TestInlineIngestAllocs in
+// internal/serve.
+func BenchmarkInlineIngest(b *testing.B) {
+	var (
+		rb     encoding.RecordBuilder
+		bld    gen.Builder
+		bodies [][]byte
+	)
+	sizes := gen.PaperProblemSizes()[10:]
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < benchCorpusRecords; i++ {
+		w, cat, err := bld.Instance(rng, sizes[i%len(sizes)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		rb.Begin()
+		if err := rb.Workflow(w); err != nil {
+			b.Fatal(err)
+		}
+		if err := rb.Catalog(cat); err != nil {
+			b.Fatal(err)
+		}
+		body, err := rb.AppendRecord(encoding.AppendHeader(nil, 1), false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	var (
+		src bytes.Reader
+		br  = bufio.NewReaderSize(nil, 1<<16)
+		cr  encoding.CorpusReader
+		dec encoding.Decoder
+		cat cloud.Catalog
+		m   workflow.Matrices
+	)
+	w := workflow.New()
+	ingest := func(body []byte) {
+		src.Reset(body)
+		br.Reset(&src)
+		if err := cr.Reset(br); err != nil {
+			b.Fatal(err)
+		}
+		rec, c, _, err := cr.NextRaw()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := dec.WorkflowInto(rec, rec.Find(encoding.ChunkWorkflow), w); err != nil {
+			b.Fatal(err)
+		}
+		cat = append(cat[:0], c...)
+		mt, err := w.BuildMatricesInto(cat, cloud.HourlyRoundUp, &m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if lo, hi := mt.BudgetRange(w); !(lo <= hi) {
+			b.Fatalf("budget range [%v, %v]", lo, hi)
+		}
+	}
+	for _, body := range bodies { // grow every pooled array to the largest body
+		ingest(body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ingest(bodies[i%len(bodies)])
 	}
 }
 

@@ -30,9 +30,20 @@ import (
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "medcc:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine is the message main prints for err, with one "medcc: "
+// prefix: the facade already puts it on the errors it wraps, and the
+// CLI's own errors carry none.
+func errorLine(err error) string {
+	msg := err.Error()
+	if strings.HasPrefix(msg, "medcc: ") {
+		return msg
+	}
+	return "medcc: " + msg
 }
 
 func run(args []string) error {

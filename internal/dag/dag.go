@@ -27,14 +27,26 @@ type Graph struct {
 	pred  [][]int
 	edges int
 
-	// fresh marks the derived cache below (topo order, positions, full and
-	// reduced CSR) as current. Structural mutations and Reset only clear
-	// it; the next topoShared rebuilds every array into its retained
-	// capacity, so a graph rebuilt in place by a pooled decoder or
-	// generator reaches a steady state where warming the cache allocates
-	// nothing. A Graph is safe for concurrent reads only after the cache
-	// has been warmed (any call to TopoOrder or Validate does so), which
-	// BuildMatrices guarantees before schedulers run.
+	// Duplicate-edge state. A run is a stretch of consecutive AddEdge
+	// calls from one source u. While one is open, runFrom is u+1 (0 when
+	// none is: in the zero value and after Reset), mark[v] == stamp holds
+	// exactly for the successors the run has added, and runBase is
+	// len(succ[u]) when the run opened, so u's earlier successors are
+	// succ[u][:runBase]. Every run takes a new stamp, and mark and stamp
+	// survive Reset, so the marks of earlier runs never match.
+	mark    []uint64
+	stamp   uint64
+	runFrom int
+	runBase int
+
+	// fresh marks the derived cache below (topo order, positions and the
+	// transitive reduction's CSR) as current. Structural mutations and
+	// Reset only clear it; the next topoShared rebuilds every array into
+	// its retained capacity, so a graph rebuilt in place by a pooled
+	// decoder or generator reaches a steady state where warming the cache
+	// allocates nothing. A Graph is safe for concurrent reads only after
+	// the cache has been warmed (any call to TopoOrder or Validate does
+	// so), which BuildMatrices guarantees before schedulers run.
 	fresh bool
 
 	// topo and pos cache the topological order and each node's position
@@ -42,34 +54,28 @@ type Graph struct {
 	topo []int
 	pos  []int
 
-	// predOff/predAdj and succOff/succAdj are flat CSR mirrors of pred and
-	// succ (node u's predecessors are predAdj[predOff[u]:predOff[u+1]]),
-	// giving the timing hot loops contiguous iteration instead of chasing
-	// per-node slice headers.
-	predOff, predAdj []int32
-	succOff, succAdj []int32
-
 	// redPredOff/redPredAdj and redSuccOff/redSuccAdj are the CSR of the
-	// transitive reduction, built alongside the full CSR. Zero-edge-weight
-	// timing passes relax over these: with transfer time zero and
-	// non-negative node weights, a transitively redundant edge (u,v) can
-	// never determine EST[v] or Tail[u] — the path through an intermediate
-	// predecessor always contributes at least as much, in float arithmetic
-	// too — so dropping such edges leaves every EST/EFT/Tail value
-	// bit-identical while shrinking the per-update relaxation work by the
-	// graph's edge redundancy (an order of magnitude on the paper's dense
-	// random instances).
+	// transitive reduction (node u's kept predecessors are
+	// redPredAdj[redPredOff[u]:redPredOff[u+1]], in the order of
+	// Pred(u)), the graph's only flat adjacency. Zero-edge-weight timing
+	// passes relax over these contiguous arrays: with transfer time zero
+	// and non-negative node weights, a transitively redundant edge (u,v)
+	// can never determine EST[v] or Tail[u] — the path through an
+	// intermediate predecessor always contributes at least as much, in
+	// float arithmetic too — so dropping such edges leaves every
+	// EST/EFT/Tail value bit-identical while shrinking the per-update
+	// relaxation work by the graph's edge redundancy (an order of
+	// magnitude on the paper's dense random instances).
 	redPredOff, redPredAdj []int32
 	redSuccOff, redSuccAdj []int32
 
 	// Rebuild scratch, kept across rebuilds: Kahn's indegree counters and
-	// ready min-heap, the descendant bitsets and predecessor mask of the
-	// transitive-reduction test, and its per-node out-degree counters.
-	indeg    []int32
-	ready    []int32
-	desc     []uint64
-	predMask []uint64
-	outdeg   []int32
+	// ready min-heap, the ancestor bitsets of the transitive-reduction
+	// test, and the per-node counts of kept out-edges.
+	indeg  []int32
+	ready  []int32
+	anc    []uint64
+	outdeg []int32
 
 	// version counts structural mutations (AddNode/AddEdge/Reset), so
 	// caches keyed on a *Graph pointer (scheduler engines, pooled
@@ -100,7 +106,7 @@ func (g *Graph) Version() uint64 { return g.version }
 
 // Reset empties the graph for rebuilding while retaining all allocated
 // storage: the node table, the per-node adjacency slices, the cache arrays
-// (topo order, CSR, reduced CSR) and their rebuild scratch keep their
+// (topo order, reduced CSR) and their rebuild scratch keep their
 // capacity, so a Graph cycled through Reset/AddNode/AddEdge/Validate by a
 // pooled decoder or generator reaches a steady state with zero
 // allocations once every array has grown to the largest instance seen.
@@ -115,6 +121,7 @@ func (g *Graph) Reset() {
 	g.succ = g.succ[:0]
 	g.pred = g.pred[:0]
 	g.edges = 0
+	g.runFrom = 0
 }
 
 // AddNode appends a node with the given display name and returns its index.
@@ -133,12 +140,22 @@ func (g *Graph) AddNode(name string) int {
 		g.succ = append(g.succ, nil)
 		g.pred = append(g.pred, nil)
 	}
+	if len(g.mark) < len(g.names) {
+		// A zero mark matches no run: stamps start at 1.
+		g.mark = append(g.mark, 0)
+	}
 	return len(g.names) - 1
 }
 
 // AddEdge inserts a directed edge u -> v. Self-loops and duplicate edges
 // are rejected; out-of-range indices are an error. Cycles are not detected
 // here (that is Validate's job) so construction stays O(1) amortized.
+//
+// The duplicate check costs O(1) per edge while each source's edges are
+// inserted in one consecutive stretch, as in a list grouped by source. A
+// source that returns after other sources' edges also scans the shorter
+// of its successors from before the return and the target's
+// predecessors, never more than HasEdge scans.
 func (g *Graph) AddEdge(u, v int) error {
 	if u < 0 || u >= len(g.names) || v < 0 || v >= len(g.names) {
 		return fmt.Errorf("dag: edge (%d,%d) out of range [0,%d)", u, v, len(g.names))
@@ -146,9 +163,16 @@ func (g *Graph) AddEdge(u, v int) error {
 	if u == v {
 		return fmt.Errorf("dag: self-loop on node %d", u)
 	}
-	if g.linked(u, v) {
+	if u+1 != g.runFrom {
+		g.stamp++
+		g.runFrom, g.runBase = u+1, len(g.succ[u])
+	}
+	// An edge the run added carries its mark; the pred scan cannot meet
+	// one, so it finds exactly the edges from before the run.
+	if g.mark[v] == g.stamp || linked(g.succ[u][:g.runBase], g.pred[v], u, v) {
 		return fmt.Errorf("dag: duplicate edge (%d,%d)", u, v)
 	}
+	g.mark[v] = g.stamp
 	g.invalidateTopo()
 	g.succ[u] = append(g.succ[u], v)
 	g.pred[v] = append(g.pred[v], u)
@@ -156,18 +180,18 @@ func (g *Graph) AddEdge(u, v int) error {
 	return nil
 }
 
-// linked reports whether edge u -> v exists, scanning the shorter of u's
-// successor and v's predecessor lists (both in range).
-func (g *Graph) linked(u, v int) bool {
-	if len(g.pred[v]) < len(g.succ[u]) {
-		for _, p := range g.pred[v] {
+// linked reports whether succ, some of u's successors, holds v or pred,
+// v's predecessors, holds u, scanning the shorter list.
+func linked(succ, pred []int, u, v int) bool {
+	if len(pred) < len(succ) {
+		for _, p := range pred {
 			if p == u {
 				return true
 			}
 		}
 		return false
 	}
-	for _, s := range g.succ[u] {
+	for _, s := range succ {
 		if s == v {
 			return true
 		}
@@ -180,7 +204,7 @@ func (g *Graph) HasEdge(u, v int) bool {
 	if u < 0 || u >= len(g.names) || v < 0 || v >= len(g.names) {
 		return false
 	}
-	return g.linked(u, v)
+	return linked(g.succ[u], g.pred[v], u, v)
 }
 
 // NumNodes returns the node count.
@@ -216,7 +240,7 @@ func (g *Graph) TopoOrder() ([]int, error) {
 }
 
 // topoShared returns the cached topological order and per-node positions,
-// rebuilding them (with the CSR mirrors) when the cache is stale. The
+// rebuilding them (with the reduced CSR) when the cache is stale. The
 // returned slices are shared with the graph and must not be modified; they
 // are overwritten in place by the next rebuild after a mutation.
 func (g *Graph) topoShared() (order, pos []int, err error) {
@@ -229,25 +253,38 @@ func (g *Graph) topoShared() (order, pos []int, err error) {
 	return g.topo, g.pos, nil
 }
 
-// rebuildCache recomputes the topological order, positions, CSR and
-// reduced CSR into the retained arrays. Kahn's ready set is a binary
-// min-heap on node index, so each pop takes the lowest-index ready node —
-// the same order a re-sorted ready list yields, at O(log n) per pop.
+// rebuildCache recomputes the topological order, positions and reduced
+// CSR into the retained arrays in one Kahn pass. The ready set is a
+// binary min-heap on node index, so each pop takes the lowest-index ready
+// node — the same order a re-sorted ready list yields, at O(log n) per
+// pop. Each popped node's in-edges are reduced on the spot (reducePreds).
 func (g *Graph) rebuildCache() error {
 	n := len(g.names)
 	g.indeg = resize(g.indeg, n)
 	g.ready = reserve(g.ready, n)
+	// Until compactReduced, redPredOff[v] is the offset of v's spill
+	// slot: where v's list would start in a CSR of every in-edge.
+	g.redPredOff = resize(g.redPredOff, n+1)
+	g.redPredAdj = resize(g.redPredAdj, g.edges)
+	off := int32(0)
 	for i := 0; i < n; i++ {
+		g.redPredOff[i] = off
+		off += int32(len(g.pred[i]))
 		g.indeg[i] = int32(len(g.pred[i]))
 		if g.indeg[i] == 0 {
 			// Ascending pushes leave the array sorted, a valid min-heap.
 			g.ready = append(g.ready, int32(i))
 		}
 	}
+	words := (n + 63) / 64
+	g.anc = resize(g.anc, n*words)
+	g.outdeg = resize(g.outdeg, n)
+	clear(g.outdeg)
 	g.topo = reserve(g.topo, n)
 	for len(g.ready) > 0 {
 		u := g.popReady()
 		g.topo = append(g.topo, u)
+		g.reducePreds(u, words)
 		for _, v := range g.succ[u] {
 			g.indeg[v]--
 			if g.indeg[v] == 0 {
@@ -262,8 +299,81 @@ func (g *Graph) rebuildCache() error {
 	for k, u := range g.topo {
 		g.pos[u] = k
 	}
-	g.buildCSR()
+	g.compactReduced()
 	return nil
+}
+
+// reducePreds keeps v's non-redundant in-edges, in Pred(v) order, in v's
+// spill slot, and fills v's ancestor set. Kahn pops v after every
+// predecessor, so each predecessor's ancestor set is complete. Edge
+// (p,v) is redundant exactly when p is an ancestor of another
+// predecessor of v; since no node is its own ancestor, that is when p is
+// in the union of all of v's predecessors' ancestor sets. The union plus
+// the predecessors themselves is v's ancestor set. The kept count goes
+// to indeg[v], a counter spent once v is ready.
+func (g *Graph) reducePreds(v, words int) {
+	anc := g.anc
+	av := anc[v*words : (v+1)*words]
+	clear(av)
+	preds := g.pred[v]
+	for _, p := range preds {
+		ap := anc[p*words : (p+1)*words]
+		for w, a := range ap {
+			av[w] |= a
+		}
+	}
+	slot := g.redPredAdj[g.redPredOff[v]:]
+	kept := 0
+	for _, p := range preds {
+		// Adding p to the set cannot change the test of another
+		// predecessor: each reads its own bit.
+		w, bit := &av[p>>6], uint64(1)<<(uint(p)&63)
+		if *w&bit == 0 {
+			*w |= bit
+			slot[kept] = int32(p)
+			kept++
+			g.outdeg[p]++
+		}
+	}
+	g.indeg[v] = int32(kept)
+}
+
+// compactReduced moves the kept in-edge lists from their spill slots
+// into node order and inverts them into the successor CSR with a
+// counting sort, so both directions agree without re-running the
+// redundancy tests.
+func (g *Graph) compactReduced() {
+	n := len(g.names)
+	// Each list moves left or stays put, past every list still to move,
+	// and copy handles the overlap.
+	end := int32(0)
+	for v := 0; v < n; v++ {
+		slot, kept := g.redPredOff[v], g.indeg[v]
+		g.redPredOff[v] = end
+		copy(g.redPredAdj[end:end+kept], g.redPredAdj[slot:slot+kept])
+		end += kept
+	}
+	g.redPredOff[n] = end
+	g.redPredAdj = g.redPredAdj[:end]
+	g.redSuccOff = resize(g.redSuccOff, n+1)
+	outdeg := g.outdeg
+	total := int32(0)
+	for u := 0; u < n; u++ {
+		g.redSuccOff[u] = total
+		total += outdeg[u]
+	}
+	g.redSuccOff[n] = total
+	g.redSuccAdj = resize(g.redSuccAdj, int(total))
+	fill := outdeg // reuse as per-node fill cursor
+	for u := range fill {
+		fill[u] = g.redSuccOff[u]
+	}
+	for v := 0; v < n; v++ {
+		for _, p := range g.redPredAdj[g.redPredOff[v]:g.redPredOff[v+1]] {
+			g.redSuccAdj[fill[p]] = int32(v)
+			fill[p]++
+		}
+	}
 }
 
 // pushReady inserts v into the ready min-heap.
@@ -325,106 +435,6 @@ func reserve[T any](s []T, n int) []T {
 	return s[:0]
 }
 
-// buildCSR flattens the adjacency lists into the CSR arrays, preserving
-// the per-node neighbor order of succ and pred.
-func (g *Graph) buildCSR() {
-	n := len(g.names)
-	g.predOff = resize(g.predOff, n+1)
-	g.succOff = resize(g.succOff, n+1)
-	g.predAdj = reserve(g.predAdj, g.edges)
-	g.succAdj = reserve(g.succAdj, g.edges)
-	for i := 0; i < n; i++ {
-		g.predOff[i] = int32(len(g.predAdj))
-		g.succOff[i] = int32(len(g.succAdj))
-		for _, q := range g.pred[i] {
-			g.predAdj = append(g.predAdj, int32(q))
-		}
-		for _, s := range g.succ[i] {
-			g.succAdj = append(g.succAdj, int32(s))
-		}
-	}
-	g.predOff[n] = int32(len(g.predAdj))
-	g.succOff[n] = int32(len(g.succAdj))
-	g.buildReducedCSR()
-}
-
-// buildReducedCSR fills the transitive-reduction CSR mirrors. It runs under
-// the same warming discipline as the rest of the topo cache (any call to
-// TopoOrder or Validate builds it before concurrent readers appear) and
-// uses descendant bitsets: edge (p,v) is redundant exactly when p reaches
-// some other predecessor of v, i.e. desc(p) intersects preds(v).
-func (g *Graph) buildReducedCSR() {
-	n := len(g.names)
-	words := (n + 63) / 64
-	// desc[u*words : (u+1)*words] is the descendant set of u (excluding u).
-	g.desc = resize(g.desc, n*words)
-	clear(g.desc)
-	desc := g.desc
-	for k := n - 1; k >= 0; k-- {
-		u := g.topo[k]
-		du := desc[u*words : (u+1)*words]
-		for _, s := range g.succ[u] {
-			du[s>>6] |= 1 << (uint(s) & 63)
-			ds := desc[s*words : (s+1)*words]
-			for w := range du {
-				du[w] |= ds[w]
-			}
-		}
-	}
-	g.redPredOff = resize(g.redPredOff, n+1)
-	g.redSuccOff = resize(g.redSuccOff, n+1)
-	g.redPredAdj = reserve(g.redPredAdj, g.edges)
-	g.predMask = resize(g.predMask, words)
-	clear(g.predMask)
-	predMask := g.predMask
-	g.outdeg = resize(g.outdeg, n)
-	clear(g.outdeg)
-	outdeg := g.outdeg
-	for v := 0; v < n; v++ {
-		g.redPredOff[v] = int32(len(g.redPredAdj))
-		for _, p := range g.pred[v] {
-			predMask[p>>6] |= 1 << (uint(p) & 63)
-		}
-		for _, p := range g.pred[v] {
-			dp := desc[p*words : (p+1)*words]
-			redundant := false
-			for w := range dp {
-				if dp[w]&predMask[w] != 0 {
-					redundant = true
-					break
-				}
-			}
-			if !redundant {
-				g.redPredAdj = append(g.redPredAdj, int32(p))
-				outdeg[p]++
-			}
-		}
-		for _, p := range g.pred[v] {
-			predMask[p>>6] = 0
-		}
-	}
-	g.redPredOff[n] = int32(len(g.redPredAdj))
-	// Invert the kept pred lists into succ lists (counting sort), so both
-	// directions agree without re-running the redundancy tests.
-	total := int32(0)
-	for u := 0; u < n; u++ {
-		g.redSuccOff[u] = total
-		total += outdeg[u]
-	}
-	g.redSuccOff[n] = total
-	g.redSuccAdj = resize(g.redSuccAdj, int(total))
-	fill := outdeg // reuse as per-node fill cursor
-	for u := range fill {
-		fill[u] = g.redSuccOff[u]
-	}
-	for v := 0; v < n; v++ {
-		for _, p := range g.redPredAdj[g.redPredOff[v]:g.redPredOff[v+1]] {
-			g.redSuccAdj[fill[p]] = int32(v)
-			fill[p]++
-		}
-	}
-}
-
 // Validate checks that the graph is acyclic, warming the topo/CSR cache
 // as a side effect (without TopoOrder's defensive copy).
 func (g *Graph) Validate() error {
@@ -467,6 +477,7 @@ func (g *Graph) Clone() *Graph {
 		succ:  make([][]int, len(g.succ)),
 		pred:  make([][]int, len(g.pred)),
 		edges: g.edges,
+		mark:  make([]uint64, len(g.names)),
 	}
 	for i := range g.succ {
 		c.succ[i] = append([]int(nil), g.succ[i]...)

@@ -27,7 +27,7 @@ type EdgeWeight func(u, v int) float64
 // greedy schedulers lean on: each of their iterations changes exactly one
 // module's execution time.
 //
-// A Timing aliases its graph's topo-order and CSR cache arrays. Mutating
+// A Timing aliases its graph's topo-order and reduced-CSR arrays. Mutating
 // or resetting the graph rebuilds those arrays in place, so once
 // g.Version() differs from its value at NewTiming the Timing reads arrays
 // that describe another structure and must be discarded. Long-lived
@@ -56,8 +56,10 @@ type Timing struct {
 	nodeW []float64
 	edgeW EdgeWeight
 
-	// CSR adjacency shared with the graph's cache; read-only. The hot
-	// relaxation loops iterate these flat arrays instead of g.pred/g.succ.
+	// The transitive reduction's CSR, shared with the graph's cache;
+	// read-only. The zero-edge-weight relaxation loops iterate these flat
+	// arrays. An edge-weighted Timing reads only its sinks from them: its
+	// full passes walk g.Pred/g.Succ, which keep every edge to weigh.
 	predOff, predAdj []int32
 	succOff, succAdj []int32
 
@@ -120,16 +122,13 @@ func (t *Timing) Reset(g *Graph, nodeW []float64, edgeW EdgeWeight) error {
 	t.EST, t.EFT, t.Tail, t.scratch = t.EST[:n], t.EFT[:n], t.Tail[:n], t.scratch[:n]
 	t.fdirty, t.bdirty = t.fdirty[:n], t.bdirty[:n]
 	t.g, t.order, t.pos, t.nodeW, t.edgeW = g, order, pos, nodeW, edgeW
-	if edgeW == nil {
-		// With zero transfer times the relaxations over the transitive
-		// reduction produce bit-identical EST/EFT/Tail (see buildReducedCSR),
-		// at a fraction of the edge work on dense graphs.
-		t.predOff, t.predAdj = g.redPredOff, g.redPredAdj
-		t.succOff, t.succAdj = g.redSuccOff, g.redSuccAdj
-	} else {
-		t.predOff, t.predAdj = g.predOff, g.predAdj
-		t.succOff, t.succAdj = g.succOff, g.succAdj
-	}
+	// With zero transfer times the relaxations over the transitive
+	// reduction produce bit-identical EST/EFT/Tail (see Graph.redPredOff),
+	// at a fraction of the edge work on dense graphs.
+	t.predOff, t.predAdj = g.redPredOff, g.redPredAdj
+	t.succOff, t.succAdj = g.redSuccOff, g.redSuccAdj
+	// The reduction keeps an out-edge of every node that has one, so its
+	// sinks are the graph's.
 	t.sinks = t.sinks[:0]
 	for u := 0; u < n; u++ {
 		if t.succOff[u] == t.succOff[u+1] {
@@ -442,15 +441,19 @@ func (t *Timing) tailDense() {
 		}
 		return
 	}
-	for k := len(t.order) - 1; k >= 0; k-- {
-		u := t.order[k]
+	// Locals, because the EdgeWeight call would otherwise make the loop
+	// reload each field at every edge.
+	tail, nodeW, edgeW := t.Tail, t.nodeW, t.edgeW
+	succ, order := t.g.succ, t.order
+	for k := len(order) - 1; k >= 0; k-- {
+		u := order[k]
 		mx := 0.0
-		for _, s := range t.succAdj[t.succOff[u]:t.succOff[u+1]] {
-			if c := t.edgeW(u, int(s)) + t.nodeW[s] + t.Tail[s]; c > mx {
+		for _, s := range succ[u] {
+			if c := edgeW(u, s) + nodeW[s] + tail[s]; c > mx {
 				mx = c
 			}
 		}
-		t.Tail[u] = mx
+		tail[u] = mx
 	}
 }
 

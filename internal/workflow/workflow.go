@@ -312,7 +312,8 @@ func (m *Matrices) BuildOptions() {
 		m.opts = m.opts[:len(m.TE)]
 	}
 	for i := range m.TE {
-		n := len(m.TE[i])
+		te, ce := m.TE[i], m.CE[i]
+		n := len(te)
 		opts := m.opts[i][:0]
 		if cap(opts) < n {
 			opts = make([]int, 0, n)
@@ -320,7 +321,7 @@ func (m *Matrices) BuildOptions() {
 		for j := 0; j < n; j++ {
 			dominated := false
 			for _, k := range opts {
-				if m.TE[i][k] <= m.TE[i][j] && m.CE[i][k] <= m.CE[i][j] {
+				if te[k] <= te[j] && ce[k] <= ce[j] {
 					dominated = true
 					break
 				}
@@ -335,42 +336,54 @@ func (m *Matrices) BuildOptions() {
 }
 
 // buildOptionTable fills the flat (type, TE, CE) table from the pruned
-// options, insertion-sorting each module's rows by (TE asc, type asc). The
-// per-module option counts are tiny (bounded by the catalog size), so the
-// quadratic insert is faster than sort.Sort and allocation-free.
+// options, insertion-sorting each module's rows by (TE asc, type asc).
+// Rows are inserted from the last kept type down: TE = WL/VP falls as VP
+// grows, in floating point too, so in a catalog listed from slow to fast,
+// as every generated one is, each row lands in place and only exact TE
+// ties between types of different power move. The insert sorts rows of
+// any other catalog order all the same.
 func (m *Matrices) buildOptionTable() {
 	nm := len(m.TE)
-	if cap(m.soaOff) < nm+1 {
-		m.soaOff = make([]int32, nm+1)
-	} else {
-		m.soaOff = m.soaOff[:nm+1]
-	}
-	m.soaTyp = m.soaTyp[:0]
-	m.soaTE = m.soaTE[:0]
-	m.soaCE = m.soaCE[:0]
+	m.soaOff = resize(m.soaOff, nm+1)
+	total := 0
 	for i := 0; i < nm; i++ {
-		m.soaOff[i] = int32(len(m.soaTyp))
-		base := int(m.soaOff[i])
-		for _, j := range m.opts[i] {
-			te, ce := m.TE[i][j], m.CE[i][j]
-			k := len(m.soaTyp)
-			m.soaTyp = append(m.soaTyp, 0)
-			m.soaTE = append(m.soaTE, 0)
-			m.soaCE = append(m.soaCE, 0)
-			// Strict > keeps the insert stable: equal-TE rows preserve the
-			// ascending type order opts already has.
-			for k > base && m.soaTE[k-1] > te {
-				m.soaTyp[k] = m.soaTyp[k-1]
-				m.soaTE[k] = m.soaTE[k-1]
-				m.soaCE[k] = m.soaCE[k-1]
-				k--
-			}
-			m.soaTyp[k] = int32(j)
-			m.soaTE[k] = te
-			m.soaCE[k] = ce
+		m.soaOff[i] = int32(total)
+		total += len(m.opts[i])
+	}
+	m.soaOff[nm] = int32(total)
+	m.soaTyp = resize(m.soaTyp, total)
+	m.soaTE = resize(m.soaTE, total)
+	m.soaCE = resize(m.soaCE, total)
+	for i := 0; i < nm; i++ {
+		lo, hi := m.soaOff[i], m.soaOff[i+1]
+		typ, rowTE, rowCE := m.soaTyp[lo:hi], m.soaTE[lo:hi], m.soaCE[lo:hi]
+		te, ce, opts := m.TE[i], m.CE[i], m.opts[i]
+		for k := range opts {
+			j := opts[len(opts)-1-k]
+			insertRow(typ, rowTE, rowCE, k, j, te[j], ce[j])
 		}
 	}
-	m.soaOff[nm] = int32(len(m.soaTyp))
+}
+
+// insertRow places the row (j, te, ce) in a module's block of the table
+// whose first k rows are sorted, moving down every row that sorts after
+// it.
+func insertRow(typ []int32, rowTE, rowCE []float64, k, j int, te, ce float64) {
+	for k > 0 && rowAfter(rowTE[k-1], int(typ[k-1]), te, j) {
+		typ[k], rowTE[k], rowCE[k] = typ[k-1], rowTE[k-1], rowCE[k-1]
+		k--
+	}
+	typ[k], rowTE[k], rowCE[k] = int32(j), te, ce
+}
+
+// rowAfter reports whether the option row (te1, typ1) sorts after the
+// row (te2, typ2): by time, then by type.
+//
+// medcc:floateq-exact — rows of exactly equal time are ordered by type,
+// the lower index first, as every scanner's tie-break reads them; times
+// that differ by a rounding are distinct and keep their time order.
+func rowAfter(te1 float64, typ1 int, te2 float64, typ2 int) bool {
+	return te1 > te2 || te1 == te2 && typ1 > typ2
 }
 
 // HasOptionTable reports whether BuildOptions has run on these matrices,

@@ -379,6 +379,117 @@ func BenchmarkRunnerMED100(b *testing.B) {
 	}
 }
 
+// nodeUpdate is one UpdateNode call of an update program.
+type nodeUpdate struct {
+	node int
+	w    float64
+}
+
+// criticalProgram builds the update program of internal/dag's
+// TestUpdateNodeSweepPolicy (its criticalProgram; keep the two in step):
+// over weights that are the module workloads (fixed times for fixed
+// modules), up to steps Critical-Greedy steps at an unlimited budget,
+// each moving the critical non-fixed module whose time would fall the
+// most to its fastest time, a seeded 15-25% of its workload, then the
+// undo of those steps in reverse order. Replaying it from weights
+// returns to weights.
+func criticalProgram(tb testing.TB, w *workflow.Workflow, steps int) (weights []float64, prog []nodeUpdate) {
+	tb.Helper()
+	n := w.NumModules()
+	rng := rand.New(rand.NewSource(2))
+	weights = make([]float64, n)
+	fastest := make([]float64, n)
+	for i := range weights {
+		if mod := w.Module(i); mod.Fixed {
+			weights[i] = mod.FixedTime
+			fastest[i] = mod.FixedTime
+		} else {
+			weights[i] = mod.Workload
+			fastest[i] = mod.Workload * (0.15 + float64(0.1*rng.Float64()))
+		}
+	}
+	cur := append([]float64(nil), weights...)
+	t, err := dag.NewTiming(w.Graph(), cur, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for len(prog) < steps {
+		best := -1
+		for i := 0; i < n; i++ {
+			if cur[i] > fastest[i] && t.IsCritical(i) &&
+				(best < 0 || cur[i]-fastest[i] > cur[best]-fastest[best]) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		prog = append(prog, nodeUpdate{best, fastest[best]})
+		t.UpdateNode(best, fastest[best])
+	}
+	for k := len(prog) - 1; k >= 0; k-- {
+		prog = append(prog, nodeUpdate{prog[k].node, weights[prog[k].node]})
+	}
+	return weights, prog
+}
+
+// BenchmarkUpdateNodeCritical times dag.Timing.UpdateNode, one update per
+// op, cycling the sweep-policy pin's update programs: paper55 and
+// paper100 are the paper's sizes 11 and 20, dense500 and gen2000 the
+// m = 500 and m = 2000 instances of the CriticalGreedy benchmarks (their
+// steps spread over most of the graph, or are bimodal at m = 2000),
+// library500 a serve-library random DAG and tied1000 the tied fork-join
+// (their steps stay local). Steady state is 0 allocs/op.
+func BenchmarkUpdateNodeCritical(b *testing.B) {
+	instanceOf := func(size gen.ProblemSize) func(testing.TB) *workflow.Workflow {
+		return func(tb testing.TB) *workflow.Workflow {
+			w, _, err := gen.Instance(rand.New(rand.NewSource(1)), size)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return w
+		}
+	}
+	shapes := []struct {
+		name  string
+		build func(testing.TB) *workflow.Workflow
+	}{
+		{"paper55", instanceOf(gen.PaperProblemSizes()[10])},
+		{"paper100", instanceOf(gen.PaperProblemSizes()[19])},
+		{"dense500", instanceOf(gen.ProblemSize{M: 500, E: 58600, N: 9})},
+		{"gen2000", instanceOf(gen.ProblemSize{M: 2000, E: 120000, N: 9})},
+		{"library500", func(tb testing.TB) *workflow.Workflow {
+			w, err := gen.Random(rand.New(rand.NewSource(1)), gen.Params{
+				Modules: 500, Edges: 2000, WorkloadMin: 100, WorkloadMax: 1000,
+				DataSizeMax: 10, AddEntryExit: true,
+			})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return w
+		}},
+		{"tied1000", func(testing.TB) *workflow.Workflow {
+			return gen.ForkJoin(rand.New(rand.NewSource(1)), 1000, 500, 500)
+		}},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			w := sh.build(b)
+			weights, prog := criticalProgram(b, w, 64)
+			t, err := dag.NewTiming(w.Graph(), weights, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				u := prog[i%len(prog)]
+				t.UpdateNode(u.node, u.w)
+			}
+		})
+	}
+}
+
 func BenchmarkTimingPass100(b *testing.B) {
 	w, m, _ := instance100(b)
 	s := m.LeastCost(w)
@@ -557,21 +668,14 @@ func BenchmarkCorpusIngest(b *testing.B) {
 func BenchmarkInlineIngest(b *testing.B) {
 	var (
 		rb     encoding.RecordBuilder
-		bld    gen.Builder
 		bodies [][]byte
 	)
-	sizes := gen.PaperProblemSizes()[10:]
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < benchCorpusRecords; i++ {
-		w, cat, err := bld.Instance(rng, sizes[i%len(sizes)])
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, in := range inlineInstances(b) {
 		rb.Begin()
-		if err := rb.Workflow(w); err != nil {
+		if err := rb.Workflow(in.w); err != nil {
 			b.Fatal(err)
 		}
-		if err := rb.Catalog(cat); err != nil {
+		if err := rb.Catalog(in.cat); err != nil {
 			b.Fatal(err)
 		}
 		body, err := rb.AppendRecord(encoding.AppendHeader(nil, 1), false)
@@ -618,6 +722,77 @@ func BenchmarkInlineIngest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ingest(bodies[i%len(bodies)])
+	}
+}
+
+// inlineInstance is one generated workflow with its catalog.
+type inlineInstance struct {
+	w   *workflow.Workflow
+	cat cloud.Catalog
+}
+
+// inlineInstances generates the inline benches' benchCorpusRecords
+// instances: the paper's sizes 11-20 (m = 55..100) in turn from one
+// seed-1 stream, the serve-cold workload's instance mix.
+func inlineInstances(b *testing.B) []inlineInstance {
+	b.Helper()
+	sizes := gen.PaperProblemSizes()[10:]
+	rng := rand.New(rand.NewSource(1))
+	ins := make([]inlineInstance, benchCorpusRecords)
+	for i := range ins {
+		w, cat, err := gen.Instance(rng, sizes[i%len(sizes)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		ins[i] = inlineInstance{w, cat}
+	}
+	return ins
+}
+
+// BenchmarkInlineSolve is the solve stage of an inline /schedule request,
+// one instance per op: Runner.Solve with critical-greedy and Runner.MED,
+// the calls a serve worker makes after the ingest stage
+// (BenchmarkInlineIngest), on one reused Runner. It cycles the same 64
+// instances, each at a budget a uniform seed-2 fraction of the way
+// across its range, as serve-cold draws its budget fractions. Steady
+// state is 0 allocs/op.
+func BenchmarkInlineSolve(b *testing.B) {
+	type job struct {
+		w      *workflow.Workflow
+		m      *workflow.Matrices
+		budget float64
+	}
+	var jobs []job
+	rng := rand.New(rand.NewSource(2))
+	for _, in := range inlineInstances(b) {
+		m, err := in.w.BuildMatrices(in.cat, cloud.HourlyRoundUp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		lo, hi := m.BudgetRange(in.w)
+		jobs = append(jobs, job{in.w, m, sched.BudgetAt(lo, hi, rng.Float64())})
+	}
+	var (
+		r   sched.Runner
+		dst workflow.Schedule
+	)
+	solve := func(j job) {
+		s, _, err := r.Solve("critical-greedy", dst, j.w, j.m, j.budget, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dst = s
+		if _, err := r.MED(j.w, j.m, s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, j := range jobs { // grow every pooled array to the largest instance
+		solve(j)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		solve(jobs[i%len(jobs)])
 	}
 }
 

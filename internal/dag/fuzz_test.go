@@ -46,18 +46,26 @@ func FuzzGraphJSON(f *testing.F) {
 }
 
 // FuzzIncrementalTiming drives UpdateNode with fuzz-chosen mutations over a
-// fuzz-derived DAG and checks every state against a fresh NewTiming, along
-// with the WhatIfMakespan probe of each mutation and UpdateNode's
-// makespan-moved result. The mutation stream doubles as weights: byte k
-// mutates node data[k] % n to weight data[k+1] / 16.
+// fuzz-derived DAG of up to 65 nodes and checks every state against a
+// fresh NewTiming, along with the WhatIfMakespan probe of each mutation
+// and UpdateNode's makespan-moved result. data[0] sets the node count and
+// data[1] the edge density, from none to complete. The mutation stream
+// doubles as weights: bytes k and k+1 make one mutation. An odd data[k]
+// is a Critical-Greedy step: it lowers critical node number data[k]/2
+// (mod their count) to data[k+1]/256 of its weight. An even one sets
+// node data[k]/2 mod n to data[k+1]/16. Large, dense graphs and
+// critical steps make the passes switch to dense finishes mid-range.
 func FuzzIncrementalTiming(f *testing.F) {
 	f.Add([]byte{4, 1, 2, 0, 7, 3, 255, 0, 0, 128, 64, 9, 33})
 	f.Add([]byte{8, 200, 200, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add([]byte{63, 5, 9, 200, 1, 77, 3, 128, 5, 250, 12, 40, 7, 99, 31, 180, 2, 60, 11, 130, 200, 17})
+	f.Add([]byte{40, 8, 1, 0, 3, 10, 5, 20, 7, 30, 9, 40, 11, 50, 13, 60, 15, 70, 17, 80})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
 		}
-		n := 2 + int(data[0])%16
+		n := 2 + int(data[0])%64
+		density := int(data[1]) % 9 // edge when edgeByte%8 < density
 		edgeByte := func(a, b int) byte {
 			k := 1 + (a*31+b*7)%(len(data)-1)
 			return data[k]
@@ -66,7 +74,7 @@ func FuzzIncrementalTiming(f *testing.F) {
 		g.AddNodes(n)
 		for a := 0; a < n; a++ {
 			for b := a + 1; b < n; b++ {
-				if edgeByte(a, b)%3 == 0 {
+				if int(edgeByte(a, b)%8) < density {
 					g.MustEdge(a, b)
 				}
 			}
@@ -79,8 +87,19 @@ func FuzzIncrementalTiming(f *testing.F) {
 		if err != nil {
 			t.Fatal(err) // construction cannot cycle: edges go low -> high
 		}
-		for k := 0; k+1 < len(data); k += 2 {
-			i, w := int(data[k])%n, float64(data[k+1])/16
+		var crit []int
+		for k := 2; k+1 < len(data); k += 2 {
+			i, w := int(data[k]>>1)%n, float64(data[k+1])/16
+			if data[k]&1 == 1 {
+				crit = crit[:0]
+				for u := 0; u < n; u++ {
+					if inc.IsCritical(u) {
+						crit = append(crit, u)
+					}
+				}
+				i = crit[int(data[k]>>1)%len(crit)]
+				w = weights[i] * float64(data[k+1]) / 256
+			}
 			before := inc.Makespan
 			probe := inc.WhatIfMakespan(i, w)
 			moved := inc.UpdateNode(i, w)

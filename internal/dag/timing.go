@@ -77,6 +77,15 @@ type Timing struct {
 	// is monotone along every edge, so the makespan rescan after an
 	// incremental update only needs to look at these.
 	sinks []int32
+
+	// sweeps counts the incremental passes, how many of them finished
+	// densely, and the nodes they recomputed; only tests read it.
+	sweeps sweepCounts
+}
+
+// sweepCounts tallies the incremental passes of UpdateNode.
+type sweepCounts struct {
+	fwd, fwdDense, bwd, bwdDense, relaxed int
 }
 
 // NewTiming runs the forward and backward passes over g with the given node
@@ -189,8 +198,15 @@ func (t *Timing) Update(nodeW []float64) error {
 // below the dominating predecessor is absorbed on the spot. The backward
 // pass mirrors this over the prefix for the Tail lengths — and because
 // Tail is anchored at the sinks rather than the makespan, a makespan shift
-// triggers no dense re-pass at all. Skipped nodes would recompute to
-// bit-identical values, so the result is exactly that of a fresh pass.
+// does not by itself re-relax the prefix. Skipped nodes would recompute
+// to bit-identical values, so the result is exactly that of a fresh pass.
+//
+// Each pass stays sparse only while the change stays local: once it has
+// visited at least two positions and more than half of them were dirty,
+// it recomputes the rest of its range with the full pass's kernel, with
+// no dirty tests or marks (see relaxEFT). On the paper's random DAGs a
+// Critical-Greedy step moves most nodes, so most passes finish densely;
+// on wide or sparse DAGs a step stays local and the passes stay sparse.
 //
 // The incremental passes assume zero edge weights, the paper's
 // single-datacenter model; a Timing built with edge weights re-runs both
@@ -261,6 +277,16 @@ func (t *Timing) seedTail(i int, wOld, wNew float64) {
 // or new finish time reaches the successor's start time. Changes absorbed
 // below the dominating predecessor propagate no further.
 //
+// When a dirty node brings the dirty share of the positions visited so
+// far above one half, after at least two positions, the change is
+// spreading: the pass hands that node and the rest of the suffix to
+// forwardZero, which recomputes every node without testing or setting a
+// mark. That is exact: every predecessor of the handed-over range is
+// final by then (earlier positions are recomputed or provably unchanged,
+// later ones are recomputed in order), and a node recomputed from
+// unchanged inputs gets the same bits, since max is exact and its finish
+// is one addition.
+//
 // medcc:floateq-exact — "moved" means bit-exact inequality; skipped nodes
 // must recompute to identical values.
 func (t *Timing) relaxEFT(p int) {
@@ -270,9 +296,22 @@ func (t *Timing) relaxEFT(p int) {
 	fdirty, est, eft, nodeW := t.fdirty, t.EST, t.EFT, t.nodeW
 	po, pa := t.predOff, t.predAdj
 	so, sa := t.succOff, t.succAdj
-	for _, u := range t.order[p:] {
+	order := t.order
+	t.sweeps.fwd++
+	dirty := 0
+	for k := p; k < len(order); k++ {
+		u := order[k]
 		if fdirty[u] != ep {
 			continue
+		}
+		// The dirty share only rises at a dirty node, so testing here
+		// catches the first position where it exceeds one half.
+		dirty++
+		if k > p && 2*dirty > k-p+1 {
+			forwardZero(order[k:], po, pa, nodeW, est, eft)
+			t.sweeps.fwdDense++
+			t.sweeps.relaxed += dirty - 1 + len(order) - k
+			return
 		}
 		start := 0.0
 		for _, q := range pa[po[u]:po[u+1]] {
@@ -292,13 +331,17 @@ func (t *Timing) relaxEFT(p int) {
 			}
 		}
 	}
+	t.sweeps.relaxed += dirty
 }
 
 // relaxTail re-relaxes the Tail lengths for positions hi down to 0,
 // recomputing a node only when marked dirty (a successor's contribution
 // moved across its Tail); its predecessors are marked in turn only when
 // the recomputed Tail differs and the contribution could dominate.
-// Skipped nodes would recompute to bit-identical values.
+// Skipped nodes would recompute to bit-identical values. Like relaxEFT,
+// it hands the rest of its range, order[:k+1], to the full pass's kernel
+// (tailZero) once more than half of at least two visited positions were
+// dirty.
 //
 // medcc:floateq-exact — see relaxEFT.
 func (t *Timing) relaxTail(hi int) {
@@ -307,10 +350,19 @@ func (t *Timing) relaxTail(hi int) {
 	po, pa := t.predOff, t.predAdj
 	so, sa := t.succOff, t.succAdj
 	order := t.order
+	t.sweeps.bwd++
+	dirty := 0
 	for k := hi; k >= 0; k-- {
 		u := order[k]
 		if bdirty[u] != ep {
 			continue
+		}
+		dirty++
+		if k < hi && 2*dirty > hi-k+1 {
+			tailZero(order[:k+1], so, sa, nodeW, tail)
+			t.sweeps.bwdDense++
+			t.sweeps.relaxed += dirty + k
+			return
 		}
 		mx := 0.0
 		for _, s := range sa[so[u]:so[u+1]] {
@@ -330,6 +382,7 @@ func (t *Timing) relaxTail(hi int) {
 			}
 		}
 	}
+	t.sweeps.relaxed += dirty
 }
 
 // run executes the full forward and backward passes.
@@ -362,8 +415,9 @@ func (t *Timing) run() {
 // forwardZero is the forward pass with zero edge weights over a
 // topological order: each node starts when the last of its predecessors
 // in the CSR (po, pa) finishes. It fills eft, and est unless est is nil,
-// and returns the makespan, the largest finish time. Timing.run and
-// Graph.Makespan share it, so their makespans agree bit for bit.
+// and returns the makespan, the largest finish time. Timing.run,
+// Graph.Makespan and relaxEFT's dense finish share it, so their finish
+// times agree bit for bit.
 func forwardZero(order []int, po, pa []int32, nodeW, est, eft []float64) float64 {
 	mk := 0.0
 	for _, u := range order {
@@ -383,6 +437,24 @@ func forwardZero(order []int, po, pa []int32, nodeW, est, eft []float64) float64
 		}
 	}
 	return mk
+}
+
+// tailZero is the backward pass with zero edge weights over a topological
+// order, last node first: each node's Tail is the largest weight plus
+// Tail among its successors in the CSR (so, sa), 0 at a sink. Timing.run
+// and relaxTail's dense finish share it, so their Tails agree bit for
+// bit.
+func tailZero(order []int, so, sa []int32, nodeW, tail []float64) {
+	for k := len(order) - 1; k >= 0; k-- {
+		u := order[k]
+		mx := 0.0
+		for _, s := range sa[so[u]:so[u+1]] {
+			if c := nodeW[s] + tail[s]; c > mx {
+				mx = c
+			}
+		}
+		tail[u] = mx
+	}
 }
 
 // Makespan returns the end-to-end delay of g under node weights nodeW and
@@ -426,19 +498,7 @@ func (g *Graph) makespanScratch(eft []float64) ([]float64, error) {
 // tailDense runs the dense backward pass filling Tail for every node.
 func (t *Timing) tailDense() {
 	if t.edgeW == nil {
-		tail, nodeW := t.Tail, t.nodeW
-		so, sa := t.succOff, t.succAdj
-		order := t.order
-		for k := len(order) - 1; k >= 0; k-- {
-			u := order[k]
-			mx := 0.0
-			for _, s := range sa[so[u]:so[u+1]] {
-				if c := nodeW[s] + tail[s]; c > mx {
-					mx = c
-				}
-			}
-			tail[u] = mx
-		}
+		tailZero(t.order, t.succOff, t.succAdj, t.nodeW, t.Tail)
 		return
 	}
 	// Locals, because the EdgeWeight call would otherwise make the loop

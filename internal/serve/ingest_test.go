@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -53,8 +54,8 @@ func TestInlineIngestAllocs(t *testing.T) {
 	for range bodies { // grow every pooled array to the largest body
 		ingest()
 	}
-	if avg := testing.AllocsPerRun(4*len(bodies), ingest); avg != 0 {
-		t.Errorf("warm inline ingest allocates %v allocs/op, want 0", avg)
+	if allocs := minPassAllocs(len(bodies), ingest); allocs != 0 {
+		t.Errorf("warm inline ingest allocates %v times per pass over the %d bodies, want 0", allocs, len(bodies))
 	}
 }
 
@@ -108,7 +109,26 @@ func TestInlineScheduleAllocs(t *testing.T) {
 	for range bodies { // grow every pooled array to the largest body
 		request()
 	}
-	if avg := testing.AllocsPerRun(4*len(bodies), request); avg != 0 {
-		t.Errorf("warm inline request allocates %v allocs/op, want 0", avg)
+	if allocs := minPassAllocs(len(bodies), request); allocs != 0 {
+		t.Errorf("warm inline request allocates %v times per pass over the %d bodies, want 0", allocs, len(bodies))
 	}
+}
+
+// minPassAllocs counts the allocations of one pass of n calls to next,
+// one per body, and returns the fewest over 5 passes. A per-pass count
+// keeps an allocation on one body in n from rounding away, as it does in
+// testing.AllocsPerRun's integer average over single calls; the minimum
+// drops an allocation some other goroutine of the process makes during a
+// pass.
+func minPassAllocs(n int, next func()) float64 {
+	pass := func() {
+		for i := 0; i < n; i++ {
+			next()
+		}
+	}
+	fewest := math.Inf(1)
+	for k := 0; k < 5; k++ {
+		fewest = min(fewest, testing.AllocsPerRun(1, pass))
+	}
+	return fewest
 }

@@ -52,6 +52,26 @@ func TestOptimal10Allocs(t *testing.T) {
 	requireZeroSolveAllocs(t, &sched.Optimal{}, instanceOpt10)
 }
 
+// TestOptimalDeadline10Allocs pins the exact dual on the same engine: a
+// reused solver's Deadline allocates only the Result and the schedule
+// it returns.
+func TestOptimalDeadline10Allocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	w, m, d := midDeadline(t, instanceOpt10)
+	o := &sched.Optimal{}
+	solve := func() {
+		if _, err := o.Deadline(w, m, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve()
+	if avg := testing.AllocsPerRun(10, solve); avg != 2 {
+		t.Errorf("warm Optimal.Deadline allocates %v allocs/op, want 2 (its Result and schedule)", avg)
+	}
+}
+
 // The sweeps hold the same contract: once SweepInto has grown its scratch,
 // a repeat sweep over 20 levels of instance100's budget range into the
 // same destinations allocates nothing.

@@ -293,6 +293,41 @@ func BenchmarkOptimal10(b *testing.B) {
 	benchSolve(b, &sched.Optimal{}, instanceOpt10)
 }
 
+// BenchmarkOptimalDeadline10 times the exact deadline dual on
+// BenchmarkOptimal10's instance at its mid deadline, on one solver whose
+// scratch a first call grew. Each solve allocates its Result and
+// schedule.
+func BenchmarkOptimalDeadline10(b *testing.B) {
+	w, m, d := midDeadline(b, instanceOpt10)
+	o := &sched.Optimal{}
+	b.ReportAllocs()
+	if _, err := o.Deadline(w, m, d); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := o.Deadline(w, m, d); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// midDeadline returns inst's workflow and matrices with the deadline
+// halfway between the fastest and the least-cost schedule's makespans.
+func midDeadline(tb testing.TB, inst instance) (*workflow.Workflow, *workflow.Matrices, float64) {
+	tb.Helper()
+	w, m, _ := inst(tb)
+	fast, err := w.Evaluate(m, m.Fastest(w), nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cheap, err := w.Evaluate(m, m.LeastCost(w), nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return w, m, (fast.Makespan + cheap.Makespan) / 2
+}
+
 // benchSweepGrid times one staircase build: sched.SweepGrid with the
 // service's default grid over the instance's whole budget range, on one
 // reused scheduler as a serve worker builds them. Every build allocates

@@ -8,21 +8,22 @@ import (
 	"medcc/internal/workflow"
 )
 
-// Anneal solves MED-CC by simulated annealing: a random walk over type
-// assignments with budget repair, accepting uphill moves with probability
-// exp(-dMED/T) under geometric cooling. Like Genetic it is a
-// population-free metaheuristic baseline — slower than the greedy family,
-// immune to their local minima, and seeded with Critical-Greedy so it
-// never returns anything worse.
+// Anneal solves MED-CC by simulated annealing: a random walk of
+// annealIterations steps over type assignments with budget repair,
+// accepting uphill moves with probability exp(-dMED/T) under geometric
+// cooling by annealCooling per step. It is a metaheuristic baseline:
+// slower than the greedy family, immune to their local minima, and
+// seeded with Critical-Greedy so it never returns anything worse.
 type Anneal struct {
 	// Seed makes runs reproducible; the registry default is 1.
 	Seed int64
-	// Iterations bounds the walk; zero selects the default 4000.
-	Iterations int
-	// Cooling is the geometric factor per iteration; zero selects
-	// 0.999.
-	Cooling float64
 }
+
+// The walk's length and its geometric cooling factor per step.
+const (
+	annealIterations = 4000
+	annealCooling    = 0.999
+)
 
 // Name implements Scheduler.
 func (a *Anneal) Name() string { return "anneal" }
@@ -31,14 +32,6 @@ func (a *Anneal) Name() string { return "anneal" }
 func (a *Anneal) Schedule(w *workflow.Workflow, m *workflow.Matrices, budget float64) (workflow.Schedule, error) {
 	if _, _, err := checkFeasible(w, m, budget); err != nil {
 		return nil, err
-	}
-	iters := a.Iterations
-	if iters <= 0 {
-		iters = 4000
-	}
-	cooling := a.Cooling
-	if cooling <= 0 || cooling >= 1 {
-		cooling = 0.999
 	}
 	rng := rand.New(rand.NewSource(a.Seed))
 	mods := w.Schedulable()
@@ -106,7 +99,7 @@ func (a *Anneal) Schedule(w *workflow.Workflow, m *workflow.Matrices, budget flo
 	if temp <= 0 {
 		temp = 1
 	}
-	for it := 0; it < iters; it++ {
+	for it := 0; it < annealIterations; it++ {
 		copy(trial, cur)
 		i := mods[rng.Intn(len(mods))]
 		trial[i] = rng.Intn(n)
@@ -124,7 +117,7 @@ func (a *Anneal) Schedule(w *workflow.Workflow, m *workflow.Matrices, budget flo
 				bestMED = curMED
 			}
 		}
-		temp *= cooling
+		temp *= annealCooling
 	}
 	return best, nil
 }

@@ -39,7 +39,7 @@ func TestAnnealNeverWorseThanItsSeedSchedule(t *testing.T) {
 
 func TestAnnealReachesOptimumOnExample(t *testing.T) {
 	w, m := paperSetup(t)
-	an, err := Run(&Anneal{Seed: 1, Iterations: 3000}, w, m, 57)
+	an, err := Run(&Anneal{Seed: 1}, w, m, 57)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestAnnealOnRandomInstances(t *testing.T) {
 		m, _ := wf.BuildMatrices(cat, cloud.HourlyRoundUp)
 		cmin, cmax := m.BudgetRange(wf)
 		b := (cmin + cmax) / 2
-		an, err := Run(&Anneal{Seed: int64(trial), Iterations: 1500}, wf, m, b)
+		an, err := Run(&Anneal{Seed: int64(trial)}, wf, m, b)
 		if err != nil {
 			t.Fatal(err)
 		}

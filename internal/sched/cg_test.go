@@ -165,7 +165,7 @@ func TestCGSingleModuleMatchesOptimal(t *testing.T) {
 }
 
 func TestGreedyVariantsRegistered(t *testing.T) {
-	for _, name := range []string{"critical-greedy", "critical-ratio", "all-timedec", "gain1", "gain2", "gain3", "gain3-wrf", "anneal", "budget-dist", "genetic", "loss1", "loss2", "loss3", "optimal"} {
+	for _, name := range []string{"critical-greedy", "critical-ratio", "all-timedec", "gain1", "gain2", "gain3", "gain3-wrf", "anneal", "budget-dist", "loss1", "loss2", "loss3", "optimal"} {
 		s, err := Get(name)
 		if err != nil {
 			t.Fatalf("Get(%q): %v", name, err)

@@ -456,9 +456,10 @@ func diffInstance(t *testing.T, k int, size gen.ProblemSize) (*workflow.Workflow
 }
 
 // TestHandBuiltMatricesNeedOptions pins the option-table contract: every
-// registered scheduler and DeadlineLoss reject matrices filled in by hand
-// without BuildOptions with ErrNoOptions, and once BuildOptions has run
-// the same matrices schedule exactly like BuildMatrices' own.
+// registered scheduler, DeadlineLoss and the exact Optimal.Deadline
+// reject matrices filled in by hand without BuildOptions with
+// ErrNoOptions, and once BuildOptions has run the same matrices schedule
+// exactly like BuildMatrices' own.
 func TestHandBuiltMatricesNeedOptions(t *testing.T) {
 	size := gen.ProblemSize{M: 10, E: 17, N: 4}
 	w, built, cmin, cmax := diffInstance(t, 1, size)
@@ -476,6 +477,9 @@ func TestHandBuiltMatricesNeedOptions(t *testing.T) {
 	}
 	if _, err := DeadlineLoss(w, m, deadline); !errors.Is(err, ErrNoOptions) {
 		t.Errorf("deadline-loss: error %v, want ErrNoOptions", err)
+	}
+	if _, err := (&Optimal{}).Deadline(w, m, deadline); !errors.Is(err, ErrNoOptions) {
+		t.Errorf("exact deadline: error %v, want ErrNoOptions", err)
 	}
 
 	m.BuildOptions()
@@ -501,6 +505,13 @@ func TestHandBuiltMatricesNeedOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameSchedule(t, "deadline-loss", size, budget, got.Schedule, want.Schedule)
+	if want, err = (&Optimal{}).Deadline(w, built, deadline); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = (&Optimal{}).Deadline(w, m, deadline); err != nil {
+		t.Fatal(err)
+	}
+	requireSameSchedule(t, "exact deadline", size, budget, got.Schedule, want.Schedule)
 }
 
 func requireSameSchedule(t *testing.T, name string, size gen.ProblemSize, budget float64, got, want workflow.Schedule) {

@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 
+	"medcc/internal/dag"
 	"medcc/internal/workflow"
 )
 
@@ -21,19 +23,20 @@ import (
 // when none of its leaves could replace the incumbent, so a search that
 // completes (Truncated false) returns a schedule of minimum MED and,
 // among those, minimum cost: the seed when it is one, else the first
-// such leaf in DFS order.
+// such leaf in DFS order. Deadline solves the dual on the same engine.
 type Optimal struct {
 	// MaxNodes bounds the number of search nodes expanded; 0 means the
 	// default of 50 million. A search that needs more stops with exactly
 	// MaxNodes expanded, returns the best incumbent found so far
-	// (possibly non-optimal, but always budget-feasible) and sets
-	// Truncated. Where it stops, and so what it returns, depends only on
-	// the instance, the budget and MaxNodes.
+	// (possibly non-optimal, but always within the budget or deadline)
+	// and sets Truncated. Where it stops, and so what it returns, depends
+	// only on the instance, the budget or deadline and MaxNodes.
 	MaxNodes int64
 
-	// Truncated reports whether the last Schedule call hit MaxNodes and
-	// returned a possibly suboptimal (but feasible) incumbent. Expanded
-	// is the number of search nodes the last call expanded.
+	// Truncated reports whether the last Schedule or Deadline call hit
+	// MaxNodes and returned a possibly suboptimal (but feasible)
+	// incumbent. Expanded is the number of search nodes the last call
+	// expanded.
 	Truncated bool
 	Expanded  int64
 
@@ -52,21 +55,25 @@ type Optimal struct {
 	seedS workflow.Schedule
 
 	// Per-position search tables, rebuilt each call into reused storage:
-	// for schedulable position k, the dominance-pruned type options live
-	// in optIdx[optOff[k]:optOff[k+1]], sorted by TE ascending (ties by
-	// CE, then type index) — for surviving options TE ascending means CE
-	// strictly descending. optTE/optCE mirror the option times and costs;
-	// suffixMin[k] is the cheapest possible cost of positions k..end.
+	// for schedulable position k, the Pareto-frontier type options live
+	// in optIdx[optOff[k]:optOff[k+1]], sorted by TE strictly ascending
+	// and so by CE strictly descending. optTE/optCE mirror the option
+	// times and costs; suffixMin[k] is the cheapest possible cost of
+	// positions k..end.
 	optIdx       []int
 	optTE, optCE []float64
 	optOff       []int
 	suffixMin    []float64
 
-	budget float64
-	limit  int64
-	cur    workflow.Schedule // the assignment being explored
+	// budget caps a Schedule search's cost; deadline (the caller's plus
+	// dag.Eps) caps a Deadline search's makespan.
+	budget, deadline float64
+	limit            int64
+	cur              workflow.Schedule // the assignment being explored
 
-	// The incumbent: the returned schedule, its MED and its cost.
+	// The incumbent: its schedule, MED and cost. best is the caller's
+	// result storage (dst or a fresh slice), never solver scratch, so a
+	// returned schedule survives later solves.
 	best      workflow.Schedule
 	med, cost float64
 }
@@ -90,18 +97,17 @@ const defaultMaxNodes = 50_000_000
 
 // ScheduleInto implements IntoScheduler: the search runs in reused scratch
 // (engine, option tables, partial schedule), so repeated solves of the
-// same instance are allocation-free in steady state.
+// same instance into the same dst are allocation-free in steady state.
+// The result is written to dst when it has the right length and to a
+// fresh schedule otherwise.
 //
 // medcc:deterministic — replayed bit-identical by the differential tests
 func (o *Optimal) ScheduleInto(dst workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budget float64) (workflow.Schedule, error) {
-	o.Truncated, o.Expanded = false, 0
-	e := &o.eng
-	e.bind(w, m)
-	if err := e.feasible(budget); err != nil {
+	if err := o.start(w, m, budget); err != nil {
 		return nil, err
 	}
+	e := &o.eng
 	lc := e.lc
-	o.buildBounds()
 
 	// Incumbent seed: the Critical-Greedy schedule, budget-feasible by
 	// construction and near-optimal in MED, so the search opens with a
@@ -118,101 +124,129 @@ func (o *Optimal) ScheduleInto(dst workflow.Schedule, w *workflow.Workflow, m *w
 	if err := e.resetTiming(seed); err != nil {
 		return nil, err
 	}
-	if len(dst) == len(lc) {
-		o.best = dst
-	} else if len(o.best) != len(lc) {
+	o.best = dst
+	if len(dst) != len(lc) {
 		o.best = make(workflow.Schedule, len(lc))
 	}
 	copy(o.best, seed)
 	o.med, o.cost = e.t.Makespan, m.Cost(seed)
 
-	// The root: every schedulable module on its fastest option.
-	o.cur = copySchedule(o.cur, lc)
-	for k, i := range e.mods {
-		o.cur[i] = o.optIdx[o.optOff[k]]
-	}
-	if err := e.resetTiming(o.cur); err != nil {
+	if err := o.root(); err != nil {
 		return nil, err
 	}
 	o.budget = budget
-	o.limit = o.MaxNodes
-	if o.limit == 0 {
-		o.limit = defaultMaxNodes
-	}
 	o.dfs(0, 0)
 	return o.best, nil
 }
 
-// buildBounds fills the per-position option tables from the matrices.
-// For each schedulable module the types are sorted by (TE, CE, index)
-// ascending and a sweep keeps only the Pareto frontier — a type survives
-// iff no other type is at least as fast and at least as cheap (exact ties
-// keep the lowest index). A dropped type can never improve the optimum:
-// replacing it with its dominator never raises the makespan or the cost,
-// so the (MED, cost) optimum over the pruned tree equals the optimum over
-// the full tree.
+// Deadline solves the dual of MED-CC exactly: a schedule of least cost
+// whose makespan is within deadline (plus dag.Eps), on the engine,
+// option tables and MaxNodes rule of Schedule. The search tries options
+// cheapest first from the all-fastest incumbent, and a leaf replaces the
+// incumbent only at lower cost, or at equal cost and lower MED, so a
+// search that completes returns the least cost, then the least MED,
+// then the first such schedule found. A search cut short by MaxNodes
+// returns the incumbent, within the deadline but not proven cheapest,
+// with Truncated set. It returns an error wrapping ErrDeadline when even
+// the fastest schedule misses the deadline.
+//
+// medcc:deterministic — pinned to brute force by the deadline tests
+func (o *Optimal) Deadline(w *workflow.Workflow, m *workflow.Matrices, deadline float64) (*Result, error) {
+	// Every schedule fits an infinite budget, so this fails only on
+	// matrices without an option table.
+	if err := o.start(w, m, math.Inf(1)); err != nil {
+		return nil, err
+	}
+	if err := o.root(); err != nil {
+		return nil, err
+	}
+	mk := o.eng.t.Makespan
+	// Negated so a NaN deadline is rejected: no makespan meets it.
+	if !(mk <= deadline+dag.Eps) {
+		return nil, fmt.Errorf("%w: deadline %.6g < fastest makespan %.6g", ErrDeadline, deadline, mk)
+	}
+	o.best = o.cur.Clone()
+	o.med, o.cost = mk, m.Cost(o.cur)
+	o.deadline = deadline + dag.Eps
+	o.dfsDeadline(0, 0)
+	return &Result{Schedule: o.best, MED: o.med, Cost: o.cost, Truncated: o.Truncated}, nil
+}
+
+// start resets the node counters, binds the engine, checks the budget
+// against Cmin (and the matrices for an option table) and fills the
+// option tables: the setup both searches share.
+func (o *Optimal) start(w *workflow.Workflow, m *workflow.Matrices, budget float64) error {
+	o.Truncated, o.Expanded = false, 0
+	o.limit = o.MaxNodes
+	if o.limit == 0 {
+		o.limit = defaultMaxNodes
+	}
+	e := &o.eng
+	e.bind(w, m)
+	if err := e.feasible(budget); err != nil {
+		return err
+	}
+	o.buildBounds()
+	return nil
+}
+
+// root sets cur to the search root, every schedulable module on its
+// fastest option, and refreshes the timing to it, so that the timing
+// holds the invariant both searches keep.
+func (o *Optimal) root() error {
+	e := &o.eng
+	o.cur = copySchedule(o.cur, e.lc)
+	for k, i := range e.mods {
+		o.cur[i] = o.optIdx[o.optOff[k]]
+	}
+	return e.resetTiming(o.cur)
+}
+
+// buildBounds fills the per-position option tables from the matrices'
+// option table, whose rows hold no dominated type and are sorted by
+// (TE, type index). A sweep keeps the Pareto frontier: a row survives
+// iff its CE is strictly below every faster row's, and a row of equal
+// TE and lower CE replaces the one kept before it, since the option
+// table orders equal times by type, not by cost. A dropped type can
+// never improve the optimum: replacing it with its dominator never
+// raises the makespan or the cost, so the optimum over the pruned tree
+// equals the optimum over the full tree.
+//
+// medcc:floateq-exact — rows of exactly equal time are one option at
+// two prices; times that differ by a rounding are distinct options.
 func (o *Optimal) buildBounds() {
 	e := &o.eng
-	m := e.m
-	mods := e.mods
-	n := len(m.Catalog)
-	np := len(mods)
-	if cap(o.optOff) < np+1 {
-		o.optOff = make([]int, np+1)
-		o.suffixMin = make([]float64, np+1)
-	}
-	o.optOff = o.optOff[:np+1]
-	o.suffixMin = o.suffixMin[:np+1]
-	if cap(o.optIdx) < np*n {
-		o.optIdx = make([]int, np*n)
-		o.optTE = make([]float64, np*n)
-		o.optCE = make([]float64, np*n)
-	}
-	o.optIdx = o.optIdx[:np*n]
-	o.optTE = o.optTE[:np*n]
-	o.optCE = o.optCE[:np*n]
-
-	off := 0
-	for k, i := range mods {
-		o.optOff[k] = off
-		te, ce := m.TE[i], m.CE[i]
-		// Insertion sort of the type indices by (TE, CE, index): n is a
-		// single-digit catalog size, and in-place insertion keeps the
-		// steady-state path allocation-free.
-		idx := o.optIdx[off : off : off+n]
-		for j := 0; j < n; j++ {
-			p := len(idx)
-			idx = idx[:p+1]
-			for p > 0 {
-				q := idx[p-1]
-				if te[q] < te[j] || (te[q] <= te[j] && ce[q] <= ce[j]) {
-					break
-				}
-				idx[p] = q
-				p--
-			}
-			idx[p] = j
-		}
-		// Pareto sweep: with TE ascending, a type survives iff its CE is
-		// strictly below every faster type's CE.
-		w := off
+	np := len(e.mods)
+	o.optOff = o.optOff[:0]
+	o.optIdx, o.optTE, o.optCE = o.optIdx[:0], o.optTE[:0], o.optCE[:0]
+	for _, i := range e.mods {
+		off := len(o.optIdx)
+		o.optOff = append(o.optOff, off)
+		typ, te, ce := e.m.OptionTable(i)
 		bestCE := math.Inf(1)
-		for _, j := range idx {
-			if ce[j] < bestCE {
-				o.optIdx[w] = j
-				o.optTE[w] = te[j]
-				o.optCE[w] = ce[j]
-				bestCE = ce[j]
-				w++
+		for r := range typ {
+			if !(ce[r] < bestCE) {
+				continue
 			}
+			bestCE = ce[r]
+			if k := len(o.optIdx) - 1; k >= off && o.optTE[k] == te[r] {
+				o.optIdx[k], o.optCE[k] = int(typ[r]), ce[r]
+				continue
+			}
+			o.optIdx = append(o.optIdx, int(typ[r]))
+			o.optTE = append(o.optTE, te[r])
+			o.optCE = append(o.optCE, ce[r])
 		}
-		off = w
 	}
-	o.optOff[np] = off
+	o.optOff = append(o.optOff, len(o.optIdx))
 
 	// suffixMin[k] = cheapest completion cost of positions k..end; with CE
 	// strictly descending over each option run, the minimum is the last
 	// surviving option's cost.
+	if cap(o.suffixMin) < np+1 {
+		o.suffixMin = make([]float64, np+1)
+	}
+	o.suffixMin = o.suffixMin[:np+1]
 	o.suffixMin[np] = 0
 	for k := np - 1; k >= 0; k-- {
 		o.suffixMin[k] = o.suffixMin[k+1] + o.optCE[o.optOff[k+1]-1]
@@ -309,6 +343,68 @@ func (o *Optimal) dfs(depth int, cost float64) {
 	}
 	// Restore the fastest type so the invariant holds for the parent's
 	// remaining siblings.
+	e.t.UpdateNode(i, o.optTE[lo])
+}
+
+// dfsDeadline is dfs turned around for the dual: options are tried
+// cheapest first, a leaf must meet the deadline, and it replaces the
+// incumbent at lower cost, or at equal cost and lower MED. The makespan
+// bounds are dfs's, and an option whose path through i misses the
+// deadline is skipped for the faster ones after it. The cost cut ends
+// the level once even the cheapest completion costs more than the
+// incumbent by over costEps: suffixMin sums in another order than a
+// leaf's cost, so only that slack keeps a tie from being cut.
+//
+// medcc:allocfree
+func (o *Optimal) dfsDeadline(depth int, cost float64) {
+	if o.Expanded == o.limit {
+		o.Truncated = true
+		return
+	}
+	o.Expanded++
+	e := &o.eng
+	mk := e.t.Makespan
+	if mk > o.deadline {
+		return // even the all-fastest completion misses the deadline
+	}
+	mods := e.mods
+	if depth == len(mods) {
+		if cost < o.cost || cost <= o.cost && mk < o.med {
+			o.med, o.cost = mk, cost
+			copy(o.best, o.cur)
+		}
+		return
+	}
+	i := mods[depth]
+	est := e.t.EST[i]
+	tail := e.t.Tail[i]
+	lo, hi := o.optOff[depth], o.optOff[depth+1]
+	rem := o.suffixMin[depth+1]
+	last := depth+1 == len(mods)
+	for r := hi - 1; r >= lo; r-- {
+		c2 := cost + o.optCE[r]
+		if c2+rem > o.cost+costEps {
+			break // earlier options cost more still
+		}
+		if est+o.optTE[r]+tail > o.deadline {
+			continue // misses the deadline; earlier options are faster
+		}
+		if last {
+			// Every child is a leaf: probe it without mutating the timing.
+			mk2 := e.t.WhatIfMakespan(i, o.optTE[r])
+			if mk2 <= o.deadline && (c2 < o.cost || c2 <= o.cost && mk2 < o.med) {
+				o.med, o.cost = mk2, c2
+				copy(o.best, o.cur)
+				o.best[i] = o.optIdx[r]
+			}
+			continue
+		}
+		o.cur[i] = o.optIdx[r]
+		e.t.UpdateNode(i, o.optTE[r])
+		o.dfsDeadline(depth+1, c2)
+	}
+	// Restore the fastest type so the invariant holds for the parent's
+	// remaining siblings (a no-op when no child moved it).
 	e.t.UpdateNode(i, o.optTE[lo])
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"medcc/internal/cloud"
@@ -237,7 +238,8 @@ func TestOptimalPooledResolveIsStable(t *testing.T) {
 // TestOptimalTruncationReporting pins the Truncated/Expanded contract: a
 // starved node budget must set the flag (and propagate it through
 // sched.Run), a defaulted one must clear it and report the node count.
-// OptimalDeadline's Result.Truncated follows the same rule.
+// Deadline's Result.Truncated and the solver's own flag follow the
+// same rule.
 func TestOptimalTruncationReporting(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	wf, cat, err := gen.Instance(rng, gen.ProblemSize{M: 8, E: 18, N: 3})
@@ -288,26 +290,32 @@ func TestOptimalTruncationReporting(t *testing.T) {
 		maxNodes int64
 		want     bool
 	}{{10, true}, {0, false}} {
-		res, err := OptimalDeadline(wf, m, d, tc.maxNodes)
+		o := &Optimal{MaxNodes: tc.maxNodes}
+		res, err := o.Deadline(wf, m, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Truncated != tc.want {
-			t.Fatalf("OptimalDeadline maxNodes=%d: Truncated = %v, want %v", tc.maxNodes, res.Truncated, tc.want)
+		if res.Truncated != tc.want || o.Truncated != tc.want || o.Expanded <= 0 {
+			t.Fatalf("Deadline MaxNodes=%d: Truncated = %v (solver %v) after %d nodes, want %v",
+				tc.maxNodes, res.Truncated, o.Truncated, o.Expanded, tc.want)
 		}
 	}
 }
 
 // TestOptimalTruncationIsReproducible pins the node limit: a search cut
 // short stops with exactly MaxNodes expanded, so what it returns depends
-// only on the instance, the budget and MaxNodes. A fresh solver, one
-// reused across budgets and instances, and a Runner must return the same
-// schedule, Float64bits-equal MED and cost, and the truncated flag.
+// only on the instance, the budget (or deadline) and MaxNodes. For the
+// budget problem a fresh solver, one reused across budgets and
+// instances, and a Runner must return the same schedule,
+// Float64bits-equal MED and cost, and the truncated flag. The deadline
+// dual runs at the same limits on the reused solver, alternating with
+// its budget solves, and must equal a fresh solver's Deadline.
 func TestOptimalTruncationIsReproducible(t *testing.T) {
 	type instance struct {
-		w          *workflow.Workflow
-		m          *workflow.Matrices
-		cmin, cmax float64
+		w               *workflow.Workflow
+		m               *workflow.Matrices
+		cmin, cmax      float64
+		fastMk, cheapMk float64
 	}
 	var insts []instance
 	rng := rand.New(rand.NewSource(25))
@@ -322,7 +330,15 @@ func TestOptimalTruncationIsReproducible(t *testing.T) {
 				t.Fatal(err)
 			}
 			cmin, cmax := m.BudgetRange(w)
-			insts = append(insts, instance{w, m, cmin, cmax})
+			fast, err := w.Evaluate(m, m.Fastest(w), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cheap, err := w.Evaluate(m, m.LeastCost(w), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			insts = append(insts, instance{w, m, cmin, cmax, fast.Makespan, cheap.Makespan})
 		}
 	}
 	for _, maxNodes := range []int64{10, 1_000, 5_000} {
@@ -371,6 +387,24 @@ func TestOptimalTruncationIsReproducible(t *testing.T) {
 				}
 				rdst = s
 				same("runner", s, trunc, pooled.Expanded)
+
+				d := in.fastMk + float64((1-frac)*(in.cheapMk-in.fastMk))
+				fresh = &Optimal{MaxNodes: maxNodes}
+				wantD, err := fresh.Deadline(in.w, in.m, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := reused.Deadline(in.w, in.m, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !wantD.Truncated || fresh.Expanded != maxNodes || !got.Truncated || reused.Expanded != maxNodes ||
+					!got.Schedule.Equal(wantD.Schedule) ||
+					math.Float64bits(got.MED) != math.Float64bits(wantD.MED) ||
+					math.Float64bits(got.Cost) != math.Float64bits(wantD.Cost) {
+					t.Fatalf("%s deadline %v: reused %+v after %d nodes, fresh %+v after %d, want both truncated after %d",
+						label, d, got, reused.Expanded, wantD, fresh.Expanded, maxNodes)
+				}
 			}
 		}
 	}
@@ -382,14 +416,7 @@ func TestOptimalTruncationIsReproducible(t *testing.T) {
 // merely overpriced — and checks against the unpruned brute-force oracle
 // that dropping them never drops the optimum.
 func TestOptimalDominancePruningKeepsOptimum(t *testing.T) {
-	cat := cloud.Catalog{
-		{Name: "slow", Power: 3, Rate: 1},
-		{Name: "slow-overpriced", Power: 3, Rate: 5}, // dominated by slow
-		{Name: "mid", Power: 15, Rate: 4},
-		{Name: "mid-twin", Power: 15, Rate: 4}, // exact tie with mid
-		{Name: "fast", Power: 30, Rate: 8},
-		{Name: "slowest-priciest", Power: 2, Rate: 9}, // dominated by all
-	}
+	cat := dominanceCatalog()
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 6; trial++ {
 		wf, err := gen.Random(rng, gen.Params{
@@ -448,6 +475,116 @@ func TestOptimalProvesM10UnderDefaultLimit(t *testing.T) {
 			if o.Expanded >= defaultMaxNodes/100 {
 				t.Fatalf("trial %d level %d: %d nodes leaves too little headroom", trial, lv, o.Expanded)
 			}
+		}
+	}
+}
+
+// dominanceCatalog is full of dominated and exactly-tied types.
+func dominanceCatalog() cloud.Catalog {
+	return cloud.Catalog{
+		{Name: "slow", Power: 3, Rate: 1},
+		{Name: "slow-overpriced", Power: 3, Rate: 5}, // dominated by slow
+		{Name: "mid", Power: 15, Rate: 4},
+		{Name: "mid-twin", Power: 15, Rate: 4}, // exact tie with mid
+		{Name: "fast", Power: 30, Rate: 8},
+		{Name: "slowest-priciest", Power: 2, Rate: 9}, // dominated by all
+	}
+}
+
+// equalPowerCatalog has two types of equal power where the lower index
+// costs more: the one shape whose option table keeps a row of equal
+// time that is not on the Pareto frontier.
+func equalPowerCatalog() cloud.Catalog {
+	return cloud.Catalog{
+		{Name: "slow", Power: 3, Rate: 1},
+		{Name: "mid-pricey", Power: 15, Rate: 6},
+		{Name: "mid", Power: 15, Rate: 4},
+		{Name: "fast", Power: 30, Rate: 20},
+	}
+}
+
+// sortedSweepTables builds Optimal's per-position option tables the way
+// it did before it read the option table: every type of each module
+// insertion-sorted by (TE, CE, index), then swept down to the Pareto
+// frontier, where a type survives iff its CE is strictly below every
+// faster type's.
+func sortedSweepTables(mods []int, m *workflow.Matrices) (idx []int, te, ce []float64, off []int, suffixMin []float64) {
+	for _, i := range mods {
+		off = append(off, len(idx))
+		rowTE, rowCE := m.TE[i], m.CE[i]
+		var order []int
+		for j := range rowTE {
+			p := len(order)
+			order = append(order, j)
+			for p > 0 {
+				q := order[p-1]
+				if rowTE[q] < rowTE[j] || (rowTE[q] <= rowTE[j] && rowCE[q] <= rowCE[j]) {
+					break
+				}
+				order[p] = q
+				p--
+			}
+			order[p] = j
+		}
+		bestCE := math.Inf(1)
+		for _, j := range order {
+			if rowCE[j] < bestCE {
+				idx, te, ce = append(idx, j), append(te, rowTE[j]), append(ce, rowCE[j])
+				bestCE = rowCE[j]
+			}
+		}
+	}
+	off = append(off, len(idx))
+	suffixMin = make([]float64, len(mods)+1)
+	for k := len(mods) - 1; k >= 0; k-- {
+		suffixMin[k] = suffixMin[k+1] + ce[off[k+1]-1]
+	}
+	return idx, te, ce, off, suffixMin
+}
+
+// TestOptimalTablesMatchSortedSweep pins Optimal's option tables, read
+// from the matrices' option table, to a sort and sweep of every type on
+// 480 instances: the Table I catalog, the dominance catalog of
+// TestOptimalDominancePruningKeepsOptimum, the equal-power catalog and
+// the generated instances of paper sizes 1-4. One solver rebuilds its
+// tables across all of them.
+func TestOptimalTablesMatchSortedSweep(t *testing.T) {
+	catalogs := []cloud.Catalog{cloud.PaperExampleCatalog(), dominanceCatalog(), equalPowerCatalog()}
+	sizes := gen.PaperProblemSizes()[:4]
+	rng := rand.New(rand.NewSource(31))
+	var o Optimal
+	floatsEqual := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	for trial := 0; trial < 480; trial++ {
+		var (
+			w   *workflow.Workflow
+			cat cloud.Catalog
+			err error
+		)
+		if k := trial % 8; k < len(catalogs) {
+			cat = catalogs[k]
+			w, err = gen.Random(rng, gen.Params{
+				Modules: 3 + trial%9, Edges: 2 + trial%9, WorkloadMin: 10, WorkloadMax: 100,
+				DataSizeMax: 10, AddEntryExit: true,
+			})
+		} else {
+			w, cat, err = gen.Instance(rng, sizes[trial%len(sizes)])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := w.BuildMatrices(cat, cloud.HourlyRoundUp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.eng.bind(w, m)
+		o.buildBounds()
+		idx, te, ce, off, suffixMin := sortedSweepTables(o.eng.mods, m)
+		if !slices.Equal(o.optIdx, idx) || !slices.Equal(o.optOff, off) || !floatsEqual(o.optTE, te) ||
+			!floatsEqual(o.optCE, ce) || !floatsEqual(o.suffixMin, suffixMin) {
+			t.Fatalf("trial %d: tables (types %v, offsets %v, TE %v, CE %v, suffixMin %v), sort and sweep (%v, %v, %v, %v, %v)",
+				trial, o.optIdx, o.optOff, o.optTE, o.optCE, o.suffixMin, idx, off, te, ce, suffixMin)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"medcc/internal/cloud"
 	"medcc/internal/gen"
+	"medcc/internal/workflow"
 )
 
 // TestAllSchedulersBudgetInvariant checks the core safety property of every
@@ -238,6 +239,63 @@ func TestIntoSchedulersReusableAcrossInstances(t *testing.T) {
 					t.Fatalf("trial %d %s: module %d: reused %d != fresh %d",
 						trial, name, i, got[i], want[i])
 				}
+			}
+		}
+	}
+}
+
+// TestReturnedSchedulesSurviveLaterSolves checks that no registered
+// scheduler hands out its own scratch: a schedule returned by Schedule,
+// or by ScheduleInto with no destination, must be unchanged by later
+// solves on the same scheduler, at other budgets and on another
+// instance.
+func TestReturnedSchedulesSurviveLaterSolves(t *testing.T) {
+	type inst struct {
+		w          *workflow.Workflow
+		m          *workflow.Matrices
+		cmin, cmax float64
+	}
+	var insts []inst
+	rng := rand.New(rand.NewSource(53))
+	for _, size := range []gen.ProblemSize{{M: 8, E: 12, N: 3}, {M: 10, E: 17, N: 4}} {
+		w, cat, err := gen.Instance(rng, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := w.BuildMatrices(cat, cloud.HourlyRoundUp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmin, cmax := m.BudgetRange(w)
+		insts = append(insts, inst{w, m, cmin, cmax})
+	}
+	for _, name := range Names() {
+		sc, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		into, _ := sc.(IntoScheduler)
+		var kept, want []workflow.Schedule
+		for _, in := range insts {
+			for _, frac := range []float64{0, 0.5, 1} {
+				b := BudgetAt(in.cmin, in.cmax, frac)
+				s, err := sc.Schedule(in.w, in.m, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kept, want = append(kept, s), append(want, s.Clone())
+				if into == nil {
+					continue
+				}
+				if s, err = into.ScheduleInto(nil, in.w, in.m, b); err != nil {
+					t.Fatal(err)
+				}
+				kept, want = append(kept, s), append(want, s.Clone())
+			}
+		}
+		for k := range kept {
+			if !kept[k].Equal(want[k]) {
+				t.Fatalf("%s: result %d changed by later solves: now %v, returned %v", name, k, kept[k], want[k])
 			}
 		}
 	}

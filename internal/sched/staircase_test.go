@@ -336,6 +336,47 @@ func TestSweepGridTruncation(t *testing.T) {
 	}
 }
 
+// TestSweepGridOptimalMatchesFreshSolves builds optimal's staircase on
+// the paper example and on small random instances with one solver, as a
+// serve worker does, and requires every level to equal a fresh solve at
+// its budget. The paper example's 9 starting levels hold more than one
+// distinct schedule.
+func TestSweepGridOptimalMatchesFreshSolves(t *testing.T) {
+	w, m := paperSetup(t)
+	cmin, cmax := m.BudgetRange(w)
+	st, err := SweepGrid(&Optimal{}, w, m, cmin, cmax, GridOptions{MaxLevels: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Steps() < 2 {
+		t.Fatalf("paper example: %d distinct schedules over %d levels", st.Steps(), st.Levels())
+	}
+	requireFreshLevels(t, "paper example", st, w, m)
+	for k, size := range []gen.ProblemSize{{M: 5, E: 6, N: 3}, {M: 6, E: 11, N: 3}, {M: 8, E: 11, N: 3}} {
+		w, m, cmin, cmax := diffInstance(t, k, size)
+		st, err := SweepGrid(&Optimal{}, w, m, cmin, cmax, GridOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireFreshLevels(t, fmt.Sprint(size), st, w, m)
+	}
+}
+
+// requireFreshLevels requires every level of st to hold what a fresh
+// optimal solve returns at its budget.
+func requireFreshLevels(t *testing.T, label string, st *Staircase, w *workflow.Workflow, m *workflow.Matrices) {
+	t.Helper()
+	for k, b := range st.Budgets {
+		want, err := (&Optimal{}).Schedule(w, m, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Scheds[st.Level[k]]; !got.Equal(want) {
+			t.Fatalf("%s level %d budget %v: staircase %v, fresh %v", label, k, b, got, want)
+		}
+	}
+}
+
 // Lookup binary-searches the grid for an exact budget match and returns
 // its level. Only bit-exact hits count: between two grid levels the
 // scheduler's answer is not determined by the endpoints (greedy

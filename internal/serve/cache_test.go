@@ -174,6 +174,63 @@ func TestCacheThreeWayDifferential(t *testing.T) {
 	}
 }
 
+// TestCacheServesOptimalExactly is TestCacheThreeWayDifferential for the
+// exact solver, which keeps no trails, on the smallest workflow: after
+// its staircase is installed, a cached server, an uncached one and a
+// fresh sched.Run must agree on every grid and off-grid budget, with and
+// without a trace. Grid budgets are hits, and nothing resumes.
+func TestCacheServesOptimalExactly(t *testing.T) {
+	lib := genLibrary(t, []int{5})
+	cached := testServer(t, Config{Workers: 1, Library: lib})
+	uncached := testServer(t, Config{Workers: 1, Library: lib, Cache: CacheConfig{Disable: true}})
+	ch, uh := cached.Handler(), uncached.Handler()
+	const prime = "/schedule?workflow=wf5&catalog=paper&algorithm=optimal&budget_fraction=0.5"
+	if rw, resp := postSchedule(t, ch, prime, nil); resp == nil {
+		t.Fatalf("prime: status %d: %s", rw.Code, rw.Body.Bytes())
+	}
+	st := waitStaircase(t, cached, "optimal", "wf5", "paper")
+	snap := cached.Snapshot()
+	w := snap.Workflows["wf5"]
+	m, cmin, cmax, ok := snap.Pair("wf5", "paper")
+	if !ok {
+		t.Fatal("pair (wf5, paper) missing")
+	}
+	for _, frac := range []float64{0, 0.125, 0.25, 0.3, 0.5, 0.7, 0.875, 1} {
+		budget := sched.BudgetAt(cmin, cmax, frac)
+		_, onGrid := st.lookup(budget)
+		want, err := sched.Run(&sched.Optimal{}, w, m, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, simulate := range []bool{false, true} {
+			label := fmt.Sprintf("frac %v simulate %v", frac, simulate)
+			hitsBefore, resumesBefore := snap.cache.hits.Load(), snap.cache.resumes.Load()
+			url := fmt.Sprintf("/schedule?workflow=wf5&catalog=paper&algorithm=optimal&budget_fraction=%v&simulate=%v", frac, simulate)
+			rwC, got := postSchedule(t, ch, url, nil)
+			if got == nil {
+				t.Fatalf("%s cached: status %d: %s", label, rwC.Code, rwC.Body.Bytes())
+			}
+			wantHits := int64(0)
+			if onGrid && !simulate {
+				wantHits = 1
+			}
+			if hits, resumes := snap.cache.hits.Load()-hitsBefore, snap.cache.resumes.Load()-resumesBefore; hits != wantHits || resumes != 0 {
+				t.Fatalf("%s: %d hits and %d resumes, want %d and 0", label, hits, resumes, wantHits)
+			}
+			rwU, _ := postSchedule(t, uh, url, nil)
+			if !bytes.Equal(rwC.Body.Bytes(), rwU.Body.Bytes()) {
+				t.Fatalf("%s: cached and uncached responses differ\ncached:   %s\nuncached: %s", label, rwC.Body.Bytes(), rwU.Body.Bytes())
+			}
+			if !workflow.Schedule(got.Schedule).Equal(want.Schedule) ||
+				math.Float64bits(got.Makespan) != math.Float64bits(want.MED) ||
+				math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
+				t.Fatalf("%s: served %v (MED %v, cost %v), direct %v (MED %v, cost %v)",
+					label, got.Schedule, got.Makespan, got.Cost, want.Schedule, want.MED, want.Cost)
+			}
+		}
+	}
+}
+
 // TestCachedScheduleAllocs is the hit path's zero-alloc gate: once the
 // staircase is installed, a warm in-process request at a grid budget
 // performs no allocations at all — it never reaches the worker pool.

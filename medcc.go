@@ -231,7 +231,7 @@ func SolveDeadline(w *Workflow, types Catalog, billing BillingPolicy, deadline f
 	}
 	var res *sched.Result
 	if exact {
-		res, err = sched.OptimalDeadline(w, m, deadline, 0)
+		res, err = (&sched.Optimal{}).Deadline(w, m, deadline)
 	} else {
 		res, err = sched.DeadlineLoss(w, m, deadline)
 	}

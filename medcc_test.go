@@ -148,7 +148,7 @@ func TestResultReportsTruncation(t *testing.T) {
 		if got := newResult(res, m); res.Truncated != tc.want || got.Truncated != tc.want {
 			t.Fatalf("MaxNodes %d: sched Truncated %v, facade %v, want %v", tc.maxNodes, res.Truncated, got.Truncated, tc.want)
 		}
-		dres, err := sched.OptimalDeadline(w, m, 12, tc.maxNodes)
+		dres, err := (&sched.Optimal{MaxNodes: tc.maxNodes}).Deadline(w, m, 12)
 		if err != nil {
 			t.Fatal(err)
 		}

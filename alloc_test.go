@@ -40,6 +40,32 @@ func TestGAIN3_500Allocs(t *testing.T) {
 	requireZeroSolveAllocs(t, &sched.GAIN{Label: "gain3"}, instance500)
 }
 
+// TestGAIN3RebindAllocs pins BenchmarkGAIN3Rebind's steady state: once
+// a GAIN has solved every paperSizeSolves instance, a pass that rebinds
+// it to each in turn allocates nothing. AllocsPerRun counts whole
+// passes, so one allocation on one instance fails it.
+func TestGAIN3RebindAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	jobs := paperSizeSolves(t)
+	g := &sched.GAIN{Label: "gain3"}
+	var dst workflow.Schedule
+	pass := func() {
+		for _, j := range jobs {
+			s, err := g.ScheduleInto(dst, j.w, j.m, j.budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst = s
+		}
+	}
+	pass()
+	if avg := testing.AllocsPerRun(1, pass); avg != 0 {
+		t.Errorf("a GAIN3 pass rebinding to each paper size allocates %v allocs/op, want 0", avg)
+	}
+}
+
 func TestGain3WRF100Allocs(t *testing.T) {
 	requireZeroSolveAllocs(t, &sched.Gain3WRF{}, instance100)
 }
@@ -91,12 +117,12 @@ func requireZeroSweepAllocs(t *testing.T, sw sched.Sweeper, inst instance) {
 	}
 	w, m, _ := inst(t)
 	budgets := sweepLevels(w, m)
-	dst, err := sw.SweepInto(nil, w, m, budgets)
+	dst, err := sw.SweepInto(nil, w, m, budgets, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(10, func() {
-		if _, err := sw.SweepInto(dst, w, m, budgets); err != nil {
+		if _, err := sw.SweepInto(dst, w, m, budgets, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

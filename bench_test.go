@@ -281,6 +281,61 @@ func BenchmarkGAIN3_500(b *testing.B) {
 	benchSolve(b, &sched.GAIN{Label: "gain3"}, instance500)
 }
 
+// solveJob is one solver input with its budget.
+type solveJob struct {
+	w      *workflow.Workflow
+	m      *workflow.Matrices
+	budget float64
+}
+
+// paperSizeSolves generates one instance of each of the paper's 20
+// problem sizes from one seed-1 stream, each at a budget a uniform
+// seed-2 fraction of the way across its range.
+func paperSizeSolves(tb testing.TB) []solveJob {
+	tb.Helper()
+	rng, frac := rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2))
+	var jobs []solveJob
+	for _, size := range gen.PaperProblemSizes() {
+		w, cat, err := gen.Instance(rng, size)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		m, err := w.BuildMatrices(cat, cloud.HourlyRoundUp)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		lo, hi := m.BudgetRange(w)
+		jobs = append(jobs, solveJob{w, m, sched.BudgetAt(lo, hi, frac.Float64())})
+	}
+	return jobs
+}
+
+// BenchmarkGAIN3Rebind times a GAIN3 solve that rebinds, one instance
+// per op: one GAIN cycles the paperSizeSolves instances, so every solve
+// binds a new instance and sorts its upgrade list, which
+// BenchmarkGAIN3_100 and _500, repeating one instance, pay only on their
+// first solve. Steady state is 0 allocs/op (TestGAIN3RebindAllocs).
+func BenchmarkGAIN3Rebind(b *testing.B) {
+	jobs := paperSizeSolves(b)
+	g := &sched.GAIN{Label: "gain3"}
+	var dst workflow.Schedule
+	solve := func(j solveJob) {
+		s, err := g.ScheduleInto(dst, j.w, j.m, j.budget)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dst = s
+	}
+	for _, j := range jobs { // grow the scratch to the largest instance
+		solve(j)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		solve(jobs[i%len(jobs)])
+	}
+}
+
 func BenchmarkGain3WRF100(b *testing.B) {
 	benchSolve(b, &sched.Gain3WRF{}, instance100)
 }
@@ -372,14 +427,14 @@ func benchSweep(b *testing.B, sw sched.Sweeper, inst instance) {
 	b.Helper()
 	w, m, _ := inst(b)
 	budgets := sweepLevels(w, m)
-	dst, err := sw.SweepInto(nil, w, m, budgets)
+	dst, err := sw.SweepInto(nil, w, m, budgets, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sw.SweepInto(dst, w, m, budgets); err != nil {
+		if _, err := sw.SweepInto(dst, w, m, budgets, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -792,12 +847,7 @@ func inlineInstances(b *testing.B) []inlineInstance {
 // across its range, as serve-cold draws its budget fractions. Steady
 // state is 0 allocs/op.
 func BenchmarkInlineSolve(b *testing.B) {
-	type job struct {
-		w      *workflow.Workflow
-		m      *workflow.Matrices
-		budget float64
-	}
-	var jobs []job
+	var jobs []solveJob
 	rng := rand.New(rand.NewSource(2))
 	for _, in := range inlineInstances(b) {
 		m, err := in.w.BuildMatrices(in.cat, cloud.HourlyRoundUp)
@@ -805,13 +855,13 @@ func BenchmarkInlineSolve(b *testing.B) {
 			b.Fatal(err)
 		}
 		lo, hi := m.BudgetRange(in.w)
-		jobs = append(jobs, job{in.w, m, sched.BudgetAt(lo, hi, rng.Float64())})
+		jobs = append(jobs, solveJob{in.w, m, sched.BudgetAt(lo, hi, rng.Float64())})
 	}
 	var (
 		r   sched.Runner
 		dst workflow.Schedule
 	)
-	solve := func(j job) {
+	solve := func(j solveJob) {
 		s, _, err := r.Solve("critical-greedy", dst, j.w, j.m, j.budget, nil)
 		if err != nil {
 			b.Fatal(err)

@@ -32,7 +32,7 @@ func TableII() ([]TableIIRow, error) {
 		return nil, err
 	}
 	_, cmax := m.BudgetRange(w)
-	schedules, err := sched.CriticalGreedy().SweepInto(nil, w, m, budgets)
+	schedules, err := sched.SweepSchedules(sched.CriticalGreedy(), nil, w, m, budgets)
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +96,7 @@ func Fig6() ([]Fig6Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	schedules, err := sched.CriticalGreedy().SweepInto(nil, w, m, budgets)
+	schedules, err := sched.SweepSchedules(sched.CriticalGreedy(), nil, w, m, budgets)
 	if err != nil {
 		return nil, err
 	}

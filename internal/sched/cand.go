@@ -8,9 +8,8 @@ import (
 )
 
 // candMode selects the ranking a candidate table maintains. The first two
-// mirror Criterion for the Greedy family (GAIN3 shares candMaxRatio — its
-// selection rule is identical); candWRF and candLoss carry the weight
-// orders of Gain3WRF and LOSS1.
+// mirror Criterion for the Greedy family; candWRF and candLoss carry the
+// weight orders of Gain3WRF and LOSS1.
 type candMode int
 
 const (
@@ -22,8 +21,8 @@ const (
 
 // activeSet selects which modules are eligible candidates when the table
 // is queried: everything, only modules on the current critical path, or
-// only modules not yet reassigned (the once-per-task / once-per-round
-// disciplines of GAIN3 and Gain3WRF).
+// only modules not yet reassigned (Gain3WRF's once-per-round
+// discipline).
 type activeSet int
 
 const (

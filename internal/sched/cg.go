@@ -224,72 +224,82 @@ func (st *sweepStep) holds(b float64) bool {
 }
 
 // SweepInto implements Sweeper: level k is exactly the schedule
-// ScheduleInto returns at budgets[k]; the sweep only shares work between
-// levels. Each level resumes from the previous level's run (see resume),
-// which stays in g.steps: the held prefix in place, this level's steps
-// appended after it. The level-k schedule is written into dst[k] (reused
-// when already the right length; dst is grown as needed).
+// ScheduleInto returns at budgets[k], the same schedule or the same
+// error; the sweep only shares work between levels. Level 0 resumes from
+// from when it is resumable and runs cold otherwise. Each later level
+// resumes from the run of the level below, and from that run's end
+// state, which the engine holds once some level has run the loop (see
+// resume). Unrecorded (trails nil), the chain keeps that run in g.steps,
+// the held prefix in place and each level's steps after it, and
+// allocates nothing once its scratch has grown. Recorded, a level whose
+// steps all held shares the trail below, and one that ran gets a new
+// trail (recordTrail).
 //
-// medcc:deterministic
-func (g *Greedy) SweepInto(dst []workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budgets []float64) ([]workflow.Schedule, error) {
+// medcc:allocfree
+// medcc:deterministic — every call shape is differential-tested against
+// ScheduleInto
+func (g *Greedy) SweepInto(dst []workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budgets []float64, from *Trail, trails []*Trail) ([]workflow.Schedule, error) {
 	dst, cmin, err := g.eng.startSweep(dst, w, m, budgets)
 	if err != nil || len(budgets) == 0 {
 		return dst, err
 	}
-	g.cur = copySchedule(g.cur, g.eng.lc)
-	s := g.cur
-	g.steps = g.steps[:0]
+	var runs stepRuns
+	if from.resumable(g.trailKind(), w, m, budgets[0]) {
+		runs = from.runs
+	}
+	// live reports that the engine holds the end state of the level
+	// below: some level of this sweep ran the loop.
+	live := false
 	for k, b := range budgets {
-		g.flat[0] = g.steps
-		runs := stepRuns(g.flat[:])
+		if !live {
+			g.cur = copySchedule(g.cur, g.eng.lc)
+		}
+		if k > 0 && trails == nil {
+			g.flat[0] = g.steps
+			runs = g.flat[:]
+		}
 		p, n := runs.held(b)
-		g.steps = g.steps[:p]
-		if _, err := g.resume(s, cmin, runs, p, n, b, k > 0, true); err != nil {
+		// g.steps collects what the next level resumes from: in an
+		// unrecorded sweep the whole run, held prefix included, up to
+		// the last level; in a recorded one the level's own steps,
+		// which recordTrail copies.
+		record := trails != nil || k+1 < len(budgets)
+		switch {
+		case trails != nil:
+			g.steps = g.steps[:0]
+		case k > 0:
+			g.steps = g.steps[:p]
+		case record:
+			g.steps = runs.appendHeld(g.steps[:0], p)
+		}
+		ran, err := g.resume(g.cur, cmin, runs, p, n, b, live, record)
+		if err != nil {
 			return nil, err
 		}
-		dst[k] = copySchedule(dst[k], s)
+		live = live || ran
+		if trails != nil {
+			if ran {
+				from = g.recordTrail(runs, p, b)
+			}
+			trails[k], runs = from, from.runs
+		}
+		dst[k] = copySchedule(dst[k], g.cur)
 	}
 	return dst, nil
 }
 
-// ResumeInto implements Sweeper: it returns exactly what ScheduleInto
-// returns at budget, the same schedule or the same error. When tr was
-// recorded by a Greedy of the same CandidateSet and Criterion on the same
-// (w, m) at a budget at or below budget, the solve replays the prefix of
-// tr's steps that still holds and runs the loop from there (see resume);
-// any other trail, nil included, solves cold.
-//
-// medcc:allocfree
-// medcc:deterministic — resumed solves are differential-tested against
-// ScheduleInto
-func (g *Greedy) ResumeInto(dst workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budget float64, tr *Trail) (workflow.Schedule, error) {
-	if !tr.resumable(g.trailKind(), w, m, budget) {
-		return g.ScheduleInto(dst, w, m, budget)
-	}
-	s, cmin, err := checkFeasibleInto(w, m, budget, dst)
-	if err != nil {
-		return nil, err
-	}
-	g.eng.bind(w, m)
-	p, n := tr.runs.held(budget)
-	if _, err := g.resume(s, cmin, tr.runs, p, n, budget, false, false); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // resume is the one replay path of a Greedy solve from a recorded run;
-// SweepInto, ResumeInto and SweepGrid's levels all go through it. runs
-// was recorded on the bound instance at a budget at or below budget, and
-// its first p of n steps hold at budget. s holds the least-cost schedule,
-// of cost cmin, unless live is set: then s holds the run's final schedule
-// and the engine its timing and candidate caches, as between the levels
-// of one sweep. A run whose terminal step holds too is the answer. One
-// whose accepts all hold continues from its end state when live.
-// Otherwise the held prefix is replayed onto the least-cost schedule and
-// the loop runs from there; the recorded cost is the one a cold run sums
-// to, bit for bit. With record set the steps of that run are appended to
-// g.steps. It reports whether the loop ran.
+// every level of SweepInto goes through it. runs was recorded on the
+// bound instance at a budget at or below budget, and its first p of n
+// steps hold at budget. s holds the least-cost schedule, of cost cmin,
+// unless live is set: then s holds the run's final schedule and the
+// engine its timing and candidate caches, as between the levels of one
+// sweep. A run whose terminal step holds too is the answer. One whose
+// accepts all hold continues from its end state when live. Otherwise the
+// held prefix is replayed onto the least-cost schedule and the loop runs
+// from there; the recorded cost is the one a cold run sums to, bit for
+// bit. With record set the steps of that run are appended to g.steps.
+// It reports whether the loop ran.
 //
 // medcc:allocfree
 func (g *Greedy) resume(s workflow.Schedule, cmin float64, runs stepRuns, p, n int, budget float64, live, record bool) (ran bool, err error) {
@@ -322,43 +332,15 @@ func (g *Greedy) resume(s workflow.Schedule, cmin float64, runs stepRuns, p, n i
 	return true, nil
 }
 
-// resumeTrail solves one SweepGrid level at budget from the trail of a
-// lower level (nil: from the least-cost schedule) and returns the level's
-// schedule and trail: from itself when every step held, otherwise from's
-// held prefix followed by a copy of the steps this run made. live
-// reports that the engine still holds from's end state.
+// recordTrail returns the trail of a level at budget that held the first
+// p steps of runs and then ran the steps in g.steps: runs cut at p,
+// sharing their backing arrays, then a copy of g.steps.
 //
-// medcc:coldpath — allocates each level's schedule and trail.
-func (g *Greedy) resumeTrail(dst workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budget float64, from *Trail, live bool) (workflow.Schedule, *Trail, error) {
-	e := &g.eng
-	lc, cmin, err := checkFeasibleInto(w, m, budget, e.lc)
-	if err != nil {
-		return nil, nil, err
-	}
-	e.lc = lc
-	e.bind(w, m)
-	kind := g.trailKind()
-	var runs stepRuns
-	if from.resumable(kind, w, m, budget) {
-		runs = from.runs
-	} else {
-		from, live = nil, false
-	}
-	if !live {
-		g.cur = copySchedule(g.cur, lc)
-	}
-	p, n := runs.held(budget)
-	g.steps = g.steps[:0]
-	ran, err := g.resume(g.cur, cmin, runs, p, n, budget, live, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	tr := from
-	if ran {
-		tr = e.newTrail(kind, budget)
-		tr.runs = runs.extend(p, slices.Clone(g.steps))
-	}
-	return copySchedule(dst, g.cur), tr, nil
+// medcc:coldpath — allocates the trail and its run.
+func (g *Greedy) recordTrail(runs stepRuns, p int, budget float64) *Trail {
+	tr := g.eng.newTrail(g.trailKind(), budget)
+	tr.runs = runs.extend(p, slices.Clone(g.steps))
+	return tr
 }
 
 // trailKind is the kind of the trails this configuration records.

@@ -19,31 +19,31 @@ type IntoScheduler interface {
 }
 
 // Sweeper is implemented by schedulers that share work between solves at
-// different budgets. Level k of a sweep is exactly the schedule
-// ScheduleInto returns at budgets[k] (or the same error), and so is a
-// solve resumed from a trail; a Sweeper only makes them cheaper than
-// solving each one from scratch.
+// different budgets. Every level of a sweep is exactly the schedule
+// ScheduleInto returns at its budget (or the same error), whatever the
+// sweep starts from; a Sweeper only makes the levels cheaper than solving
+// each one from scratch.
 type Sweeper interface {
 	IntoScheduler
 	// SweepInto schedules the instance at each budgets[k] (which must be
 	// ascending), writing the level-k schedule into dst[k]; dst is grown
-	// to len(budgets) when shorter and existing entries of the right
-	// length are reused.
-	SweepInto(dst []workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budgets []float64) ([]workflow.Schedule, error)
-	// ResumeInto returns exactly what ScheduleInto(dst, w, m, budget)
-	// returns. When tr was recorded by the same algorithm on the same
-	// (w, m) at a budget at or below budget (see Trail), the solve starts
-	// from the part of tr that still holds; any other trail, nil
-	// included, solves cold.
-	ResumeInto(dst workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budget float64, tr *Trail) (workflow.Schedule, error)
+	// to len(budgets) when shorter and existing entries are reused.
+	// Level 0 starts from the part of from that still holds at budgets[0]
+	// when from was recorded by the same algorithm on the same (w, m) at
+	// a budget at or below it (see Trail); any other trail, nil included,
+	// starts cold. Each later level continues from the one below. A
+	// non-nil trails, at least len(budgets) long, receives every level's
+	// trail, and a level whose steps all held shares the trail below.
+	SweepInto(dst []workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budgets []float64, from *Trail, trails []*Trail) ([]workflow.Schedule, error)
 }
 
 // SweepSchedules runs sch at every budget of an ascending sweep: through
-// SweepInto when sch implements Sweeper, and as one ScheduleInto per
-// level otherwise. Either way level k equals ScheduleInto at budgets[k].
+// SweepInto from cold, recording no trails, when sch implements Sweeper,
+// and as one ScheduleInto per level otherwise. Either way level k equals
+// ScheduleInto at budgets[k].
 func SweepSchedules(sch IntoScheduler, dst []workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budgets []float64) ([]workflow.Schedule, error) {
 	if sw, ok := sch.(Sweeper); ok {
-		return sw.SweepInto(dst, w, m, budgets)
+		return sw.SweepInto(dst, w, m, budgets, nil, nil)
 	}
 	return sweepEach(sch, dst, w, m, budgets)
 }
@@ -100,19 +100,20 @@ func (e *engine) startSweep(dst []workflow.Schedule, w *workflow.Workflow, m *wo
 // per-level schedules for reuse.
 func growSweepDst(dst []workflow.Schedule, n int) []workflow.Schedule {
 	if cap(dst) < n {
-		nd := make([]workflow.Schedule, n)
+		nd := make([]workflow.Schedule, n) // medcc:lint-ignore allocfree — first-use growth; steady state reuses dst.
 		copy(nd, dst)
 		return nd
 	}
 	return dst[:n]
 }
 
-// copySchedule copies src into dst, reusing dst when it has the right
-// length.
+// copySchedule copies src into dst, reusing dst when it has the
+// capacity, as ScheduleInto reuses its destination.
 func copySchedule(dst, src workflow.Schedule) workflow.Schedule {
-	if len(dst) != len(src) {
-		dst = make(workflow.Schedule, len(src))
+	if cap(dst) < len(src) {
+		dst = make(workflow.Schedule, len(src)) // medcc:lint-ignore allocfree — first-use growth; steady state reuses dst.
 	}
+	dst = dst[:len(src)]
 	copy(dst, src)
 	return dst
 }

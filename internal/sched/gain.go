@@ -41,9 +41,9 @@ import (
 // budget never grows, and an option once unaffordable stays so. GAIN3's
 // accepts are therefore one pass over all improving options in its
 // selection order, taking each affordable option of an unmoved task until
-// the budget is spent, which is GAIN1's definition. Single solves run
-// GAIN3's candidate heap; sweeps sort the list once and make one pass per
-// level (SweepInto).
+// the budget is spent, which is GAIN1's definition. Every solve is one
+// such pass (gainPass) over the list, sorted once per engine binding
+// (sortUpgrades) or taken from a trail.
 //
 // A fourth registry entry, "gain-fixpoint", lifts the once-per-task rule
 // and lets GAIN3 keep re-upgrading tasks until no affordable improving
@@ -69,38 +69,19 @@ func (g *GAIN) Schedule(w *workflow.Workflow, m *workflow.Matrices, budget float
 	return g.ScheduleInto(nil, w, m, budget)
 }
 
-// ScheduleInto implements IntoScheduler. GAIN3's task-local weights
-// depend only on the task's own assignment, so it runs off the candidate
-// heap: one option scan per module up front, then one pop per accepted
-// upgrade (its ranking rule is exactly candMaxRatio).
+// ScheduleInto implements IntoScheduler: one pass over the sorted
+// upgrade list of the bound instance (see the type doc).
 //
 // medcc:allocfree
 // medcc:deterministic — replayed bit-identical by the differential tests
 func (g *GAIN) ScheduleInto(dst workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budget float64) (workflow.Schedule, error) {
-	s, ctmp, err := checkFeasibleInto(w, m, budget, dst)
+	s, cmin, err := checkFeasibleInto(w, m, budget, dst)
 	if err != nil {
 		return nil, err
 	}
-	e := &g.eng
-	e.bind(w, m)
-	e.ct.start(e, candMaxRatio)
-	e.resetMoved()
-	if budget-ctmp <= 0 {
-		return s, nil
-	}
-	e.ct.rebuild(s, budget-ctmp, actUnmoved)
-	for budget-ctmp > 0 {
-		i, j, dc, ok := e.ct.popBest(s, budget-ctmp, actUnmoved)
-		if !ok {
-			break
-		}
-		s[i] = j
-		e.moved[i] = true
-		ctmp += dc
-		if dc < 0 {
-			e.ct.refreshGrown(s, budget-ctmp, actUnmoved)
-		}
-	}
+	g.eng.bind(w, m)
+	g.sortUpgrades(s)
+	gainPass(s, cmin, g.pass, budget, g.eng.resetMoved())
 	return s, nil
 }
 
@@ -131,84 +112,66 @@ func byGainWeight(a, b gainUpgrade) int {
 }
 
 // SweepInto implements Sweeper: level k is exactly the schedule
-// ScheduleInto returns at budgets[k]. It builds the improving options of
-// every task against the least-cost schedule, keeps each task's cost
-// frontier, sorts them (byGainWeight), and makes one pass per level
-// (gainPass; see the type doc for why one pass is GAIN3). The sorted
-// list depends only on the bound instance, so it is built once per
-// engine binding and repeat sweeps of the same instance reuse it.
+// ScheduleInto returns at budgets[k], one pass over the sorted list
+// (gainPass). The list depends only on the bound instance, so every
+// level is independent: a GAIN trail of the same (w, m) holds the list,
+// valid at every budget, and a sweep from one passes over it; any other
+// sweep uses the list of the engine binding (sortUpgrades). A non-nil
+// trails receives one trail at every level: from, or a new trail holding
+// a copy of the list (listTrail).
 //
-// medcc:deterministic
-func (g *GAIN) SweepInto(dst []workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budgets []float64) ([]workflow.Schedule, error) {
+// medcc:allocfree
+// medcc:deterministic — every call shape is differential-tested against
+// ScheduleInto
+func (g *GAIN) SweepInto(dst []workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budgets []float64, from *Trail, trails []*Trail) ([]workflow.Schedule, error) {
 	e := &g.eng
 	dst, cmin, err := e.startSweep(dst, w, m, budgets)
 	if err != nil || len(budgets) == 0 {
 		return dst, err
 	}
-	g.sortUpgrades()
+	if !from.resumable(gainTrail, w, m, budgets[0]) {
+		g.sortUpgrades(e.lc)
+		from = nil
+		if trails != nil {
+			from = g.listTrail()
+		}
+	}
+	pass := g.pass
+	if from != nil {
+		pass = from.pass
+	}
 	for k, b := range budgets {
 		s := copySchedule(dst[k], e.lc)
-		gainPass(s, cmin, g.pass, b, e.resetMoved())
+		gainPass(s, cmin, pass, b, e.resetMoved())
 		dst[k] = s
+		if trails != nil {
+			trails[k] = from
+		}
 	}
 	return dst, nil
 }
 
-// ResumeInto implements Sweeper: it returns exactly what ScheduleInto
-// returns at budget. A GAIN trail of the same (w, m) holds the instance's
-// sorted upgrade list, valid at every budget, so the solve is one pass
-// over it; any other trail runs cold.
+// listTrail returns a trail holding a copy of the bound instance's
+// sorted list.
 //
-// medcc:allocfree
-// medcc:deterministic — resumed solves are differential-tested against
-// ScheduleInto
-func (g *GAIN) ResumeInto(dst workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budget float64, tr *Trail) (workflow.Schedule, error) {
-	if !tr.resumable(gainTrail, w, m, budget) {
-		return g.ScheduleInto(dst, w, m, budget)
-	}
-	s, cmin, err := checkFeasibleInto(w, m, budget, dst)
-	if err != nil {
-		return nil, err
-	}
-	g.eng.bind(w, m)
-	gainPass(s, cmin, tr.pass, budget, g.eng.resetMoved())
-	return s, nil
-}
-
-// resumeTrail solves one SweepGrid level: every level shares one trail,
-// a copy of the sorted list, built at the first level.
-//
-// medcc:coldpath — allocates the level's schedule and the trail.
-func (g *GAIN) resumeTrail(dst workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budget float64, from *Trail, _ bool) (workflow.Schedule, *Trail, error) {
-	tr := from
-	if !tr.resumable(gainTrail, w, m, budget) {
-		e := &g.eng
-		lc, _, err := checkFeasibleInto(w, m, budget, e.lc)
-		if err != nil {
-			return nil, nil, err
-		}
-		e.lc = lc
-		e.bind(w, m)
-		g.sortUpgrades()
-		tr = e.newTrail(gainTrail, math.Inf(-1))
-		tr.pass = slices.Clone(g.pass)
-	}
-	s, err := g.ResumeInto(dst, w, m, budget, tr)
-	return s, tr, err
+// medcc:coldpath — allocates the trail and its list.
+func (g *GAIN) listTrail() *Trail {
+	tr := g.eng.newTrail(gainTrail, math.Inf(-1))
+	tr.pass = slices.Clone(g.pass)
+	return tr
 }
 
 // sortUpgrades builds the sorted upgrade list of the bound instance from
-// its least-cost schedule e.lc, unless the list of this binding is
-// already built. The list holds each task's cost frontier (costFrontier)
+// its least-cost schedule lc, unless the list of this binding is already
+// built. The list holds each task's cost frontier (costFrontier)
 // in byGainWeight order: an order-preserving part of the full sorted
 // list of improving options on which gainPass takes the same moves at
 // every budget.
-func (g *GAIN) sortUpgrades() {
+func (g *GAIN) sortUpgrades(lc workflow.Schedule) {
 	e := &g.eng
 	if g.passBind == e.binds {
 		return
 	}
-	lc := e.lc
 	g.ups = g.ups[:0]
 	pos := int32(0)
 	for _, i := range e.mods {

@@ -314,7 +314,7 @@ func TestGAINListKeepsTakeableOptions(t *testing.T) {
 		lc := in.m.LeastCost(in.w)
 		want := fullGainList(in.w, in.m, lc)
 		g := &GAIN{Label: "gain3"}
-		if _, err := g.SweepInto(nil, in.w, in.m, []float64{cmin}); err != nil {
+		if _, err := g.SweepInto(nil, in.w, in.m, []float64{cmin}, nil, nil); err != nil {
 			t.Fatalf("%s: %v", in.name, err)
 		}
 		got := g.pass

@@ -13,9 +13,10 @@ import (
 	"medcc/internal/workflow"
 )
 
-// This file pins Sweeper.ResumeInto to its contract: a solve resumed
-// from any trail returns exactly what ScheduleInto returns at that
-// budget, the same schedule or the same error.
+// This file pins sweeps from a trail (Sweeper.SweepInto) to their
+// contract: a solve resumed from any trail returns exactly what
+// ScheduleInto returns at that budget, the same schedule or the same
+// error.
 
 // trailAlgs are the schedulers whose staircases keep trails.
 var trailAlgs = []string{"critical-greedy", "critical-ratio", "all-timedec", "gain-fixpoint", "gain1", "gain3"}
@@ -78,19 +79,29 @@ func resumeBudgets(rng *rand.Rand, st *Staircase, boundary []float64) []float64 
 	return append(out, st.Lo-1, math.NaN())
 }
 
+// resumeInto resumes sw at budget from tr as Runner.Solve does: a
+// one-level sweep that records no trail.
+func resumeInto(sw Sweeper, dst workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budget float64, tr *Trail) (workflow.Schedule, error) {
+	out, err := sw.SweepInto([]workflow.Schedule{dst}, w, m, []float64{budget}, tr, nil)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
 // requireResumeMatches resumes sw at budget from tr and fails unless the
 // result equals want/werr, one.ScheduleInto's answer at that budget.
 func requireResumeMatches(t *testing.T, label string, sw Sweeper, dst workflow.Schedule, in resumeInput, budget float64, tr *Trail, want workflow.Schedule, werr error) workflow.Schedule {
 	t.Helper()
-	got, err := sw.ResumeInto(dst, in.w, in.m, budget, tr)
+	got, err := resumeInto(sw, dst, in.w, in.m, budget, tr)
 	switch {
 	case werr != nil:
 		if err == nil || err.Error() != werr.Error() {
-			t.Fatalf("%s: ScheduleInto fails with %v, ResumeInto returned %v", label, werr, err)
+			t.Fatalf("%s: ScheduleInto fails with %v, the resume returned %v", label, werr, err)
 		}
 		return dst
 	case err != nil:
-		t.Fatalf("%s: ResumeInto failed (%v) but ScheduleInto solves", label, err)
+		t.Fatalf("%s: the resume failed (%v) but ScheduleInto solves", label, err)
 	case !got.Equal(want):
 		t.Fatalf("%s: resumed schedule differs from ScheduleInto\n got: %v\nwant: %v", label, got, want)
 	}
@@ -100,7 +111,7 @@ func requireResumeMatches(t *testing.T, label string, sw Sweeper, dst workflow.S
 // TestTrailsMatchScheduleInto is the resume pin. For every scheduler
 // that keeps trails it builds the instance's staircase and resumes each
 // pin budget from every level at or below it, and from the level just
-// above it, where ResumeInto must solve cold. Each answer must equal a
+// above it, where the resume must solve cold. Each answer must equal a
 // fresh ScheduleInto. (The name leaves out "Resume": CI repeats the
 // concurrent resume tests under -race by that name, and this pin is
 // too slow to repeat.)
@@ -200,6 +211,65 @@ func TestResumeForeignTrailSolvesCold(t *testing.T) {
 	check("rebuilt in place", wB, cminB, cmaxB, func(name string) []*Trail { return stairs[name].Trails })
 }
 
+// TestSweepsFromTrailsMatchScheduleInto covers the call shapes of
+// SweepInto that no caller makes: sweeps of several levels from a trail,
+// recording trails or not, whose first level lies at, above or below the
+// trail's level (below, the sweep starts cold). Every level must equal a
+// fresh ScheduleInto, and so must a one-level resume from each trail a
+// recorded sweep returns.
+func TestSweepsFromTrailsMatchScheduleInto(t *testing.T) {
+	inputs := resumeInputs(t)
+	for a, name := range trailAlgs {
+		seed := int64(60 + a)
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			sw, one, grid := mustInto(t, name).(Sweeper), mustInto(t, name), mustInto(t, name)
+			rng := rand.New(rand.NewSource(seed))
+			for _, in := range inputs {
+				st, err := SweepGrid(grid, in.w, in.m, in.cmin, in.cmax, GridOptions{})
+				if err != nil {
+					t.Fatalf("%s on %s: %v", name, in.name, err)
+				}
+				for r := 0; r < 8; r++ {
+					k := rng.Intn(st.Levels())
+					lo := st.Budgets[k]
+					switch rng.Intn(3) {
+					case 1:
+						lo += rng.Float64() * (in.cmax - lo)
+					case 2:
+						lo -= rng.Float64() * (lo - in.cmin)
+					}
+					budgets := randomSweepBudgets(rng, lo, in.cmax)
+					var trails []*Trail
+					if r%2 == 1 {
+						trails = make([]*Trail, len(budgets))
+					}
+					label := fmt.Sprintf("%s on %s from level %d (budget %v), recorded %v, budgets %v", name, in.name, k, st.Budgets[k], trails != nil, budgets)
+					got, err := sw.SweepInto(nil, in.w, in.m, budgets, st.Trails[k], trails)
+					for l, b := range budgets {
+						want, werr := one.ScheduleInto(nil, in.w, in.m, b)
+						if werr != nil {
+							if err == nil || err.Error() != werr.Error() {
+								t.Fatalf("%s: level %d fails with %v, sweep returned %v", label, l, werr, err)
+							}
+							break
+						}
+						if err != nil {
+							t.Fatalf("%s: sweep failed (%v) but level %d solves", label, err, l)
+						}
+						if !got[l].Equal(want) {
+							t.Fatalf("%s: level %d differs from ScheduleInto\n got: %v\nwant: %v", label, l, got[l], want)
+						}
+						if trails != nil {
+							requireResumeMatches(t, fmt.Sprintf("%s: trail of level %d", label, l), sw, nil, in, b, trails[l], want, nil)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestConcurrentResume has several goroutines, each with its own
 // scheduler, resume from one staircase's trails at once. Trails are
 // shared read-only; under -race a write to one fails here.
@@ -236,7 +306,7 @@ func TestConcurrentResume(t *testing.T) {
 						if !hit {
 							lev--
 						}
-						got, err := sw.ResumeInto(dst, w, m, budgets[k], st.Trails[lev])
+						got, err := resumeInto(sw, dst, w, m, budgets[k], st.Trails[lev])
 						if err != nil {
 							errs <- err
 							return

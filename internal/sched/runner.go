@@ -18,6 +18,10 @@ import (
 type Runner struct {
 	algs map[string]IntoScheduler
 
+	// A resume's one-level sweep: its budget and destination.
+	budget [1]float64
+	dst    [1]workflow.Schedule
+
 	// MED's scratch: the schedule's execution times and the finish times
 	// of dag.Graph.Makespan. Neither is derived from a graph, so a
 	// workflow rebuilt in place needs no keying.
@@ -50,9 +54,9 @@ func (r *Runner) Scheduler(name string) (IntoScheduler, error) {
 
 // Solve runs the named algorithm on (w, m) at budget into dst and
 // reports whether it truncated its search (TruncationReporter). Given a
-// trail, an algorithm that keeps trails resumes from it
-// (Sweeper.ResumeInto) and any other solves cold; either way the
-// schedule is exactly ScheduleInto's.
+// trail, a Sweeper resumes from it with a one-level sweep
+// (Sweeper.SweepInto, recording no trail) and any other algorithm solves
+// cold; either way the schedule is exactly ScheduleInto's.
 //
 // medcc:allocfree
 // medcc:deterministic — pinned to Run by TestRunnerMatchesRun
@@ -63,7 +67,12 @@ func (r *Runner) Solve(name string, dst workflow.Schedule, w *workflow.Workflow,
 	}
 	var s workflow.Schedule
 	if sw, ok := alg.(Sweeper); ok && tr != nil {
-		s, err = sw.ResumeInto(dst, w, m, budget, tr)
+		r.budget[0], r.dst[0] = budget, dst
+		var out []workflow.Schedule
+		if out, err = sw.SweepInto(r.dst[:], w, m, r.budget[:], tr, nil); err == nil {
+			s = out[0]
+		}
+		r.dst[0] = nil
 	} else {
 		s, err = alg.ScheduleInto(dst, w, m, budget)
 	}

@@ -65,9 +65,9 @@ func (o GridOptions) withDefaults() GridOptions {
 // with identical schedules share one distinct entry). Trunc is non-nil
 // only when the scheduler reports truncation (TruncationReporter) and
 // records the per-level flag. Trails is non-nil only when the scheduler
-// keeps trails (the Greedy family, GAIN1 and GAIN3) and holds level k's
-// trail, from which a solve at any budget at or above Budgets[k] can
-// resume (Sweeper.ResumeInto).
+// is a Sweeper (the Greedy family, GAIN1 and GAIN3) and holds level k's
+// trail, from which a sweep at any budget at or above Budgets[k] can
+// resume (Sweeper.SweepInto).
 type Staircase struct {
 	Lo, Hi  float64
 	Budgets []float64
@@ -94,12 +94,11 @@ func (st *Staircase) Steps() int { return len(st.Scheds) }
 //
 // lo must be feasible (the serve layer passes the pair's Cmin). Every
 // level is bit-identical to a direct ScheduleInto at its budget. A
-// scheduler that keeps trails (the Greedy family, GAIN1 and GAIN3)
-// solves the starting grid as one ascending sweep, each level resuming
-// from the one below it, and each refinement midpoint by resuming from
-// the trail of its left neighbour; the staircase keeps every level's
-// trail. Any other scheduler solves each level with its own
-// ScheduleInto (their sweeps are per-level solves too), and a
+// Sweeper (the Greedy family, GAIN1 and GAIN3) records its starting grid
+// as one sweep from cold, each level continuing from the one below it,
+// and each refinement midpoint as a one-level sweep from the trail of
+// its left neighbour; the staircase keeps every level's trail. Any
+// other scheduler solves each level with its own ScheduleInto, and a
 // TruncationReporter's flag is read after each solve.
 func SweepGrid(sch IntoScheduler, w *workflow.Workflow, m *workflow.Matrices, lo, hi float64, opt GridOptions) (*Staircase, error) {
 	if !(hi >= lo) {
@@ -107,25 +106,34 @@ func SweepGrid(sch IntoScheduler, w *workflow.Workflow, m *workflow.Matrices, lo
 	}
 	opt = opt.withDefaults()
 	tr, _ := sch.(TruncationReporter)
-	resume := trailResumer(sch)
+	sw, _ := sch.(Sweeper)
+	budgets := make([]float64, opt.MaxLevels)
+	scheds := make([]workflow.Schedule, opt.MaxLevels)
+	trails := make([]*Trail, opt.MaxLevels)
 	// solve fills in the schedule, truncation flag and trail of every
-	// level; the fractions ascend. In the starting grid (chained) a level
-	// resumes from the one below it, whose end state the scheduler still
-	// holds; a refinement midpoint resumes from its left neighbour.
-	solve := func(levels []gridLevel, chained bool) error {
+	// level, whose fractions ascend. A Sweeper solves them as one sweep
+	// from the trail from that records every level's trail; scheds is
+	// cleared first, so each level gets a schedule of its own for the
+	// staircase to keep.
+	solve := func(levels []gridLevel, from *Trail) error {
+		n := len(levels)
 		for k := range levels {
-			b := BudgetAt(lo, hi, levels[k].frac)
-			var err error
-			if resume != nil {
-				from, live := levels[k].from, false
-				if chained && k > 0 {
-					from, live = levels[k-1].trail, true
-				}
-				levels[k].sched, levels[k].trail, err = resume(nil, w, m, b, from, live)
-			} else {
-				levels[k].sched, err = sch.ScheduleInto(nil, w, m, b)
-			}
+			budgets[k] = BudgetAt(lo, hi, levels[k].frac)
+		}
+		if sw != nil {
+			clear(scheds[:n])
+			out, err := sw.SweepInto(scheds[:n], w, m, budgets[:n], from, trails[:n])
 			if err != nil {
+				return err
+			}
+			for k := range levels {
+				levels[k].sched, levels[k].trail = out[k], trails[k]
+			}
+			return nil
+		}
+		for k, b := range budgets[:n] {
+			var err error
+			if levels[k].sched, err = sch.ScheduleInto(nil, w, m, b); err != nil {
 				return err
 			}
 			if tr != nil {
@@ -139,7 +147,7 @@ func SweepGrid(sch IntoScheduler, w *workflow.Workflow, m *workflow.Matrices, lo
 	for k := range grid {
 		grid[k].frac = float64(k) / float64(initLevels-1)
 	}
-	if err := solve(grid, true); err != nil {
+	if err := solve(grid, nil); err != nil {
 		return nil, err
 	}
 
@@ -163,8 +171,10 @@ func SweepGrid(sch IntoScheduler, w *workflow.Workflow, m *workflow.Matrices, lo
 			break
 		}
 		slices.Reverse(mids)
-		if err := solve(mids, false); err != nil {
-			return nil, err
+		for k := range mids {
+			if err := solve(mids[k:k+1], mids[k].from); err != nil {
+				return nil, err
+			}
 		}
 		grid = append(grid, mids...)
 		slices.SortFunc(grid, func(a, b gridLevel) int { return cmp.Compare(a.frac, b.frac) })

@@ -142,11 +142,12 @@ func TestSweepGridBitIdentical(t *testing.T) {
 	}
 }
 
-// TestGAINSweepRebindInPlace pins the sorted-list reuse of GAIN's sweep
-// to the engine binding, not to the pointers: a pooled builder rebuilds
-// instance B behind instance A's workflow and matrices pointers, and a
-// sweep of B by the scheduler that swept A must equal a fresh
-// scheduler's sweep of B.
+// TestGAINSweepRebindInPlace pins the sorted-list reuse of GAIN's sweeps
+// and single solves to the engine binding, not to the pointers: a pooled
+// builder rebuilds instance B behind instance A's workflow and matrices
+// pointers, and a sweep of B by the scheduler that swept A, and the
+// ScheduleInto of each level by the scheduler that solved A, must equal
+// a fresh scheduler's sweep of B.
 func TestGAINSweepRebindInPlace(t *testing.T) {
 	size := gen.ProblemSize{M: 40, E: 434, N: 6}
 	var b gen.Builder
@@ -166,27 +167,39 @@ func TestGAINSweepRebindInPlace(t *testing.T) {
 		}
 		return w, budgets
 	}
-	g := &GAIN{Label: "gain3"}
+	g, one := &GAIN{Label: "gain3"}, &GAIN{Label: "gain3"}
 	wA, budgetsA := build(1)
 	mA := m
-	if _, err := g.SweepInto(nil, wA, mA, budgetsA); err != nil {
+	if _, err := g.SweepInto(nil, wA, mA, budgetsA, nil, nil); err != nil {
 		t.Fatal(err)
+	}
+	for _, b := range budgetsA {
+		if _, err := one.ScheduleInto(nil, wA, mA, b); err != nil {
+			t.Fatal(err)
+		}
 	}
 	wB, budgetsB := build(2)
 	if wB != wA || m != mA {
 		t.Fatal("instance B was not rebuilt behind instance A's pointers")
 	}
-	got, err := g.SweepInto(nil, wB, m, budgetsB)
+	got, err := g.SweepInto(nil, wB, m, budgetsB, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := (&GAIN{Label: "gain3"}).SweepInto(nil, wB, m, budgetsB)
+	want, err := (&GAIN{Label: "gain3"}).SweepInto(nil, wB, m, budgetsB, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := range want {
 		if !got[k].Equal(want[k]) {
 			t.Fatalf("level %d (budget %v): rebound sweep %v, fresh sweep %v", k, budgetsB[k], got[k], want[k])
+		}
+		s, err := one.ScheduleInto(nil, wB, m, budgetsB[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.Equal(want[k]) {
+			t.Fatalf("level %d (budget %v): rebound ScheduleInto %v, fresh sweep %v", k, budgetsB[k], s, want[k])
 		}
 	}
 }

@@ -33,19 +33,19 @@ func TestSweepIntoReusesDst(t *testing.T) {
 	w, m, cmin, cmax := diffInstance(t, size.M, size)
 	budgets := sweepBudgets(cmin, cmax)
 	for _, sw := range []Sweeper{CriticalGreedy(), &GAIN{Label: "gain3"}} {
-		dst, err := sw.SweepInto(nil, w, m, budgets)
+		dst, err := sw.SweepInto(nil, w, m, budgets, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ptr := &dst[0][0]
-		dst2, err := sw.SweepInto(dst, w, m, budgets)
+		dst2, err := sw.SweepInto(dst, w, m, budgets, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if &dst2[0][0] != ptr {
 			t.Fatalf("%s: SweepInto did not reuse per-level schedules", sw.Name())
 		}
-		if _, err := sw.SweepInto(nil, w, m, []float64{budgets[1], budgets[0]}); err == nil {
+		if _, err := sw.SweepInto(nil, w, m, []float64{budgets[1], budgets[0]}, nil, nil); err == nil {
 			t.Fatalf("%s: descending budgets accepted", sw.Name())
 		}
 	}

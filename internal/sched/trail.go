@@ -9,16 +9,16 @@ import (
 // Trail is the record a Sweeper's run leaves at one budget. For the
 // Greedy family it is each step's cost, accept and certificate
 // (sweepStep); for GAIN1/GAIN3 it is the instance's sorted upgrade list,
-// each task's cost frontier (costFrontier).
-// Sweeper.ResumeInto replays the part of a trail that still holds at a
-// larger budget and runs the rest, so a solve resumed from the trail of a
-// smaller budget returns exactly what ScheduleInto does.
+// each task's cost frontier (costFrontier). A sweep from a trail
+// (Sweeper.SweepInto) replays the part of it that still holds at a
+// larger budget and runs the rest, so a level resumed from the trail of
+// a smaller budget is exactly what ScheduleInto returns.
 //
 // A trail is immutable once built and aliases no scheduler scratch, so
 // any number of goroutines may resume from one trail at once. Trails come
-// from SweepGrid (Staircase.Trails); the nil Trail is empty, and resuming
-// from it, or from a trail of another instance, matrices epoch or
-// scheduler configuration, solves cold.
+// from recorded sweeps, SweepGrid's among them (Staircase.Trails); the
+// nil Trail is empty, and a sweep from it, or from a trail of another
+// instance, matrices epoch or scheduler configuration, starts cold.
 type Trail struct {
 	kind trailKind
 	// The bound instance the trail was recorded on.
@@ -124,6 +124,20 @@ func (r stepRuns) replay(s workflow.Schedule, p int) {
 	}
 }
 
+// appendHeld appends the first p steps of r to dst.
+//
+// medcc:allocfree
+func (r stepRuns) appendHeld(dst []sweepStep, p int) []sweepStep {
+	for _, run := range r {
+		if p <= 0 {
+			break
+		}
+		dst = append(dst, run[:min(p, len(run))]...)
+		p -= len(run)
+	}
+	return dst
+}
+
 // extend returns the runs of a trail that held the first p steps of r and
 // then ran own: r's slices cut at p, sharing their backing arrays, then
 // own.
@@ -186,19 +200,4 @@ func gainPass(s workflow.Schedule, cmin float64, pass []gainMove, budget float64
 // instance.
 func (e *engine) newTrail(kind trailKind, budget float64) *Trail {
 	return &Trail{kind: kind, w: e.w, m: e.m, wver: e.wver, mver: e.mver, budget: budget}
-}
-
-// trailResumer returns how SweepGrid builds a level with a trail: solve
-// at budget from the trail of a smaller budget (nil: cold) and return
-// the level's schedule and trail. live reports that sch's engine still
-// holds from's end state, as between the levels of one ascending sweep.
-// Schedulers that keep no trails (non-Sweepers, wrappers) get nil.
-func trailResumer(sch IntoScheduler) func(dst workflow.Schedule, w *workflow.Workflow, m *workflow.Matrices, budget float64, from *Trail, live bool) (workflow.Schedule, *Trail, error) {
-	switch s := sch.(type) {
-	case *Greedy:
-		return s.resumeTrail
-	case *GAIN:
-		return s.resumeTrail
-	}
-	return nil
 }

@@ -33,10 +33,11 @@ import (
 // simulated trace (which the cache does not store), still goes to a
 // worker, but it carries the trail of the grid level at or below its
 // budget (sched.Trail, kept per level by the Greedy family, GAIN1 and
-// GAIN3). The worker resumes the solve from that trail
-// (sched.Sweeper.ResumeInto): it replays the steps that still hold at
-// the request's budget and runs the rest, and the answer is exactly
-// ScheduleInto's. Trails are immutable and shared by all workers.
+// GAIN3). The worker resumes the solve from that trail with a one-level
+// sweep (sched.Runner.Solve, sched.Sweeper.SweepInto): it replays the
+// steps that still hold at the request's budget and runs the rest, and
+// the answer is exactly ScheduleInto's. Trails are immutable and shared
+// by all workers.
 //
 // Miss path: the first miss on a slot without a staircase wins a CAS
 // latch (singleflight) and rides its own request to a worker, which

@@ -78,6 +78,8 @@ func FuzzServeRequest(f *testing.F) {
 	f.Add("", []byte(overflowBody))
 	// An instance whose cost overflows to NaN.
 	f.Add("", []byte(nanCostBody))
+	// A negative transfer_slots in the envelope, which must answer 400.
+	f.Add("", []byte(negativeSlotsBody))
 
 	ch, uh := fuzzHandlers(f)
 	f.Fuzz(func(t *testing.T, query string, body []byte) {

@@ -175,8 +175,12 @@ func (s *Server) Schedule(p Params, res *Result) error {
 	return err
 }
 
-// prepare resolves Params into a ready-to-enqueue job.
+// prepare validates Params (validateSimParams) and resolves them into a
+// ready-to-enqueue job.
 func (s *Server) prepare(j *job, p Params) error {
+	if err := validateSimParams(&p); err != nil {
+		return err
+	}
 	snap := s.snap.Load()
 	j.snap = snap
 	j.alg = p.Algorithm

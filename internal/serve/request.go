@@ -91,8 +91,11 @@ func (s *Server) decodeRequest(j *job, ds *decodeScratch, req *http.Request) err
 	if !budgetSet && !p.UseFraction {
 		return &RequestError{Op: "budget", Err: errNoBudget}
 	}
-	if err := validateSimParams(&p); err != nil {
-		return err
+	// Over HTTP a budget must be a finite non-negative number; the
+	// in-process Schedule leaves the budget to the scheduler, which
+	// answers a NaN or negative one with ErrInfeasible.
+	if badParam(p.Budget) {
+		return &RequestError{Op: "budget", Err: errBadParam}
 	}
 	return s.prepare(j, p)
 }
@@ -141,7 +144,7 @@ func paramsFromQuery(p *Params, req *http.Request) (budgetSet bool, err error) {
 	}
 	if v := q.Get("transfer_slots"); v != "" {
 		n, perr := strconv.Atoi(v)
-		if perr != nil || n < 0 {
+		if perr != nil {
 			return false, &RequestError{Op: "transfer_slots", Detail: v, Err: errBadParam}
 		}
 		p.TransferSlots = n
@@ -157,19 +160,28 @@ func queryFloat(name, v string) (float64, error) {
 	return f, nil
 }
 
-// validateSimParams rejects replay settings the simulator would refuse,
-// so they surface as 400s instead of worker-side 500s.
+// validateSimParams rejects replay settings the simulator would refuse
+// or misread (a negative transfer_slots would replay as unlimited), so
+// they surface as 400s instead of worker-side 500s or wrong traces.
+// prepare runs it, so the query, the request body and the in-process
+// Schedule share it.
 func validateSimParams(p *Params) error {
 	for _, c := range [...]struct {
 		name string
 		v    float64
-	}{{"budget", p.Budget}, {"boot_time", p.BootTime}, {"bandwidth", p.Bandwidth}, {"delay", p.Delay}} {
-		if c.v < 0 || math.IsNaN(c.v) || math.IsInf(c.v, 0) {
+	}{{"boot_time", p.BootTime}, {"bandwidth", p.Bandwidth}, {"delay", p.Delay}} {
+		if badParam(c.v) {
 			return &RequestError{Op: c.name, Err: errBadParam}
 		}
 	}
+	if p.TransferSlots < 0 {
+		return &RequestError{Op: "transfer_slots", Err: errBadParam}
+	}
 	return nil
 }
+
+// badParam reports a negative or non-finite request value.
+func badParam(v float64) bool { return v < 0 || math.IsNaN(v) || math.IsInf(v, 0) }
 
 // jsonEnvelope decodes the JSON request body, materializing inline
 // values into job-owned storage.

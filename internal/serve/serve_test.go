@@ -198,6 +198,8 @@ func TestScheduleErrorStatuses(t *testing.T) {
 		{"negative budget", "POST", "/schedule?workflow=example&catalog=paper&budget=-1", nil, 400},
 		{"bad float", "POST", "/schedule?workflow=example&catalog=paper&budget=abc", nil, 400},
 		{"bad simulate", "POST", "/schedule?workflow=example&catalog=paper&budget=100&simulate=maybe", nil, 400},
+		{"negative transfer_slots", "POST", "/schedule?workflow=example&catalog=paper&budget=57&simulate=true&bandwidth=1&transfer_slots=-1", nil, 400},
+		{"negative transfer_slots in the envelope", "POST", "/schedule", []byte(negativeSlotsBody), 400},
 		{"malformed JSON", "POST", "/schedule", []byte(`{"workflow_ref":`), 400},
 		{"bad inline workflow", "POST", "/schedule?budget=100", []byte(`{"workflow":{"modules":[]},"catalog_ref":"paper"}`), 400},
 		{"truncated magic", "POST", "/schedule?budget=100", []byte("MED"), 400},
@@ -219,7 +221,17 @@ func TestScheduleErrorStatuses(t *testing.T) {
 			}
 		})
 	}
+
+	// The in-process entry point shares the HTTP paths' checks.
+	p := Params{WorkflowRef: "example", CatalogRef: "paper", Budget: 57, Simulate: true, Bandwidth: 1, TransferSlots: -1}
+	if err := s.Schedule(p, &Result{}); !errors.Is(err, errBadParam) {
+		t.Fatalf("in-process Schedule with transfer_slots -1 = %v, want errBadParam", err)
+	}
 }
+
+// negativeSlotsBody asks for a simulated trace with a negative
+// transfer_slots in the JSON envelope.
+const negativeSlotsBody = `{"workflow_ref":"example","catalog_ref":"paper","budget":57,"simulate":true,"bandwidth":1,"transfer_slots":-1}`
 
 // infoOnlyContainer builds a container whose only record carries an
 // instance-info chunk and no workflow.

@@ -88,6 +88,16 @@ func run(args []string) error {
 		return fmt.Errorf("unknown topology %q", *topology)
 	}
 
+	// Write nothing medcc rejects, such as a -width 0 fork-join or -n 0.
+	if err := w.Validate(); err != nil {
+		return fmt.Errorf("-topology %s: %w", *topology, err)
+	}
+	var cat cloud.Catalog
+	if *catOut != "" {
+		if cat, err = catalog(*n); err != nil {
+			return err
+		}
+	}
 	if err := writeJSON(*out, w); err != nil {
 		return err
 	}
@@ -96,7 +106,6 @@ func run(args []string) error {
 			stats.Modules, stats.Schedulable, stats.Dependencies, stats.Depth, stats.Width, stats.CCR)
 	}
 	if *catOut != "" {
-		cat := cloud.DiminishingCatalog(*n, 3, 1, gen.SimulationGamma)
 		if err := writeJSON(*catOut, cat); err != nil {
 			return err
 		}
@@ -104,11 +113,25 @@ func run(args []string) error {
 	return nil
 }
 
+// catalog returns the simulation catalog of n VM types, or the error
+// Catalog.Validate finds in it: for n <= 0, that it is empty.
+func catalog(n int) (cloud.Catalog, error) {
+	cat := cloud.DiminishingCatalog(max(n, 0), 3, 1, gen.SimulationGamma)
+	if err := cat.Validate(); err != nil {
+		return nil, fmt.Errorf("-n %d: %w", n, err)
+	}
+	return cat, nil
+}
+
 // runCorpus streams count generated instances (plus any converted
 // files) into one binary corpus. Generation cycles the paper's 20
 // problem sizes with a pooled builder, so memory stays flat no matter
 // how many instances are requested.
 func runCorpus(path string, count int, seed int64, n int, compress bool, converts []string) error {
+	convCat, err := catalog(n)
+	if err != nil && len(converts) > 0 {
+		return err
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -135,7 +158,6 @@ func runCorpus(path string, count int, seed int64, n int, compress bool, convert
 			return fmt.Errorf("instance %d: %w", i, err)
 		}
 	}
-	convCat := cloud.DiminishingCatalog(n, 3, 1, gen.SimulationGamma)
 	for i, p := range converts {
 		wf, _, format, err := ingest.File(p, ingest.Options{})
 		if err != nil {

@@ -117,4 +117,35 @@ func TestRunBadParams(t *testing.T) {
 	if err := run([]string{"-m", "5", "-e", "999"}); err == nil {
 		t.Fatal("impossible edge count accepted")
 	}
+	// Parameters that would write an instance medcc rejects fail, and
+	// write no file.
+	dir := t.TempDir()
+	out, catOut := filepath.Join(dir, "wf.json"), filepath.Join(dir, "cat.json")
+	for _, args := range [][]string{
+		{"-topology", "forkjoin", "-width", "0"},
+		{"-topology", "pipeline", "-m", "0"},
+		{"-topology", "layered", "-depth", "0"},
+		{"-n", "0", "-catout", catOut},
+		{"-n", "-1", "-catout", catOut},
+	} {
+		if err := run(append(args, "-out", out)); err == nil {
+			t.Fatalf("%v accepted", args)
+		}
+		for _, p := range []string{out, catOut} {
+			if _, err := os.Stat(p); !os.IsNotExist(err) {
+				t.Fatalf("%v wrote %s", args, p)
+			}
+		}
+	}
+	conv := filepath.Join(dir, "conv.xml")
+	if err := os.WriteFile(conv, []byte(`<adag name="t"><job id="a" runtime="3"/></adag>`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	corpus := filepath.Join(dir, "c.medc")
+	if err := run([]string{"-corpus", corpus, "-count", "1", "-n", "0", conv}); err == nil {
+		t.Fatal("converted records with an empty catalog accepted")
+	}
+	if _, err := os.Stat(corpus); !os.IsNotExist(err) {
+		t.Fatal("corpus written with an empty catalog")
+	}
 }

@@ -1,10 +1,12 @@
 // Package adaptive studies MED-CC scheduling under runtime uncertainty:
 // the static schedule is computed from estimated runtimes, but modules'
 // actual durations deviate, so the actual bill drifts from the plan. The
-// engine executes a workflow event by event and, optionally, re-plans the
-// not-yet-started modules after every completion with the budget that is
-// actually left — the dynamic counterpart the paper's related work
-// (dynamic critical path scheduling, ref [8]) argues for.
+// engine executes a workflow on a sim.Queue, one finish event per module,
+// and, optionally, re-plans the not-yet-started modules after every
+// completion with the budget that is actually left — the dynamic
+// counterpart the paper's related work (dynamic critical path scheduling,
+// ref [8]) argues for. A re-plan is a Critical-Greedy solve of package
+// sched.
 //
 // Execution follows the paper's one-to-one model: every module gets its
 // own VM of the scheduled type, starts as soon as its inputs are complete
@@ -15,17 +17,19 @@ package adaptive
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"medcc/internal/cloud"
-	"medcc/internal/dag"
 	"medcc/internal/sched"
+	"medcc/internal/sim"
 	"medcc/internal/workflow"
 )
 
 // Perturb maps a module's estimated duration to its actual duration.
-// Implementations must return a non-negative value.
+// Implementations must return a finite, non-negative value; Run rejects
+// any other.
 type Perturb func(rng *rand.Rand, module int, estimate float64) float64
 
 // Uniform returns a Perturb drawing actual = estimate * U[1-under, 1+over]
@@ -70,7 +74,18 @@ type Outcome struct {
 	Final workflow.Schedule
 }
 
-// Run executes the workflow under the configuration.
+// The states of a module during a run.
+const (
+	unstarted uint8 = iota
+	running
+	finished
+)
+
+// Run executes the workflow under the configuration. Each module that
+// starts schedules its finish event on a sim.Queue, due its actual
+// duration later; modules that become ready together start in index
+// order, and completions due at the same time are handled in the order
+// their modules started.
 func Run(cfg Config) (*Outcome, error) {
 	w := cfg.Workflow
 	if w == nil {
@@ -80,7 +95,8 @@ func Run(cfg Config) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := sched.CriticalGreedy().Schedule(w, m, cfg.Budget)
+	cg := sched.CriticalGreedy()
+	s, err := cg.Schedule(w, m, cfg.Budget)
 	if err != nil {
 		return nil, err
 	}
@@ -91,197 +107,144 @@ func Run(cfg Config) (*Outcome, error) {
 	// Draw actual duration factors up front (per module, independent of
 	// the chosen type: a module that runs 20% long does so on any VM).
 	factor := make([]float64, n)
-	for i := 0; i < n; i++ {
+	for i := range factor {
 		factor[i] = 1
-		if cfg.Perturb != nil && !w.Module(i).Fixed {
-			est := m.TE[i][s[i]]
-			f := cfg.Perturb(rng, i, est)
-			if est > 0 {
-				factor[i] = f / est
-			}
+		if cfg.Perturb == nil || w.Module(i).Fixed {
+			continue
 		}
-		if factor[i] < 0 {
-			return nil, fmt.Errorf("adaptive: negative actual duration for module %d", i)
+		est := m.TE[i][s[i]]
+		act := cfg.Perturb(rng, i, est)
+		if !(act >= 0) || math.IsInf(act, 1) {
+			return nil, fmt.Errorf("adaptive: actual duration %v for module %d is not finite and non-negative", act, i)
+		}
+		if est > 0 {
+			factor[i] = act / est
 		}
 	}
 	actualDur := func(i int) float64 {
 		if w.Module(i).Fixed {
 			return w.Module(i).FixedTime
 		}
-		return m.TE[i][s[i]] * factor[i]
-	}
-	actualCost := func(i int) float64 {
-		if w.Module(i).Fixed {
-			return 0
-		}
-		return m.Billing.BilledTime(actualDur(i)) * m.Catalog[s[i]].Rate
+		return float64(m.TE[i][s[i]] * factor[i])
 	}
 
-	const (
-		unstarted = 0
-		running   = 1
-		finished  = 2
-	)
-	state := make([]int, n)
-	finish := make([]float64, n)
-	pending := make([]int, n)
-	for i := 0; i < n; i++ {
+	var rp *replanner
+	if cfg.Replan {
+		rp = &replanner{w: w.Clone(), cg: cg}
+	}
+	var q sim.Queue
+	state := make([]uint8, n)
+	pending := make([]int, n) // unfinished predecessors
+	var ready []int           // modules to start, in index order
+	for i := range pending {
 		pending[i] = g.InDegree(i)
+		if pending[i] == 0 {
+			ready = append(ready, i)
+		}
 	}
 	out := &Outcome{}
-	now := 0.0
 	spent := 0.0
-	done := 0
-	var rp replanner // scratch shared by all replan rounds of this run
-
-	startReady := func() {
-		for i := 0; i < n; i++ {
-			if state[i] == unstarted && pending[i] == 0 {
-				state[i] = running
-				finish[i] = now + actualDur(i)
-			}
+	for done := 0; ; {
+		for _, i := range ready {
+			state[i] = running
+			q.Schedule(actualDur(i), 0, int32(i)) // the one event kind: module i finishes
 		}
-	}
-	startReady()
-	for done < n {
-		// Advance to the earliest running completion.
-		next := -1
-		for i := 0; i < n; i++ {
-			if state[i] == running && (next == -1 || finish[i] < finish[next]) {
-				next = i
-			}
+		ready = ready[:0]
+		if done == n {
+			break
 		}
-		if next == -1 {
+		ev, ok, err := q.Next()
+		if err != nil {
+			return nil, fmt.Errorf("adaptive: %w", err)
+		}
+		if !ok {
 			return nil, fmt.Errorf("adaptive: deadlock with %d/%d modules done", done, n)
 		}
-		now = finish[next]
-		state[next] = finished
-		spent += actualCost(next)
-		done++
-		for _, v := range g.Succ(next) {
-			pending[v]--
+		i := int(ev.Arg)
+		state[i] = finished
+		if !w.Module(i).Fixed { // fixed modules are free
+			spent += float64(m.Billing.BilledTime(actualDur(i)) * m.Catalog[s[i]].Rate)
 		}
-		if cfg.Replan && done < n {
-			if rp.replanOnce(w, m, s, state, cfg.Budget, spent) {
+		done++
+		for _, v := range g.Succ(i) {
+			pending[v]--
+			if pending[v] == 0 {
+				ready = append(ready, v)
+			}
+		}
+		slices.Sort(ready)
+		if rp != nil && done < n {
+			changed, err := rp.replan(w, m, s, state, cfg.Budget-spent)
+			if err != nil {
+				return nil, fmt.Errorf("adaptive: re-plan: %w", err)
+			}
+			if changed {
 				out.Replans++
 			}
 		}
-		startReady()
 	}
-	out.Makespan = now
-	out.Cost = spent
-	if spent > cfg.Budget {
-		out.Overspend = spent - cfg.Budget
-	}
-	out.Final = s
+	out.Makespan, out.Cost, out.Final = q.Now(), spent, s
+	out.Overspend = max(0, spent-cfg.Budget)
 	return out, nil
 }
 
-// replanner holds the scratch reused across replan rounds of one run: the
-// unstarted-module list, the previous-schedule snapshot, and an incremental
-// timing refreshed in place, so the per-completion replanning loop makes no
-// heap allocations after the first round.
+// replanner re-plans the unstarted modules of one run: it owns a clone of
+// the workflow in which every started module is fixed at its estimated
+// time, so a Critical-Greedy solve of the clone schedules exactly the
+// unstarted modules, against the critical path the plan expects.
 type replanner struct {
-	unstarted []int
-	before    workflow.Schedule
-	times     []float64
-	t         *dag.Timing
+	// medcc:lint-ignore epochguard — owner: the run's private clone, changed only by replan, which rebuilds m from it before every solve.
+	w *workflow.Workflow
+	// medcc:lint-ignore epochguard — owner: rebuilt in place from w before every solve.
+	m    *workflow.Matrices
+	cg   *sched.Greedy
+	plan workflow.Schedule
 }
 
-// replanOnce re-runs the Critical-Greedy loop over the unstarted modules:
-// they drop to their least-cost types, then upgrade while the estimated
-// cost of the unstarted remainder fits the budget that is actually left
-// (budget - actual spend - estimated cost of running modules). Returns
-// whether the schedule changed.
-func (rp *replanner) replanOnce(w *workflow.Workflow, m *workflow.Matrices, s workflow.Schedule, state []int, budget, spent float64) bool {
-	g := w.Graph()
-	unstartedMods := rp.unstarted[:0]
-	committed := 0.0 // estimated cost of modules currently running
-	for i := 0; i < w.NumModules(); i++ {
-		if w.Module(i).Fixed {
-			continue
-		}
-		switch state[i] {
-		case 0:
-			unstartedMods = append(unstartedMods, i)
-		case 1:
-			committed += m.CE[i][s[i]]
-		}
-	}
-	rp.unstarted = unstartedMods
-	if len(unstartedMods) == 0 {
-		return false
-	}
-	sort.Ints(unstartedMods)
-	if len(rp.before) != len(s) {
-		rp.before = make(workflow.Schedule, len(s))
-	}
-	copy(rp.before, s)
-
-	// Reset the remainder to least-cost.
-	remaining := 0.0
-	for _, i := range unstartedMods {
-		best := 0
-		for j := 1; j < len(m.Catalog); j++ {
-			cj, cb := m.CE[i][j], m.CE[i][best]
-			// medcc:lint-ignore floateq — tie-break on identical table cells; both sides read straight from CE.
-			if cj < cb || (cj == cb && m.TE[i][j] < m.TE[i][best]) {
-				best = j
+// replan re-plans the unstarted modules of s, under the run's matrices m,
+// at the budget left after the actual spend, less the estimated cost of
+// the running modules. Even the least-cost remainder may exceed what is
+// left once actuals ran over; the remainder then runs least-cost and
+// accepts the overshoot — aborting the workflow would waste everything
+// already paid. It reports whether the schedule changed.
+func (rp *replanner) replan(w *workflow.Workflow, m *workflow.Matrices, s workflow.Schedule, state []uint8, left float64) (bool, error) {
+	committed, open := 0.0, false
+	for i, st := range state {
+		switch {
+		case w.Module(i).Fixed:
+			// Free, and fixed in the clone already.
+		case st == unstarted:
+			open = true
+		default: // started: fixed at the time the plan expects of it
+			if st == running {
+				committed += m.CE[i][s[i]]
 			}
+			mod := rp.w.Module(i)
+			mod.Fixed, mod.FixedTime = true, m.TE[i][s[i]]
+			rp.w.SetModule(i, mod)
 		}
-		s[i] = best
-		remaining += m.CE[i][best]
 	}
-	avail := budget - spent - committed
-	// Even the least-cost remainder may exceed what is left once actuals
-	// ran over; spend what we have and accept the overshoot — aborting
-	// the workflow would waste everything already paid.
-	fresh := true
-	for avail-remaining > 0 {
-		if fresh {
-			// First iteration of a round: many assignments changed, so
-			// refresh the timing wholesale; later iterations re-relax only
-			// the upgraded module's suffix.
-			rp.times = m.TimesInto(s, rp.times)
-			if rp.t == nil {
-				t, err := dag.NewTiming(g, rp.times, nil)
-				if err != nil {
-					break // cannot happen on a validated workflow
-				}
-				rp.t = t
-			} else if err := rp.t.Update(rp.times); err != nil {
-				break
-			}
-			fresh = false
-		}
-		t := rp.t
-		bi, bj := -1, -1
-		var bestDT, bestDC float64
-		for _, i := range unstartedMods {
-			if !t.IsCritical(i) {
-				continue
-			}
-			for _, j := range m.Options(i) {
-				if j == s[i] {
-					continue
-				}
-				dt := m.TE[i][s[i]] - m.TE[i][j]
-				dc := m.CE[i][j] - m.CE[i][s[i]]
-				if dt <= dag.Eps || dc > avail-remaining+1e-9 {
-					continue
-				}
-				if bi == -1 || dt > bestDT+dag.Eps ||
-					(dt >= bestDT-dag.Eps && dc < bestDC-1e-9) {
-					bi, bj, bestDT, bestDC = i, j, dt, dc
-				}
-			}
-		}
-		if bi == -1 {
-			break
-		}
-		s[bi] = bj
-		remaining += bestDC
-		t.UpdateNode(bi, m.TE[bi][bj])
+	if !open {
+		return false, nil
 	}
-	return !s.Equal(rp.before)
+	rm, err := rp.w.BuildMatricesInto(m.Catalog, m.Billing, rp.m)
+	if err != nil {
+		return false, err
+	}
+	rp.m = rm
+	plan, err := rp.cg.ScheduleInto(rp.plan, rp.w, rm, left-committed)
+	if errors.Is(err, sched.ErrInfeasible) {
+		plan, err = rm.LeastCostInto(rp.w, rp.plan), nil
+	}
+	if err != nil {
+		return false, err
+	}
+	rp.plan = plan
+	changed := false
+	for i, j := range plan {
+		if j >= 0 && s[i] != j {
+			s[i], changed = j, true
+		}
+	}
+	return changed, nil
 }

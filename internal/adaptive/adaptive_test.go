@@ -3,6 +3,7 @@ package adaptive
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"medcc/internal/cloud"
@@ -69,11 +70,26 @@ func TestInfeasibleBudget(t *testing.T) {
 	}
 }
 
+// TestNegativePerturbRejected requires Run to reject an actual duration
+// that is negative or not finite, here for module 2 of the paper example,
+// before the run starts. Accepted, a NaN comes out as a NaN makespan and
+// cost, and +Inf as an infinite makespan, cost and overspend.
 func TestNegativePerturbRejected(t *testing.T) {
-	cfg := exampleConfig(57)
-	cfg.Perturb = func(rng *rand.Rand, _ int, est float64) float64 { return -1 }
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("negative actual duration accepted")
+	for _, bad := range []float64{-1, math.Inf(-1), math.NaN(), math.Inf(1)} {
+		cfg := exampleConfig(57)
+		cfg.Perturb = func(rng *rand.Rand, i int, est float64) float64 {
+			if i == 2 {
+				return bad
+			}
+			return est
+		}
+		out, err := Run(cfg)
+		if err == nil {
+			t.Fatalf("actual duration %v accepted: %+v", bad, out)
+		}
+		if want := "module 2"; !strings.Contains(err.Error(), want) {
+			t.Fatalf("actual duration %v: error %q does not name %s", bad, err, want)
+		}
 	}
 }
 
@@ -177,5 +193,48 @@ func TestAdaptiveAgainstScheduledBaseline(t *testing.T) {
 		if math.Abs(out.Makespan-res.MED) > 1e-9 || math.Abs(out.Cost-res.Cost) > 1e-9 {
 			t.Fatalf("trial %d: engine %+v vs analytic %v/%v", trial, out, res.MED, res.Cost)
 		}
+	}
+}
+
+// TestSimultaneousCompletionsInStartOrder pins the order Run handles
+// completions due at the same time in: the order their modules started,
+// the sim.Queue's FIFO rule. Module 1 starts at 0, and module 0 at 2,
+// after module 2; both finish at 3. Run bills module 1 before module 0,
+// where refRun, which took the lowest index first, billed them the other
+// way round, and under exact billing the order shows in the cost's last
+// bit.
+func TestSimultaneousCompletionsInStartOrder(t *testing.T) {
+	w := workflow.New()
+	late := w.AddModule(workflow.Module{Name: "late", Workload: 3})
+	w.AddModule(workflow.Module{Name: "long", Workload: 9})
+	first := w.AddModule(workflow.Module{Name: "first", Workload: 6})
+	if err := w.AddDependency(first, late, 0); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Workflow: w,
+		Catalog:  cloud.Catalog{{Name: "vm", Power: 3, Rate: 0.1}},
+		Billing:  cloud.Exact{},
+		Budget:   1,
+	}
+	out, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := refRun(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := func(hours float64) float64 { return float64(hours * 0.1) }
+	startOrder := c(2) + c(3) + c(1)
+	indexOrder := c(2) + c(1) + c(3)
+	if math.Float64bits(startOrder) == math.Float64bits(indexOrder) {
+		t.Fatal("the two orders sum to the same bits: the test shows nothing")
+	}
+	if out.Makespan != 3 || math.Float64bits(out.Cost) != math.Float64bits(startOrder) {
+		t.Fatalf("makespan %v cost %v, want 3 and %v (start order)", out.Makespan, out.Cost, startOrder)
+	}
+	if math.Float64bits(ref.Cost) != math.Float64bits(indexOrder) {
+		t.Fatalf("reference cost %v, want %v (index order)", ref.Cost, indexOrder)
 	}
 }

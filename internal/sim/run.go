@@ -6,7 +6,8 @@
 // makespan and billed cost are computed independently of the analytic
 // model in package workflow, so agreement between the two validates both
 // (DESIGN.md experiment A2). Its event core, Queue, also drives the
-// Nimbus-like testbed of package testbed.
+// Nimbus-like testbed of package testbed and the execution under runtime
+// noise of package adaptive.
 package sim
 
 import (

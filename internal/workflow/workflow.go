@@ -494,5 +494,6 @@ func growRows(rows [][]float64, m, n int) [][]float64 {
 	return rows
 }
 
-// SetWorkload replaces the workload of module i (used by generators).
-func (w *Workflow) SetWorkload(i int, wl float64) { w.mods[i].Workload = wl }
+// SetModule replaces module i, keeping its edges and graph node name.
+// Matrices built before the call are stale until rebuilt.
+func (w *Workflow) SetModule(i int, m Module) { w.mods[i] = m }

@@ -79,7 +79,9 @@ func TestSchedulableSkipsFixed(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	w, _ := PaperExample()
 	c := w.Clone()
-	c.SetWorkload(1, 999)
+	mod := c.Module(1)
+	mod.Workload = 999
+	c.SetModule(1, mod)
 	if w.Module(1).Workload == 999 {
 		t.Fatal("clone workload change leaked")
 	}

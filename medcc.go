@@ -207,14 +207,17 @@ type (
 )
 
 // UniformNoise builds a runtime perturbation drawing actual duration =
-// estimate x U[1-under, 1+over].
+// estimate x U[1-under, 1+over], floored at 0. Any perturbation must
+// return a finite, non-negative actual duration.
 var UniformNoise = adaptive.Uniform
 
 // RunAdaptive executes a workflow whose actual module durations deviate
 // from the estimates the schedule was computed with. With Replan set, the
 // unstarted remainder is re-planned after every completion against the
 // budget actually left — cutting budget violations at the price of a
-// longer makespan (see EXPERIMENTS.md A6).
+// longer makespan (see EXPERIMENTS.md A6). It fails before the run starts
+// when the perturbation returns an actual duration that is not a finite,
+// non-negative number.
 func RunAdaptive(cfg AdaptiveConfig) (*AdaptiveOutcome, error) {
 	return adaptive.Run(cfg)
 }

@@ -100,7 +100,10 @@ func Run(cfg Config) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	var rng *rand.Rand // only Perturb draws from it
+	if cfg.Perturb != nil {
+		rng = rand.New(rand.NewSource(cfg.Seed))
+	}
 	g := w.Graph()
 	n := w.NumModules()
 

@@ -23,7 +23,8 @@ var ErrDeadline = errors.New("sched: deadline below minimum achievable makespan"
 // DeadlineLoss minimizes cost under a deadline with a LOSS-style greedy:
 // start from the fastest schedule and repeatedly apply the downgrade that
 // saves the most money while keeping the whole-DAG makespan within the
-// deadline (ties: the smaller makespan increase).
+// deadline (ties: the smaller makespan increase). The result's MED and
+// Cost are the returned schedule's evaluation, bit for bit.
 func DeadlineLoss(w *workflow.Workflow, m *workflow.Matrices, deadline float64) (*Result, error) {
 	if !m.HasOptionTable() {
 		return nil, ErrNoOptions
@@ -42,7 +43,6 @@ func DeadlineLoss(w *workflow.Workflow, m *workflow.Matrices, deadline float64) 
 	if err := e.resetTiming(s); err != nil {
 		return nil, err
 	}
-	cost := ev.Cost
 	cur := ev.Makespan
 	for {
 		bi, bj := -1, -1
@@ -71,9 +71,8 @@ func DeadlineLoss(w *workflow.Workflow, m *workflow.Matrices, deadline float64) 
 			break
 		}
 		s[bi] = bj
-		cost -= bestSave
-		cur += bestDM
 		e.updateNode(bi, bj)
+		cur = e.t.Makespan
 	}
-	return &Result{Schedule: s, MED: cur, Cost: cost}, nil
+	return &Result{Schedule: s, MED: cur, Cost: m.Cost(s)}, nil
 }

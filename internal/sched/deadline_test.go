@@ -52,6 +52,59 @@ func TestDeadlineLossTightDeadlineKeepsFastest(t *testing.T) {
 	}
 }
 
+// TestDeadlineLossReportsItsEvaluation pins DeadlineLoss's MED and cost
+// to the evaluation of the schedule it returns, in Float64bits, over
+// gen.Instance instances of paper sizes 1–10 × hourly and exact billing
+// × deadlines 10, 30, 50 and 80% of the way from the fastest to the
+// least-cost makespan. Costs summed from the accepted downgrades'
+// savings drift from m.Cost in the last bits.
+func TestDeadlineLossReportsItsEvaluation(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	pairs := 0
+	for _, size := range gen.PaperProblemSizes()[:10] {
+		for k := 0; k < 13; k++ {
+			w, cat, err := gen.Instance(rng, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, billing := range []cloud.BillingPolicy{cloud.HourlyRoundUp, cloud.Exact{}} {
+				m, err := w.BuildMatrices(cat, billing)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fast, err := w.Evaluate(m, m.Fastest(w), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lc, err := w.Evaluate(m, m.LeastCost(w), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, frac := range []float64{0.1, 0.3, 0.5, 0.8} {
+					d := fast.Makespan + frac*(lc.Makespan-fast.Makespan)
+					res, err := DeadlineLoss(w, m, d)
+					if err != nil {
+						t.Fatalf("%v %v deadline %v: %v", size, billing, d, err)
+					}
+					ev, err := w.Evaluate(m, res.Schedule, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(res.Cost) != math.Float64bits(ev.Cost) ||
+						math.Float64bits(res.MED) != math.Float64bits(ev.Makespan) {
+						t.Fatalf("%v %v deadline %v: MED/cost %v/%v, evaluation %v/%v",
+							size, billing, d, res.MED, res.Cost, ev.Makespan, ev.Cost)
+					}
+					pairs++
+				}
+			}
+		}
+	}
+	if pairs < 1000 {
+		t.Fatalf("only %d pairs", pairs)
+	}
+}
+
 func TestDeadlineRespectedOnRandomInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 10; trial++ {

@@ -19,9 +19,9 @@ type Event struct {
 	Arg  int32
 }
 
-// Queue is the discrete-event core shared by the Replayer, the testbed
-// and adaptive execution: a virtual clock over a binary min-heap of
-// typed events. Events pop in (time, seq) order, where seq counts
+// Queue is the discrete-event core shared by the Replayer (and so the
+// testbed) and adaptive execution: a virtual clock over a binary min-heap
+// of typed events. Events pop in (time, seq) order, where seq counts
 // Schedule calls, so simultaneous events run FIFO and every trace is
 // deterministic. Pushing and popping move records, never pointers, so a
 // queue reused across runs allocates nothing once its heap has grown to

@@ -7,13 +7,14 @@ import (
 	"medcc/internal/workflow"
 )
 
-// Replayer is the pooled discrete-event engine behind Run: the same
-// replay semantics (just-in-time provisioning with boot latency,
-// precedence-gated execution, slot-limited shared-storage transfers, VM
-// reuse, occupancy billing), restructured so that repeated replays reuse
-// every piece of state instead of reallocating it. It mirrors the
-// scheduler engine of PR 1 (sched/engine.go): bind once per (workflow,
-// matrices) pair, then replay schedule after schedule at zero
+// Replayer is the pooled discrete-event engine behind Run and the
+// testbed: the same replay semantics (just-in-time provisioning with
+// boot latency, optional placement on hosts with FIFO slot queueing and
+// image copies, precedence-gated execution, slot-limited shared-storage
+// transfers, VM reuse, occupancy billing), restructured so that
+// repeated replays reuse every piece of state instead of reallocating
+// it. It mirrors the scheduler engine (sched/engine.go): bind once per
+// (workflow, matrices) pair, then replay schedule after schedule at zero
 // steady-state heap allocations.
 //
 // Mechanically, events are small typed records (kind + argument) on the
@@ -57,6 +58,14 @@ type Replayer struct {
 	xferQ    []xferItem
 	xferHead int
 
+	// Host placement, sized to Config.Hosts (empty without hosts):
+	// occupied slots and image flag per host, and the VMs waiting for a
+	// slot, FIFO from waitHead.
+	hostLoad  []int
+	hostImage []bool
+	hostWait  []int32
+	waitHead  int
+
 	// Per-run config mirror (the fields the event handlers need).
 	vmOf      []int
 	vmMods    [][]int
@@ -64,6 +73,8 @@ type Replayer struct {
 	delay     float64
 	boot      float64
 	slots     int
+	hostSlots int
+	imageTime float64
 	done      int
 
 	res Result
@@ -161,12 +172,18 @@ func (r *Replayer) Run(cfg Config) (*Result, error) {
 	if cfg.Bandwidth > 0 && (math.IsNaN(cfg.Delay) || cfg.Delay < 0) {
 		return nil, fmt.Errorf("sim: invalid transfer delay %v", cfg.Delay)
 	}
+	if cfg.Hosts < 0 || (cfg.Hosts > 0 && (cfg.SlotsPerHost < 1 || !(cfg.ImageTime >= 0))) {
+		return nil, fmt.Errorf("sim: invalid hosts %d x %d slots, image time %v", cfg.Hosts, cfg.SlotsPerHost, cfg.ImageTime)
+	}
 	r.bind(w, m)
 	g := w.Graph()
 	n := w.NumModules()
 	r.times = m.TimesInto(s, r.times)
 
 	if cfg.Reuse != nil {
+		if err := r.checkPlan(cfg.Reuse, s); err != nil {
+			return nil, err
+		}
 		r.vmOf = cfg.Reuse.VMOf
 		r.vmMods = cfg.Reuse.ModulesOf
 	} else {
@@ -179,7 +196,7 @@ func (r *Replayer) Run(cfg Config) (*Result, error) {
 	// with capacity equal to the planned module count, so the appends in
 	// tryStart never grow them.
 	res := &r.res
-	res.Makespan, res.Cost, res.Events = 0, 0, 0
+	res.Makespan, res.Cost, res.Events, res.QueueWait = 0, 0, 0, 0
 	res.Modules = growModuleTraces(res.Modules, n)
 	for i := 0; i < n; i++ {
 		res.Modules[i] = ModuleTrace{Ready: -1, Start: -1, Finish: -1, VM: r.vmOf[i]}
@@ -190,12 +207,16 @@ func (r *Replayer) Run(cfg Config) (*Result, error) {
 		planned += len(r.vmMods[v])
 	}
 	r.vmModsBuf = growInts(r.vmModsBuf, planned)
+	requested := 0.0 // on hosts, -1 marks a VM no module has asked for
+	if cfg.Hosts > 0 {
+		requested = -1
+	}
 	off := 0
 	for v := 0; v < nv; v++ {
 		k := len(r.vmMods[v])
 		res.VMs[v] = VMTrace{
 			Type: s[r.vmMods[v][0]], BootAt: -1, ReadyAt: -1, StoppedAt: -1,
-			Modules: r.vmModsBuf[off : off : off+k],
+			Modules: r.vmModsBuf[off : off : off+k], RequestedAt: requested,
 		}
 		off += k
 	}
@@ -213,8 +234,14 @@ func (r *Replayer) Run(cfg Config) (*Result, error) {
 	r.xferBusy = 0
 	r.xferQ = r.xferQ[:0]
 	r.xferHead = 0
+	r.hostLoad = growInts(r.hostLoad, cfg.Hosts)
+	r.hostImage = growBools(r.hostImage, cfg.Hosts)
+	for h := range r.hostLoad {
+		r.hostLoad[h], r.hostImage[h] = 0, false
+	}
+	r.hostWait, r.waitHead = r.hostWait[:0], 0
 	r.bandwidth, r.delay, r.boot = cfg.Bandwidth, cfg.Delay, cfg.BootTime
-	r.slots = cfg.TransferSlots
+	r.slots, r.hostSlots, r.imageTime = cfg.TransferSlots, cfg.SlotsPerHost, cfg.ImageTime
 	r.done = 0
 
 	// Kick off the sources, in module index order like Run always has.
@@ -259,28 +286,112 @@ func (r *Replayer) Run(cfg Config) (*Result, error) {
 		}
 	}
 	if r.done != n {
-		return nil, fmt.Errorf("sim: deadlock — %d of %d modules completed", r.done, n)
+		return nil, deadlock(r.done, n)
 	}
 	res.Events = r.q.Processed()
 	return res, nil
 }
 
+// DeadlockError reports a replay whose events ran out before every
+// module finished: on hosts, VMs that hold every slot while waiting for
+// modules on VMs queued behind them.
+type DeadlockError struct{ Done, Modules int }
+
+func (e *DeadlockError) Error() string {
+	return fmt.Sprintf("sim: deadlock — %d of %d modules completed", e.Done, e.Modules)
+}
+
+// medcc:coldpath — builds a failed run's error.
+func deadlock(done, modules int) error { return &DeadlockError{Done: done, Modules: modules} }
+
+// checkPlan rejects a reuse plan that does not fit the bound workflow and
+// schedule s: each schedulable module must be on one VM that lists it
+// once and has its scheduled type, and no fixed module may be on a VM.
+// It counts listings in pendingIn, which Run refills afterwards.
+func (r *Replayer) checkPlan(p *workflow.ReusePlan, s workflow.Schedule) error {
+	n := r.w.NumModules()
+	if len(p.VMOf) != n || len(p.TypeOf) != len(p.ModulesOf) {
+		return fmt.Errorf("sim: reuse plan places %d modules on %d VMs of %d types; the workflow has %d modules",
+			len(p.VMOf), len(p.ModulesOf), len(p.TypeOf), n)
+	}
+	listed := r.pendingIn
+	clear(listed)
+	for v, mods := range p.ModulesOf {
+		if len(mods) == 0 {
+			return fmt.Errorf("sim: reuse plan VM %d runs no module", v)
+		}
+		for _, i := range mods {
+			switch {
+			case i < 0 || i >= n || p.VMOf[i] != v:
+				return fmt.Errorf("sim: reuse plan VM %d lists module %d, which VMOf does not put on it", v, i)
+			case listed[i] != 0:
+				return fmt.Errorf("sim: reuse plan VM %d lists module %d twice", v, i)
+			case s[i] != p.TypeOf[v]:
+				return fmt.Errorf("sim: reuse plan VM %d has type %d, its module %d is scheduled on type %d", v, p.TypeOf[v], i, s[i])
+			}
+			listed[i] = 1
+		}
+	}
+	for i, v := range p.VMOf {
+		switch fixed := r.w.Module(i).Fixed; {
+		case fixed && v != -1:
+			return fmt.Errorf("sim: reuse plan puts fixed module %d on VM %d", i, v)
+		case !fixed && listed[i] == 0:
+			return fmt.Errorf("sim: reuse plan puts module %d on VM %d, which does not list it", i, v)
+		}
+	}
+	return nil
+}
+
 // onReady fires when all inputs of module i have arrived.
 func (r *Replayer) onReady(i int) {
-	r.res.Modules[i].Ready = r.q.Now()
+	now := r.q.Now()
+	r.res.Modules[i].Ready = now
 	if r.w.Module(i).Fixed {
 		// Fixed entry/exit modules run outside any VM.
 		r.startModule(i)
 		return
 	}
 	v := r.vmOf[i]
-	if r.res.VMs[v].BootAt < 0 {
+	vm := &r.res.VMs[v]
+	switch {
+	case len(r.hostLoad) == 0 && vm.BootAt < 0:
 		// Just-in-time provisioning: first demand boots the VM.
-		r.res.VMs[v].BootAt = r.q.Now()
+		vm.BootAt = now
 		r.q.Schedule(r.boot, evBootDone, int32(v))
+	case len(r.hostLoad) > 0 && vm.RequestedAt < 0:
+		// On hosts, first demand asks for a slot; the VM boots there.
+		vm.RequestedAt = now
+		r.place(v)
+	default:
+		r.tryStart(v)
+	}
+}
+
+// place puts VM v on the least-loaded host with a free slot, the lowest
+// index on ties, and boots it there, behind the image copy on the host's
+// first placement. With every slot taken, v waits FIFO.
+func (r *Replayer) place(v int) {
+	best := -1
+	for h, load := range r.hostLoad {
+		if load < r.hostSlots && (best < 0 || load < r.hostLoad[best]) {
+			best = h
+		}
+	}
+	if best < 0 {
+		r.hostWait = append(r.hostWait, int32(v))
 		return
 	}
-	r.tryStart(v)
+	now := r.q.Now()
+	vm := &r.res.VMs[v]
+	r.hostLoad[best]++
+	vm.Host, vm.BootAt = best, now
+	r.res.QueueWait += now - vm.RequestedAt
+	image := 0.0
+	if !r.hostImage[best] {
+		image, r.hostImage[best] = r.imageTime, true
+	}
+	r.q.Schedule(image+r.boot, evBootDone, int32(v))
 }
 
 // startModule begins execution of module i now.
@@ -320,11 +431,19 @@ func (r *Replayer) onFinish(i int) {
 		v := r.vmOf[i]
 		r.vmFree[v] = true
 		if int(r.vmNext[v]) >= len(r.vmMods[v]) {
-			// Last planned module done: terminate and bill.
-			res.VMs[v].StoppedAt = now
-			occ := now - res.VMs[v].BootAt
-			res.VMs[v].Cost = r.m.Billing.BilledTime(occ) * r.m.Catalog[res.VMs[v].Type].Rate
-			res.Cost += res.VMs[v].Cost
+			// Last planned module done: terminate and bill, and hand
+			// the host slot to the head waiter.
+			vm := &res.VMs[v]
+			vm.StoppedAt = now
+			vm.Cost = float64(r.m.Billing.BilledTime(now-vm.BootAt) * r.m.Catalog[vm.Type].Rate)
+			res.Cost += vm.Cost
+			if len(r.hostLoad) > 0 {
+				r.hostLoad[vm.Host]--
+				if r.waitHead < len(r.hostWait) {
+					r.waitHead++
+					r.place(int(r.hostWait[r.waitHead-1]))
+				}
+			}
 		} else {
 			r.tryStart(v)
 		}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -516,18 +517,55 @@ func TestReplayersShareConfigConcurrently(t *testing.T) {
 	}
 }
 
+// hostConfig places a sparse random instance, wide enough for its VMs to
+// queue, on hosts: Critical-Greedy at mid budget, an interval reuse plan,
+// boot, image copies and slotted transfers on a 2x2-slot cloud.
+func hostConfig(t testing.TB, rng *rand.Rand) Config {
+	t.Helper()
+	w, cat, err := gen.Instance(rng, gen.ProblemSize{M: 40, E: 60, N: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := w.BuildMatrices(cat, cloud.HourlyRoundUp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmin, cmax := m.BudgetRange(w)
+	res, err := sched.Run(sched.CriticalGreedy(), w, m, (cmin+cmax)/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := w.Evaluate(m, res.Schedule, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Config{
+		Workflow: w, Matrices: m, Schedule: res.Schedule, BootTime: 0.5,
+		Reuse:     w.PlanReuse(res.Schedule, ev.Timing, workflow.ReuseByInterval),
+		Bandwidth: 25, Delay: 0.002, TransferSlots: 3,
+		Hosts: 2, SlotsPerHost: 2, ImageTime: 0.75,
+	}
+}
+
 // TestReplayerRunAllocFree pins the steady-state contract: once a
 // Replayer has grown its pools on a config, replaying it allocates
 // nothing — with boot latency, slotted transfers and a reuse plan, so
-// every event kind and the transfer FIFO are on the measured path.
+// every event kind and the transfer FIFO are on the measured path, and
+// on hosts whose slots VMs queue for.
 func TestReplayerRunAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	rng := rand.New(rand.NewSource(5))
 	cfgs := differentialConfigs(t, rng, gen.ProblemSize{M: 40, E: 434, N: 6})
+	hosts := hostConfig(t, rng)
 	var r Replayer
-	for _, cfg := range []Config{cfgs[0], cfgs[9]} {
+	if res, err := r.Run(hosts); err != nil {
+		t.Fatal(err)
+	} else if res.QueueWait <= 0 {
+		t.Fatal("no VM queued on the host config")
+	}
+	for _, cfg := range []Config{cfgs[0], cfgs[9], hosts} {
 		if _, err := r.Run(cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -537,7 +575,203 @@ func TestReplayerRunAllocFree(t *testing.T) {
 			}
 		})
 		if avg != 0 {
-			t.Fatalf("Replayer.Run allocates %v per run (slots=%d reuse=%v)", avg, cfg.TransferSlots, cfg.Reuse != nil)
+			t.Fatalf("Replayer.Run allocates %v per run (slots=%d reuse=%v hosts=%d)", avg, cfg.TransferSlots, cfg.Reuse != nil, cfg.Hosts)
+		}
+	}
+}
+
+// requireSameBits compares two results in Float64bits on every time,
+// bill and the queue wait, and exactly on events, hosts, types and
+// module lists.
+func requireSameBits(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if !same(got.Makespan, want.Makespan) || !same(got.Cost, want.Cost) || !same(got.QueueWait, want.QueueWait) || got.Events != want.Events {
+		t.Fatalf("%s: makespan/cost/wait/events {%v %v %v %d} != {%v %v %v %d}", label,
+			got.Makespan, got.Cost, got.QueueWait, got.Events, want.Makespan, want.Cost, want.QueueWait, want.Events)
+	}
+	if len(got.Modules) != len(want.Modules) || len(got.VMs) != len(want.VMs) {
+		t.Fatalf("%s: %d modules / %d VMs, want %d / %d", label, len(got.Modules), len(got.VMs), len(want.Modules), len(want.VMs))
+	}
+	for i, g := range got.Modules {
+		w := want.Modules[i]
+		if !same(g.Ready, w.Ready) || !same(g.Start, w.Start) || !same(g.Finish, w.Finish) || g.VM != w.VM {
+			t.Fatalf("%s: module %d trace %+v != %+v", label, i, g, w)
+		}
+	}
+	for v, g := range got.VMs {
+		w := want.VMs[v]
+		if g.Type != w.Type || g.Host != w.Host || !same(g.RequestedAt, w.RequestedAt) || !same(g.BootAt, w.BootAt) ||
+			!same(g.ReadyAt, w.ReadyAt) || !same(g.StoppedAt, w.StoppedAt) || !same(g.Cost, w.Cost) || !slices.Equal(g.Modules, w.Modules) {
+			t.Fatalf("%s: VM %d trace %+v != %+v", label, v, g, w)
+		}
+	}
+}
+
+// TestPooledReplayerHostsMatchFresh drives one pooled Replayer through
+// host-free and host configs in turn on random instances, sparse enough
+// for VMs to queue, with and without reuse plans, image copies and
+// boots, on clouds small enough to stall. Host state (slot loads, image
+// flags, the waiting line) lives on the Replayer between runs, so every
+// run must reset it: each trace must equal a fresh Replayer's in
+// Float64bits, the queue wait included, and each error its error.
+func TestPooledReplayerHostsMatchFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	var r Replayer
+	var runs, queued, imaged, stalled int
+	for trial := 0; trial < 40; trial++ {
+		size := gen.ProblemSize{M: 5 + rng.Intn(40), N: 2 + rng.Intn(5)}
+		size.E = rng.Intn(2*size.M + 1)
+		cfgs := differentialConfigs(t, rng, size)
+		ev, err := cfgs[0].Workflow.Evaluate(cfgs[0].Matrices, cfgs[0].Schedule, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		precedence := cfgs[0].Workflow.PlanReuse(cfgs[0].Schedule, ev.Timing, workflow.ReuseByPrecedence)
+		for k := 0; k < 4; k++ {
+			cfg := cfgs[rng.Intn(len(cfgs))]
+			if k%2 == 1 {
+				cfg.Hosts, cfg.SlotsPerHost = 1+rng.Intn(3), 1+rng.Intn(2)
+				if rng.Intn(4) > 0 {
+					cfg.ImageTime = rng.Float64()
+				}
+				if rng.Intn(3) > 0 {
+					cfg.Reuse = precedence
+				}
+			}
+			label := fmt.Sprintf("trial %d run %d %v hosts %dx%d image %v boot %v reuse %v",
+				trial, k, size, cfg.Hosts, cfg.SlotsPerHost, cfg.ImageTime, cfg.BootTime, cfg.Reuse != nil)
+			runs++
+			want, werr := Run(cfg)
+			got, gerr := r.Run(cfg)
+			if werr != nil || gerr != nil {
+				if fmt.Sprint(werr) != fmt.Sprint(gerr) {
+					t.Fatalf("%s: error %v, fresh %v", label, gerr, werr)
+				}
+				stalled++
+				continue
+			}
+			requireSameBits(t, label, got, want)
+			if got.QueueWait > 0 {
+				queued++
+			}
+			if cfg.Hosts > 0 && cfg.ImageTime > 0 {
+				imaged++
+			}
+		}
+	}
+	t.Logf("%d runs: %d queued, %d with image copies, %d stalled", runs, queued, imaged, stalled)
+	if queued == 0 || imaged == 0 || stalled == 0 {
+		t.Fatalf("differential missed a regime: queued=%d imaged=%d stalled=%d", queued, imaged, stalled)
+	}
+}
+
+// TestReplayerRejectsBadHosts: host settings a replay cannot run are
+// errors; ImageTime is ignored without hosts.
+func TestReplayerRejectsBadHosts(t *testing.T) {
+	cfg, _ := paperConfig(t, 57)
+	for _, h := range [][3]float64{{-1, 1, 0}, {1, 0, 0}, {2, -1, 0}, {1, 1, -1}, {1, 1, math.NaN()}} {
+		c := cfg
+		c.Hosts, c.SlotsPerHost, c.ImageTime = int(h[0]), int(h[1]), h[2]
+		if _, err := Run(c); err == nil {
+			t.Errorf("hosts %v x %v, image time %v: accepted", h[0], h[1], h[2])
+		}
+	}
+	cfg.ImageTime = math.NaN()
+	if _, err := Run(cfg); err != nil {
+		t.Errorf("image time without hosts: %v", err)
+	}
+}
+
+// TestReplayerRejectsForeignPlans holds Run to the reuse plan's contract:
+// a plan that does not fit the workflow and schedule is an error, never
+// a panic or a silent replay of other types.
+func TestReplayerRejectsForeignPlans(t *testing.T) {
+	cfg, _ := paperConfig(t, 57)
+	w, s := cfg.Workflow, cfg.Schedule
+	planOf := func(w *workflow.Workflow, m *workflow.Matrices, s workflow.Schedule) *workflow.ReusePlan {
+		ev, err := w.Evaluate(m, s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w.PlanReuse(s, ev.Timing, workflow.ReuseByInterval)
+	}
+	own := planOf(w, cfg.Matrices, s)
+	cfg.Reuse = own
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("own plan rejected: %v", err)
+	}
+	// A copy of the schedule's own plan with one defect each.
+	edit := func(f func(p *workflow.ReusePlan)) *workflow.ReusePlan {
+		p := &workflow.ReusePlan{VMOf: slices.Clone(own.VMOf), TypeOf: slices.Clone(own.TypeOf)}
+		for _, mods := range own.ModulesOf {
+			p.ModulesOf = append(p.ModulesOf, slices.Clone(mods))
+		}
+		f(p)
+		return p
+	}
+	// first is the first module of the VM that runs the most.
+	most := 0
+	for v, mods := range own.ModulesOf {
+		if len(mods) > len(own.ModulesOf[most]) {
+			most = v
+		}
+	}
+	first := own.ModulesOf[most][0]
+	pipeline := workflow.New()
+	a := pipeline.AddModule(workflow.Module{Name: "a", Workload: 10})
+	b := pipeline.AddModule(workflow.Module{Name: "b", Workload: 10})
+	if err := pipeline.AddDependency(a, b, 1); err != nil {
+		t.Fatal(err)
+	}
+	pm, err := pipeline.BuildMatrices(cfg.Matrices.Catalog, cloud.HourlyRoundUp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cheap, _ := paperConfig(t, 48)
+	fast, _ := paperConfig(t, 64)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		plan *workflow.ReusePlan
+	}{
+		{"2-module pipeline's plan", cfg, planOf(pipeline, pm, pm.LeastCost(pipeline))},
+		{"budget-48 plan at budget 64", fast, planOf(cheap.Workflow, cheap.Matrices, cheap.Schedule)},
+		{"VMOf short", cfg, edit(func(p *workflow.ReusePlan) { p.VMOf = p.VMOf[:len(p.VMOf)-1] })},
+		{"TypeOf short", cfg, edit(func(p *workflow.ReusePlan) { p.TypeOf = p.TypeOf[1:] })},
+		{"fixed module on a VM", cfg, edit(func(p *workflow.ReusePlan) { p.VMOf[0] = 0 })},
+		{"schedulable module on no VM", cfg, edit(func(p *workflow.ReusePlan) { p.VMOf[first] = -1 })},
+		{"VMOf past the VMs", cfg, edit(func(p *workflow.ReusePlan) { p.VMOf[first] = len(p.TypeOf) })},
+		{"module listed on another VM", cfg, edit(func(p *workflow.ReusePlan) {
+			v := p.VMOf[first]
+			p.ModulesOf[v] = slices.DeleteFunc(p.ModulesOf[v], func(i int) bool { return i == first })
+			u := (v + 1) % len(p.ModulesOf)
+			p.ModulesOf[u] = append(p.ModulesOf[u], first)
+		})},
+		{"module listed twice", cfg, edit(func(p *workflow.ReusePlan) {
+			v := p.VMOf[first]
+			p.ModulesOf[v] = append(p.ModulesOf[v], first)
+		})},
+		{"module listed nowhere", cfg, edit(func(p *workflow.ReusePlan) {
+			v := p.VMOf[first]
+			p.ModulesOf[v] = slices.DeleteFunc(p.ModulesOf[v], func(i int) bool { return i == first })
+		})},
+		{"module index out of range", cfg, edit(func(p *workflow.ReusePlan) { p.ModulesOf[0] = append(p.ModulesOf[0], len(p.VMOf)) })},
+		{"VM without modules", cfg, edit(func(p *workflow.ReusePlan) {
+			p.TypeOf = append(p.TypeOf, 0)
+			p.ModulesOf = append(p.ModulesOf, nil)
+		})},
+		{"VM of another type", cfg, edit(func(p *workflow.ReusePlan) {
+			v := p.VMOf[first]
+			p.TypeOf[v] = (p.TypeOf[v] + 1) % len(cfg.Matrices.Catalog)
+		})},
+	} {
+		c := tc.cfg
+		c.Reuse = tc.plan
+		if _, err := Run(c); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		} else {
+			t.Logf("%s: %v", tc.name, err)
 		}
 	}
 }

@@ -5,9 +5,10 @@
 // shared-storage data transfers, VM reuse, and a billing meter. Its
 // makespan and billed cost are computed independently of the analytic
 // model in package workflow, so agreement between the two validates both
-// (DESIGN.md experiment A2). Its event core, Queue, also drives the
-// Nimbus-like testbed of package testbed and the execution under runtime
-// noise of package adaptive.
+// (DESIGN.md experiment A2). The Nimbus-like testbed of package testbed
+// replays on the same Replayer, its VMM slots as the replay's hosts, and
+// the event core, Queue, also drives the execution under runtime noise of
+// package adaptive.
 package sim
 
 import (
@@ -28,7 +29,8 @@ type Config struct {
 
 	// Reuse optionally packs modules onto shared VM instances (from
 	// workflow.PlanReuse). Nil provisions one VM per schedulable
-	// module, the paper's one-to-one mapping baseline.
+	// module, the paper's one-to-one mapping baseline. Run rejects a
+	// plan that does not fit Workflow and Schedule.
 	Reuse *workflow.ReusePlan
 
 	// Bandwidth and Delay model shared-storage data transfers: each
@@ -41,6 +43,16 @@ type Config struct {
 	// transfers queue FIFO, modeling storage contention on wide
 	// fan-outs.
 	TransferSlots int
+
+	// Hosts, when positive, bounds where VMs run: Hosts hosts of
+	// SlotsPerHost slots each. A VM's first demand takes the
+	// least-loaded host with a free slot (lowest index on ties), or
+	// waits FIFO for one; its boot and its bill start at placement, and
+	// a host's first placement adds ImageTime to the boot (the VM image
+	// copy). A stopping VM hands its slot to the head waiter. Zero
+	// provisions every VM at its first demand.
+	Hosts, SlotsPerHost int
+	ImageTime           float64
 }
 
 // ModuleTrace records one module's simulated lifecycle.
@@ -54,11 +66,15 @@ type ModuleTrace struct {
 // VMTrace records one VM instance's lifecycle and bill.
 type VMTrace struct {
 	Type      int     // catalog index
-	BootAt    float64 // provisioning request time
+	BootAt    float64 // boot started: the first demand, or the placement on a host
 	ReadyAt   float64 // boot completed
 	StoppedAt float64 // terminated after its last module
-	Cost      float64 // billed under the matrices' billing policy
+	Cost      float64 // billed from BootAt under the matrices' billing policy
 	Modules   []int   // executed modules in order
+	// Host and RequestedAt, the VM's host and its first demand, are set
+	// when Config.Hosts > 0 and stay 0 otherwise.
+	Host        int
+	RequestedAt float64
 }
 
 // Result is the outcome of one simulated run.
@@ -68,6 +84,8 @@ type Result struct {
 	Modules  []ModuleTrace
 	VMs      []VMTrace
 	Events   int64
+	// QueueWait is the total time VMs waited for a host slot.
+	QueueWait float64
 }
 
 // CopyFrom deep-copies src into dst, reusing dst's slices (self-append
@@ -80,12 +98,14 @@ func (dst *Result) CopyFrom(src *Result) {
 	dst.Makespan = src.Makespan
 	dst.Cost = src.Cost
 	dst.Events = src.Events
+	dst.QueueWait = src.QueueWait
 	dst.Modules = append(dst.Modules[:0], src.Modules...)
 	dst.VMs = growVMTraces(dst.VMs, len(src.VMs))
 	for i := range src.VMs {
 		d, s := &dst.VMs[i], &src.VMs[i]
 		d.Type, d.BootAt, d.ReadyAt = s.Type, s.BootAt, s.ReadyAt
 		d.StoppedAt, d.Cost = s.StoppedAt, s.Cost
+		d.Host, d.RequestedAt = s.Host, s.RequestedAt
 		d.Modules = append(d.Modules[:0], s.Modules...)
 	}
 }

@@ -158,7 +158,8 @@ type SimulationResult = sim.Result
 // Simulate replays a solved schedule through the discrete-event cloud
 // simulator with the given VM boot latency and shared-storage bandwidth
 // (bandwidth <= 0 disables transfer delays), optionally using a reuse
-// plan (nil provisions one VM per module). With bootTime zero and free
+// plan (nil provisions one VM per module; a plan that does not fit the
+// workflow and r's schedule is an error). With bootTime zero and free
 // transfers the simulated makespan and cost equal the analytic ones.
 func Simulate(w *Workflow, r *Result, reuse *ReusePlan, bootTime, bandwidth, delay float64) (*SimulationResult, error) {
 	return sim.Run(sim.Config{

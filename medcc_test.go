@@ -115,6 +115,36 @@ func TestPlanReuseAndSimulate(t *testing.T) {
 	}
 }
 
+// TestSimulateRejectsForeignReusePlan: a reuse plan made for another
+// workflow or another schedule is an error, not a panic or a replay that
+// ignores the plan's VM types.
+func TestSimulateRejectsForeignReusePlan(t *testing.T) {
+	w, cat := PaperExample()
+	solve := func(w *Workflow, budget float64) (*Result, *ReusePlan) {
+		t.Helper()
+		res, err := Solve(w, cat, nil, budget, "critical-greedy")
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := PlanReuse(w, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, plan
+	}
+	pipe := NewPipeline([]float64{10, 10})
+	_, pipePlan := solve(pipe, 1e9)
+	at57, _ := solve(w, 57)
+	_, plan48 := solve(w, 48)
+	at64, _ := solve(w, 64)
+	if _, err := Simulate(w, at57, pipePlan, 0, 0, 0); err == nil {
+		t.Error("a 2-module pipeline's plan accepted for the paper example")
+	}
+	if _, err := Simulate(w, at64, plan48, 0, 0, 0); err == nil {
+		t.Error("the budget-48 schedule's plan accepted for the budget-64 schedule")
+	}
+}
+
 func TestNewPipelineFacade(t *testing.T) {
 	p := NewPipeline([]float64{30, 60, 90})
 	cat := Catalog{{Name: "a", Power: 30, Rate: 1}, {Name: "b", Power: 90, Rate: 4}}
